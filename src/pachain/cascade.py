@@ -127,31 +127,6 @@ def pa_nonlinearity(x, alpha):
     return x + alpha * x * np.abs(x) ** 2
 
 
-def stage_forward(
-    y_prev: Signal,
-    stage: PaStage,
-    sigma: float,
-    noise_slice: np.ndarray | None = None,
-) -> Signal:
-    """One stage: g * f(previous output + sigma * noise)."""
-    x = y_prev.samples
-    if noise_slice is not None and len(noise_slice) != len(x):
-        raise ValueError(
-            f"noise length {len(noise_slice)} != signal length {len(x)}"
-        )
-    if sigma != 0.0:
-        if noise_slice is None:
-            raise ValueError("sigma > 0 requires a noise_slice")
-        x = x + sigma * noise_slice
-    out = stage.gain * pa_nonlinearity(x, stage.alpha)
-    return Signal(
-        samples=out,
-        oversampling=y_prev.oversampling,
-        symbol_count=y_prev.symbol_count,
-        nominal_power=float(np.mean(np.abs(out) ** 2)),
-    )
-
-
 def cascade_samples(
     x0: np.ndarray,
     alphas: np.ndarray,
@@ -159,10 +134,13 @@ def cascade_samples(
     sigma: float,
     stage_noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bare-array cascade kernel; the hot path for the optimizer.
+    """Bare-array cascade kernel: the one implementation of the stage recursion.
 
-    Applies y <- g_k * f(y + sigma*w_k) for k = 1..K with exactly the same
-    arithmetic as the Signal-level loop.
+    Applies y <- g_k * f(y + sigma*w_k) for k = 1..K, with K = len(gains)
+    and w_k = stage_noise[k] (unused, and may be None, when sigma is 0).
+    The optimizer's residual, and through it the grid oracle, call it once
+    per parameter vector; cascade_forward calls it once per stage with the
+    noise already added, so all of them share its arithmetic.
     """
     y = x0
     for k in range(len(gains)):
@@ -204,6 +182,8 @@ def cascade_forward(
             )
 
     overdriven: list[int] = []
+    alphas = config.alphas
+    gains = config.gains
     y = x0
     kept: list[Signal] = []
     for k, stage in enumerate(config.stages):
@@ -213,7 +193,7 @@ def cascade_forward(
         if stage.alpha != 0:
             if np.mean(np.abs(stage_in) ** 2) > x_max(stage.alpha) ** 2:
                 overdriven.append(k + 1)
-        out = stage.gain * pa_nonlinearity(stage_in, stage.alpha)
+        out = cascade_samples(stage_in, alphas[k : k + 1], gains[k : k + 1], 0.0)
         y = Signal(
             samples=out,
             oversampling=x0.oversampling,

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     RunRecord,
     combine_records,
@@ -21,7 +20,7 @@ from .experiments import (
     run_optimizations,
     run_scenarios,
 )
-from .optimizer import InvalidStartError, Mode, UnsupportedModeError
+from .optimizer import Mode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         record, _ = runners[args.command](args)
-    except (ConfigError, InvalidStartError, UnsupportedModeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"pachain: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

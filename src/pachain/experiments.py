@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import CascadeConfig, PaStage, cascade_forward
-from .cascade import scenario2_gain as _scenario2_gain
 from .metrics import FLOOR_DB, MetricsReport, report
 from .optimizer import (
     Mode,
@@ -117,7 +115,6 @@ class RunRecord:
     optimization_results: dict[tuple[int, str], OptimizationResult] = field(default_factory=dict)
     optimization_metrics: dict[tuple[int, str], MetricsReport] = field(default_factory=dict)
     optimized_parameters: dict[tuple[int, str], tuple[float, np.ndarray]] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
 
     def solver_failures(self) -> list[tuple[int, str]]:
         return [
@@ -136,7 +133,6 @@ def combine_records(first: RunRecord, second: RunRecord) -> RunRecord:
         merged.optimization_results.update(source.optimization_results)
         merged.optimization_metrics.update(source.optimization_metrics)
         merged.optimized_parameters.update(source.optimized_parameters)
-        merged.timings.update(source.timings)
     return merged
 
 
@@ -227,14 +223,8 @@ def evaluation_noise(config: ExperimentConfig, stages: int, length: int) -> Nois
 
 
 def scenario_gains(config: ExperimentConfig, scenario: Scenario, stages: int) -> np.ndarray:
-    """Stage gains for a bracketing scenario.
-
-    Scenario TWO degenerates to unit gains for a linear chain (alpha = 0),
-    where there is no compression for extra amplification to compensate.
-    """
-    if scenario is Scenario.ONE or config.alpha == 0:
-        return np.ones(stages)
-    return np.full(stages, _scenario2_gain(config.alpha))
+    """Stage gains for a bracketing scenario: those of its scenario_start."""
+    return scenario_start(scenario, stages, config.alpha)[1:]
 
 
 def make_cascade_config(
@@ -284,16 +274,16 @@ def run_scenarios(config: ExperimentConfig) -> RunRecord:
     record = RunRecord(config=config)
     if not config.K_range:
         return record
-    started = time.perf_counter()
     x_unit = excitation_for(config)
+    # Row k of a draw does not depend on the row count, so one draw at the
+    # deepest cascade serves every K.
+    noise = evaluation_noise(config, max(config.K_range), len(x_unit))
     for stages in config.K_range:
-        noise = evaluation_noise(config, stages, len(x_unit))
         for scenario in (Scenario.ONE, Scenario.TWO):
             gains = scenario_gains(config, scenario, stages)
             cascade_cfg = make_cascade_config(config, gains, input_power=1.0)
             metrics = _evaluate(config, x_unit, cascade_cfg, 1.0, noise)
             record.scenario_metrics[(stages, f"scenario{scenario.value}")] = metrics
-    record.timings["scenarios"] = time.perf_counter() - started
     return record
 
 
@@ -331,14 +321,14 @@ def run_optimizations(config: ExperimentConfig) -> RunRecord:
     of the two solves is kept.
     """
     record = RunRecord(config=config)
-    if not config.K_range:
+    if not config.K_range or not config.modes:
         return record
-    started = time.perf_counter()
     x_unit = excitation_for(config)
+    deepest = max(config.K_range)
+    opt_noise = optimization_noise(config, deepest, len(x_unit))
+    eval_noise = evaluation_noise(config, deepest, len(x_unit))
 
     for stages in config.K_range:
-        opt_noise = optimization_noise(config, stages, len(x_unit))
-        eval_noise = evaluation_noise(config, stages, len(x_unit))
         s1_gains = scenario_gains(config, Scenario.ONE, stages)
         s1_config = make_cascade_config(config, s1_gains, input_power=1.0)
 
@@ -363,7 +353,6 @@ def run_optimizations(config: ExperimentConfig) -> RunRecord:
 
         for mode in config.modes:
             case_results: list[tuple[str, CascadeConfig, OptimizationResult]] = []
-            case_started = time.perf_counter()
             if mode is Mode.POWER_ONLY:
                 start = scenario_start(Scenario.ONE, stages, config.alpha, mode)
                 case_results.append(
@@ -402,11 +391,7 @@ def run_optimizations(config: ExperimentConfig) -> RunRecord:
                 record.optimization_results[key] = result
                 record.optimization_metrics[key] = metrics
                 record.optimized_parameters[key] = (p0, gains)
-                record.timings[f"optimize_K{stages}_{case}"] = (
-                    time.perf_counter() - case_started
-                )
 
-    record.timings["optimizations"] = time.perf_counter() - started
     return record
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,15 +54,60 @@ class Scenario(enum.Enum):
     TWO = 2
 
 
+class GainLayout(enum.Enum):
+    FIXED = "fixed"  # taken from the config
+    SHARED = "shared"  # one free gain for every stage
+    PER_STAGE = "per-stage"  # one free gain per stage
+
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """Which of (p0, gains) a mode frees; its vector is [p0?, gains...]."""
+
+    free_power: bool
+    gains: GainLayout
+
+    def gain_count(self, stage_count: int) -> int:
+        return {
+            GainLayout.FIXED: 0,
+            GainLayout.SHARED: 1,
+            GainLayout.PER_STAGE: stage_count,
+        }[self.gains]
+
+    def reduce(self, p0: float, gains: np.ndarray) -> np.ndarray:
+        """The mode's vector taken from a full (p0, per-stage gains) point."""
+        return np.concatenate(
+            [[p0][: int(self.free_power)], gains[: self.gain_count(len(gains))]]
+        )
+
+
+MODE_LAYOUTS = {
+    Mode.POWER_ONLY: ModeLayout(True, GainLayout.FIXED),
+    Mode.EQUAL_GAINS: ModeLayout(False, GainLayout.SHARED),
+    Mode.UNEQUAL_GAINS: ModeLayout(False, GainLayout.PER_STAGE),
+    Mode.JOINT_EQUAL_GAINS: ModeLayout(True, GainLayout.SHARED),
+    Mode.JOINT_UNEQUAL_GAINS: ModeLayout(True, GainLayout.PER_STAGE),
+}
+
+
 def mode_dimension(mode: Mode, stage_count: int) -> int:
     """Number of free parameters for a mode over a K-stage cascade."""
-    return {
-        Mode.POWER_ONLY: 1,
-        Mode.EQUAL_GAINS: 1,
-        Mode.UNEQUAL_GAINS: stage_count,
-        Mode.JOINT_EQUAL_GAINS: 2,
-        Mode.JOINT_UNEQUAL_GAINS: stage_count + 1,
-    }[mode]
+    layout = MODE_LAYOUTS[mode]
+    return int(layout.free_power) + layout.gain_count(stage_count)
+
+
+def mode_bounds(
+    mode: Mode,
+    stage_count: int,
+    power_bounds: tuple[float, float],
+    gain_bounds: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper box corners of a mode's parameter vector."""
+    layout = MODE_LAYOUTS[mode]
+    return (
+        layout.reduce(power_bounds[0], np.full(stage_count, gain_bounds[0])),
+        layout.reduce(power_bounds[1], np.full(stage_count, gain_bounds[1])),
+    )
 
 
 def expand_parameters(
@@ -80,16 +125,14 @@ def expand_parameters(
             f"mode {mode.value} over {config.stage_count} stages takes "
             f"{expected} parameters, got shape {theta.shape}"
         )
-    k = config.stage_count
-    if mode is Mode.POWER_ONLY:
-        return float(theta[0]), config.gains
-    if mode is Mode.EQUAL_GAINS:
-        return config.input_power, np.full(k, theta[0])
-    if mode is Mode.UNEQUAL_GAINS:
-        return config.input_power, theta.copy()
-    if mode is Mode.JOINT_EQUAL_GAINS:
-        return float(theta[0]), np.full(k, theta[1])
-    return float(theta[0]), theta[1:].copy()
+    layout = MODE_LAYOUTS[mode]
+    p0 = float(theta[0]) if layout.free_power else config.input_power
+    free_gains = theta[int(layout.free_power):]
+    if layout.gains is GainLayout.FIXED:
+        return p0, config.gains
+    if layout.gains is GainLayout.SHARED:
+        return p0, np.full(config.stage_count, free_gains[0])
+    return p0, free_gains.copy()
 
 
 def scenario_start(
@@ -101,27 +144,21 @@ def scenario_start(
     """Starting point from one of the two bracketing configurations.
 
     Scenario ONE: unit gains (amplification just covers connector losses).
-    Scenario TWO: every stage at the maximum-drive gain scenario2_gain(alpha).
-    Both start at full drive p0 = 1.  With a mode given, the full
-    (p0, gains) start is reduced to that mode's parameter vector.
+    Scenario TWO: every stage at the maximum-drive gain scenario2_gain(alpha),
+    or unit gains for a linear chain (alpha = 0), where there is no
+    compression for extra amplification to compensate.  Both start at full
+    drive p0 = 1.  With a mode given, the full (p0, gains) start is reduced
+    to that mode's parameter vector.
     """
     if stage_count < 1:
         raise ValueError(f"stage_count must be >= 1, got {stage_count}")
-    if scenario is Scenario.ONE:
+    if scenario is Scenario.ONE or alpha == 0:
         gains = np.ones(stage_count)
     else:
         gains = np.full(stage_count, scenario2_gain(alpha))
     if mode is None:
         return np.concatenate([[1.0], gains])
-    if mode is Mode.POWER_ONLY:
-        return np.array([1.0])
-    if mode is Mode.EQUAL_GAINS:
-        return gains[:1].copy()
-    if mode is Mode.UNEQUAL_GAINS:
-        return gains.copy()
-    if mode is Mode.JOINT_EQUAL_GAINS:
-        return np.array([1.0, gains[0]])
-    return np.concatenate([[1.0], gains])
+    return MODE_LAYOUTS[mode].reduce(1.0, gains)
 
 
 @dataclass(frozen=True)
@@ -138,14 +175,9 @@ class OptimizationSpec:
     step_tolerance: float = 1e-10
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        dim = mode_dimension(self.mode, self.stage_count)
-        if self.mode is Mode.POWER_ONLY:
-            return (np.array([self.power_bounds[0]]), np.array([self.power_bounds[1]]))
-        if self.mode in (Mode.EQUAL_GAINS, Mode.UNEQUAL_GAINS):
-            return (np.full(dim, self.gain_bounds[0]), np.full(dim, self.gain_bounds[1]))
-        lo = np.concatenate([[self.power_bounds[0]], np.full(dim - 1, self.gain_bounds[0])])
-        hi = np.concatenate([[self.power_bounds[1]], np.full(dim - 1, self.gain_bounds[1])])
-        return lo, hi
+        return mode_bounds(
+            self.mode, self.stage_count, self.power_bounds, self.gain_bounds
+        )
 
 
 @dataclass(frozen=True)
@@ -289,27 +321,6 @@ def solve(
     )
 
 
-def grid_search(
-    objective: Callable[[np.ndarray], float],
-    bounds: Sequence[tuple[float, float]],
-    resolution: int,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum of an objective on a uniform grid over a box."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
-    best_theta = None
-    best_value = np.inf
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    for theta in flat:
-        value = float(objective(theta))
-        if value < best_value:
-            best_value = value
-            best_theta = theta
-    return np.asarray(best_theta), best_value
-
-
 def grid_oracle(
     x0_unit: Signal,
     config: CascadeConfig,
@@ -319,9 +330,10 @@ def grid_oracle(
 ) -> tuple[np.ndarray, float]:
     """Brute-force verification oracle for the 1- and 2-parameter modes.
 
-    Evaluates the same objective as the solver on a uniform grid over the
-    box and returns the grid argmin.  The cascade is evaluated in batches,
-    one grid row at a time, so this stays usable at resolution 200.
+    Scores every point of a uniform grid over the mode's box (drive in
+    [POWER_LOWER_BOUND, 1], gains in the config's gain window) with the
+    solver's own objective ``r @ r`` from build_residual, and returns the
+    first minimum in row-major order together with its objective.
     """
     dim = mode_dimension(mode, config.stage_count)
     if dim > 2:
@@ -332,63 +344,15 @@ def grid_oracle(
     if resolution < 50:
         raise ValueError(f"resolution must be >= 50 per axis, got {resolution}")
 
-    x = x0_unit.samples
-    desired = config.reference_gain * x
-    alphas = config.alphas
-    sigma = config.sigma
-    stage_noise = noise.stage_noise if noise is not None else None
-
-    def batch_objective(p0_values: np.ndarray, gain_grid: np.ndarray) -> np.ndarray:
-        # Rows: one drive level each; columns: samples.  gain_grid is
-        # (rows, K) of per-stage gains.
-        y = np.sqrt(p0_values)[:, None] * x[None, :]
-        for k in range(config.stage_count):
-            if sigma != 0.0:
-                y = y + sigma * stage_noise[k][None, :]
-            y = gain_grid[:, k : k + 1] * (y + alphas[k] * y * np.abs(y) ** 2)
-        return np.sum(np.abs(desired[None, :] - y) ** 2, axis=1)
-
-    if mode is Mode.POWER_ONLY:
-        p0_axis = np.linspace(POWER_LOWER_BOUND, 1.0, resolution)
-        gains = np.broadcast_to(config.gains, (resolution, config.stage_count))
-        values = batch_objective(p0_axis, gains)
-        best = int(np.argmin(values))
-        return np.array([p0_axis[best]]), float(values[best])
-
-    gain_lo, gain_hi = config.gain_bounds
-    gain_axis = np.linspace(gain_lo, gain_hi, resolution)
-
-    if mode is Mode.EQUAL_GAINS or (mode is Mode.UNEQUAL_GAINS and dim == 1):
-        p0 = np.full(resolution, config.input_power)
-        gains = np.repeat(gain_axis[:, None], config.stage_count, axis=1)
-        values = batch_objective(p0, gains)
-        best = int(np.argmin(values))
-        return np.array([gain_axis[best]]), float(values[best])
-
-    if mode is Mode.UNEQUAL_GAINS:
-        # Two stages: scan the first gain row by row against a vectorized
-        # second-gain axis, at the configured fixed drive.
-        p0 = np.full(resolution, config.input_power)
-        best_theta = None
-        best_value = np.inf
-        for first_gain in gain_axis:
-            gains = np.stack([np.full(resolution, first_gain), gain_axis], axis=1)
-            values = batch_objective(p0, gains)
-            idx = int(np.argmin(values))
-            if values[idx] < best_value:
-                best_value = float(values[idx])
-                best_theta = np.array([first_gain, gain_axis[idx]])
-        return best_theta, best_value
-
-    # Joint modes at dim <= 2: scan drive rows against a vectorized gain axis.
-    p0_axis = np.linspace(POWER_LOWER_BOUND, 1.0, resolution)
-    gains = np.repeat(gain_axis[:, None], config.stage_count, axis=1)
-    best_theta = None
-    best_value = np.inf
-    for p0 in p0_axis:
-        values = batch_objective(np.full(resolution, p0), gains)
-        idx = int(np.argmin(values))
-        if values[idx] < best_value:
-            best_value = float(values[idx])
-            best_theta = np.array([p0, gain_axis[idx]])
-    return best_theta, best_value
+    residual = build_residual(x0_unit, config, noise, mode)
+    lo, hi = mode_bounds(
+        mode, config.stage_count, (POWER_LOWER_BOUND, 1.0), config.gain_bounds
+    )
+    axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    values = np.empty(len(points))
+    for i, theta in enumerate(points):
+        r = residual(theta)
+        values[i] = r @ r
+    best = int(np.argmin(values))
+    return points[best].copy(), float(values[best])

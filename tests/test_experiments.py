@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pachain.cli as cli
+import pachain.experiments as experiments
 from pachain.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -111,7 +112,6 @@ def test_run_scenarios_record_shape():
     for metrics in record.scenario_metrics.values():
         assert np.isfinite(metrics.nmse_db)
         assert np.isfinite(metrics.aclr_db)
-    assert "scenarios" in record.timings
 
 
 def test_linear_noise_free_chain_reproduces_reference_exactly():
@@ -131,6 +131,33 @@ def test_run_optimizations_small():
     np.testing.assert_allclose(gains, 1.4944478185503975, rtol=1e-12)
     for result in record.optimization_results.values():
         assert isinstance(result.status, SolveStatus)
+
+
+def test_linear_chain_power_s2_runs_at_unit_gains():
+    # alpha = 0 has no saturation point: scenario two keeps unit gains
+    config = ExperimentConfig(alpha=0.0, modes=(Mode.POWER_ONLY,), **SMALL)
+    record = run_optimizations(config)
+    _, gains = record.optimized_parameters[(1, "power_s2")]
+    np.testing.assert_array_equal(gains, np.ones(1))
+
+
+def test_each_noise_stream_is_drawn_once(monkeypatch):
+    calls = []
+
+    def counting_draw(stages, length, seed):
+        calls.append((stages, seed))
+        return draw_noise(stages, length, seed)
+
+    monkeypatch.setattr(experiments, "draw_noise", counting_draw)
+    config = ExperimentConfig(symbols=256, K_range=(1, 2), modes=(Mode.POWER_ONLY,))
+    run_scenarios(config)
+    assert calls == [(2, config.seed + 2)]
+    calls.clear()
+    run_optimizations(config)
+    assert sorted(calls) == [(2, config.seed + 1), (2, config.seed + 2)]
+    calls.clear()
+    run_optimizations(ExperimentConfig(symbols=256, K_range=(1, 2), modes=()))
+    assert calls == []
 
 
 def test_combine_records():

@@ -19,7 +19,6 @@ from pachain.optimizer import (
     build_residual,
     expand_parameters,
     grid_oracle,
-    grid_search,
     mode_dimension,
     scenario_start,
     solve,
@@ -93,6 +92,25 @@ def test_scenario_starts():
     assert scenario_start(Scenario.ONE, 4, ALPHA, Mode.UNEQUAL_GAINS).shape == (4,)
     assert scenario_start(Scenario.ONE, 4, ALPHA, Mode.JOINT_EQUAL_GAINS).shape == (2,)
     assert scenario_start(Scenario.ONE, 4, ALPHA, Mode.JOINT_UNEQUAL_GAINS).shape == (5,)
+
+
+def test_spec_bounds_each_mode():
+    power, gain = (0.1, 0.9), (0.7, 1.3)
+    expected = {
+        Mode.POWER_ONLY: ([0.1], [0.9]),
+        Mode.EQUAL_GAINS: ([0.7], [1.3]),
+        Mode.UNEQUAL_GAINS: ([0.7, 0.7, 0.7], [1.3, 1.3, 1.3]),
+        Mode.JOINT_EQUAL_GAINS: ([0.1, 0.7], [0.9, 1.3]),
+        Mode.JOINT_UNEQUAL_GAINS: ([0.1, 0.7, 0.7, 0.7], [0.9, 1.3, 1.3, 1.3]),
+    }
+    for mode, (lo, hi) in expected.items():
+        spec = OptimizationSpec(
+            mode=mode, stage_count=3, start=np.zeros(len(lo)),
+            power_bounds=power, gain_bounds=gain,
+        )
+        got_lo, got_hi = spec.bounds()
+        np.testing.assert_array_equal(got_lo, lo)
+        np.testing.assert_array_equal(got_hi, hi)
 
 
 # -------------------------------------------------------------------- solver
@@ -187,16 +205,6 @@ def test_full_drive_optimum_lands_on_upper_bound_exactly():
 # --------------------------------------------------------------- grid oracle
 
 
-def test_grid_search_paraboloid():
-    theta, value = grid_search(
-        lambda t: float((t[0] - 0.3) ** 2 + (t[1] + 0.1) ** 2),
-        [(-1.0, 1.0), (-1.0, 1.0)],
-        201,
-    )
-    np.testing.assert_allclose(theta, [0.3, -0.1], atol=0.011)
-    assert value < 1e-4
-
-
 def test_grid_oracle_validation():
     x, config, noise = small_problem(3)
     with pytest.raises(UnsupportedModeError):
@@ -215,11 +223,23 @@ def test_grid_oracle_matches_manual_scan():
     assert theta[0] == pytest.approx(axis[int(np.argmin(manual))], rel=1e-12)
 
 
-def test_grid_oracle_two_stage_unequal_gains():
-    x, config, noise = small_problem(2, sigma=0.01, symbols=64)
-    residual = build_residual(x, config, noise, Mode.UNEQUAL_GAINS)
-    theta, value = grid_oracle(x, config, noise, Mode.UNEQUAL_GAINS, 50)
-    assert theta.shape == (2,)
+@pytest.mark.parametrize(
+    "mode, stages",
+    [
+        (Mode.POWER_ONLY, 2),
+        (Mode.EQUAL_GAINS, 2),
+        (Mode.UNEQUAL_GAINS, 1),
+        (Mode.UNEQUAL_GAINS, 2),
+        (Mode.JOINT_EQUAL_GAINS, 2),
+        (Mode.JOINT_UNEQUAL_GAINS, 1),
+    ],
+    ids=lambda value: value.value if isinstance(value, Mode) else f"K{value}",
+)
+def test_grid_oracle_scores_the_residual(mode, stages):
+    x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
+    residual = build_residual(x, config, noise, mode)
+    theta, value = grid_oracle(x, config, noise, mode, 50)
+    assert theta.shape == (mode_dimension(mode, stages),)
     # the reported value is the objective at the reported point
     assert value == pytest.approx(float(np.sum(residual(theta) ** 2)), rel=1e-12)
 
