@@ -127,6 +127,24 @@ def pa_nonlinearity(x, alpha):
     return x + alpha * x * np.abs(x) ** 2
 
 
+def check_noise(config: CascadeConfig, noise: NoiseRealization | None, length: int) -> None:
+    """Reject noise that cannot feed the chain over a signal of this length.
+
+    With sigma > 0 a realization is required, with a row for every stage and
+    one sample per signal sample; with sigma = 0 the noise is not used.
+    """
+    if config.sigma == 0.0:
+        return
+    if noise is None:
+        raise ValueError("sigma > 0 requires a NoiseRealization")
+    if noise.stages < config.stage_count:
+        raise ValueError(
+            f"noise has {noise.stages} stage rows, cascade needs {config.stage_count}"
+        )
+    if noise.length != length:
+        raise ValueError(f"noise length {noise.length} != signal length {length}")
+
+
 def cascade_samples(
     x0: np.ndarray,
     alphas: np.ndarray,
@@ -168,18 +186,7 @@ def cascade_forward(
     cubic folds over exactly as written), but it no longer resembles an
     amplifier there.
     """
-    if config.sigma != 0.0:
-        if noise is None:
-            raise ValueError("sigma > 0 requires a NoiseRealization")
-        if noise.stages < config.stage_count:
-            raise ValueError(
-                f"noise has {noise.stages} stage rows, cascade needs "
-                f"{config.stage_count}"
-            )
-        if noise.length != len(x0):
-            raise ValueError(
-                f"noise length {noise.length} != signal length {len(x0)}"
-            )
+    check_noise(config, noise, len(x0))
 
     overdriven: list[int] = []
     alphas = config.alphas

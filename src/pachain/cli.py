@@ -81,16 +81,8 @@ def _apply_flag_overrides(config: ExperimentConfig, args: argparse.Namespace) ->
         alpha = complex(alpha.real, args.alpha_im)
     if alpha != config.alpha:
         updates["alpha"] = alpha
-    for flag, name in (
-        ("sigma_sq", "sigma_sq"),
-        ("G", "G"),
-        ("epsilon", "epsilon"),
-        ("symbols", "symbols"),
-        ("oversampling", "oversampling"),
-        ("rolloff", "rolloff"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag)
+    for name in ("sigma_sq", "G", "epsilon", "symbols", "oversampling", "rolloff", "seed"):
+        value = getattr(args, name)
         if value is not None:
             updates[name] = value
     if args.out is not None:

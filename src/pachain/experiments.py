@@ -1,5 +1,9 @@
 """Experiment harness: scenario sweeps, the optimization study, and file export.
 
+The study's rows are the cases of ``CASES``, each run at every configured K:
+``run_scenarios`` runs the two without a mode, ``run_optimizations`` those whose
+mode is configured, and the emitted tables place each by its mode's layout.
+
 A run is fully determined by its configuration (including the seed).  Three
 derived random streams keep the pieces reproducible yet distinct: the symbol
 seed itself, seed+1 for the noise frozen into optimization objectives, and
@@ -13,15 +17,17 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .cascade import CascadeConfig, PaStage, cascade_forward
-from .metrics import FLOOR_DB, MetricsReport, report
+from .metrics import FLOOR_DB, PSD_SEGMENT_LENGTH, MetricsReport, aclr_span, psd_span, report
 from .optimizer import (
+    MODE_LAYOUTS,
     Mode,
+    ModeLayout,
     OptimizationResult,
     OptimizationSpec,
     Scenario,
@@ -35,30 +41,39 @@ from .signals import NoiseRealization, Signal, draw_noise, scale_amplitude, unit
 
 RRC_SPAN_SYMBOLS = 16
 
-ALL_MODES = (
-    Mode.POWER_ONLY,
-    Mode.EQUAL_GAINS,
-    Mode.UNEQUAL_GAINS,
-    Mode.JOINT_EQUAL_GAINS,
-    Mode.JOINT_UNEQUAL_GAINS,
-)
+ALL_MODES = tuple(Mode)
 
-# Row/file ordering for emitted CSVs; scenario rows come first.
-CASE_ORDER = (
-    "scenario1",
-    "scenario2",
-    "power_s1",
-    "power_s2",
-    "equal_gains",
-    "unequal_gains",
-    "joint_equal",
-    "joint_unequal",
-)
 
-# Cases that optimize gains and therefore appear in table_gains.csv.
-GAIN_CASES = ("equal_gains", "unequal_gains", "joint_equal", "joint_unequal")
-# Cases with an optimized drive power, appearing in table_power.csv.
-POWER_CASES = ("power_s1", "power_s2", "joint_equal", "joint_unequal")
+@dataclass(frozen=True)
+class Case:
+    """One row of the study, run at every K.
+
+    ``scenario`` gives the fixed gains and the start; ``mode`` is what the
+    case solves (None for a bracketing scenario, evaluated at full drive on
+    those gains); ``warm_from`` names a case whose optimum, mapped into this
+    mode, is a second start -- the better of the two solves is kept.
+    """
+
+    name: str
+    scenario: Scenario
+    mode: Mode | None = None
+    warm_from: str | None = None
+
+
+# The emitted row order.  joint_unequal also restarts from the joint_equal
+# optimum: that point is feasible for the larger problem, so the restart
+# guards the highest-dimensional search against inferior local valleys.
+CASES = (
+    Case("scenario1", Scenario.ONE),
+    Case("scenario2", Scenario.TWO),
+    Case("power_s1", Scenario.ONE, Mode.POWER_ONLY),
+    Case("power_s2", Scenario.TWO, Mode.POWER_ONLY),
+    Case("equal_gains", Scenario.ONE, Mode.EQUAL_GAINS),
+    Case("unequal_gains", Scenario.ONE, Mode.UNEQUAL_GAINS),
+    Case("joint_equal", Scenario.ONE, Mode.JOINT_EQUAL_GAINS),
+    Case("joint_unequal", Scenario.ONE, Mode.JOINT_UNEQUAL_GAINS, warm_from="joint_equal"),
+)
+_CASE_NAMED = {case.name: case for case in CASES}
 
 
 class ConfigError(ValueError):
@@ -100,6 +115,18 @@ class ExperimentConfig:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if not all(isinstance(m, Mode) for m in self.modes):
             raise ConfigError(f"modes must be Mode values, got {self.modes}")
+        # What report() would reject after the simulation, rejected up front.
+        span, needed = psd_span(self.oversampling), aclr_span(1.0 + self.rolloff)
+        if span < needed:
+            raise ConfigError(
+                f"oversampling {self.oversampling} at rolloff {self.rolloff}: PSD "
+                f"spans only |f| <= {span:.3g} symbol rates; ACLR needs {needed:.3g}"
+            )
+        if self.symbols * self.oversampling < PSD_SEGMENT_LENGTH:
+            raise ConfigError(
+                f"symbols * oversampling must be >= the PSD segment of "
+                f"{PSD_SEGMENT_LENGTH} samples, got {self.symbols * self.oversampling}"
+            )
 
     @property
     def sigma(self) -> float:
@@ -140,10 +167,7 @@ def combine_records(first: RunRecord, second: RunRecord) -> RunRecord:
 # Configuration (de)serialization
 
 
-_CONFIG_FIELDS = (
-    "alpha", "sigma_sq", "G", "epsilon", "K_range", "symbols",
-    "oversampling", "rolloff", "seed", "modes", "output_dir",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -189,15 +213,9 @@ def config_from_json(path: Path | str) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready mirror of the config (alpha as a [re, im] pair)."""
     return {
+        **{name: getattr(config, name) for name in _CONFIG_FIELDS},
         "alpha": [config.alpha.real, config.alpha.imag],
-        "sigma_sq": config.sigma_sq,
-        "G": config.G,
-        "epsilon": config.epsilon,
         "K_range": list(config.K_range),
-        "symbols": config.symbols,
-        "oversampling": config.oversampling,
-        "rolloff": config.rolloff,
-        "seed": config.seed,
         "modes": [mode.value for mode in config.modes],
         "output_dir": str(config.output_dir),
     }
@@ -262,7 +280,70 @@ def _evaluate(
 
 
 # --------------------------------------------------------------------------
-# Scenario study
+# The study
+
+
+def _case_point(
+    config: ExperimentConfig,
+    x_unit: Signal,
+    noise: NoiseRealization | None,
+    stages: int,
+    case: Case,
+    solved: dict[str, tuple[OptimizationResult | None, float, np.ndarray]],
+) -> tuple[OptimizationResult | None, float, np.ndarray]:
+    """A case's (result, p0, gains) at K = stages; solves are memoized in solved.
+
+    A scenario case has no result: it runs at full drive on its fixed gains.
+    """
+    gains = scenario_gains(config, case.scenario, stages)
+    if case.mode is None:
+        return None, 1.0, gains
+    if case.name not in solved:
+        fixed = make_cascade_config(config, gains)
+        starts = [scenario_start(case.scenario, stages, config.alpha, case.mode)]
+        if case.warm_from is not None:
+            _, p0, anchor_gains = _case_point(
+                config, x_unit, noise, stages, _CASE_NAMED[case.warm_from], solved
+            )
+            starts.append(MODE_LAYOUTS[case.mode].reduce(p0, anchor_gains))
+        residual = build_residual(x_unit, fixed, noise, case.mode)
+        bounds = fixed.gain_bounds
+        results = [
+            solve(OptimizationSpec(case.mode, stages, start, gain_bounds=bounds), residual)
+            for start in starts
+        ]
+        # min keeps the first on a tie: the cold start.
+        result = min(results, key=lambda r: r.objective)
+        solved[case.name] = (result, *expand_parameters(result.parameters, case.mode, fixed))
+    return solved[case.name]
+
+
+def _run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
+    """Run the cases at every K and evaluate each on the evaluation noise."""
+    record = RunRecord(config=config)
+    if not config.K_range or not cases:
+        return record
+    x_unit = excitation_for(config)
+    # Row k of a draw does not depend on the row count, so one draw at the
+    # deepest cascade serves every K.
+    deepest = max(config.K_range)
+    eval_noise = evaluation_noise(config, deepest, len(x_unit))
+    opt_noise = None
+    if any(case.mode is not None for case in cases):
+        opt_noise = optimization_noise(config, deepest, len(x_unit))
+    for stages in config.K_range:
+        solved: dict = {}
+        for case in cases:
+            result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case, solved)
+            metrics = _evaluate(config, x_unit, make_cascade_config(config, gains), p0, eval_noise)
+            key = (stages, case.name)
+            if result is None:
+                record.scenario_metrics[key] = metrics
+            else:
+                record.optimization_results[key] = result
+                record.optimization_metrics[key] = metrics
+                record.optimized_parameters[key] = (p0, gains)
+    return record
 
 
 def run_scenarios(config: ExperimentConfig) -> RunRecord:
@@ -271,128 +352,17 @@ def run_scenarios(config: ExperimentConfig) -> RunRecord:
     Metrics are computed on the evaluation-noise realization so the rows are
     directly comparable with post-optimization metrics from the same config.
     """
-    record = RunRecord(config=config)
-    if not config.K_range:
-        return record
-    x_unit = excitation_for(config)
-    # Row k of a draw does not depend on the row count, so one draw at the
-    # deepest cascade serves every K.
-    noise = evaluation_noise(config, max(config.K_range), len(x_unit))
-    for stages in config.K_range:
-        for scenario in (Scenario.ONE, Scenario.TWO):
-            gains = scenario_gains(config, scenario, stages)
-            cascade_cfg = make_cascade_config(config, gains, input_power=1.0)
-            metrics = _evaluate(config, x_unit, cascade_cfg, 1.0, noise)
-            record.scenario_metrics[(stages, f"scenario{scenario.value}")] = metrics
-    return record
-
-
-# --------------------------------------------------------------------------
-# Optimization study
-
-
-def _solve_case(
-    config: ExperimentConfig,
-    x_unit: Signal,
-    cascade_cfg: CascadeConfig,
-    mode: Mode,
-    start: np.ndarray,
-    noise: NoiseRealization,
-) -> OptimizationResult:
-    residual = build_residual(x_unit, cascade_cfg, noise, mode)
-    spec = OptimizationSpec(
-        mode=mode,
-        stage_count=cascade_cfg.stage_count,
-        start=start,
-        gain_bounds=cascade_cfg.gain_bounds,
-    )
-    return solve(spec, residual)
+    return _run_cases(config, [case for case in CASES if case.mode is None])
 
 
 def run_optimizations(config: ExperimentConfig) -> RunRecord:
-    """Solve the requested modes for every K and evaluate the optima.
+    """Solve the cases of the configured modes for every K and evaluate the optima.
 
-    All solves start from the unit-gain scenario; drive-only optimization is
-    additionally run over the maximum-drive scenario's fixed gains (the
-    power_s2 case).  Joint power-and-gain search over per-stage gains also
-    restarts from the joint equal-gain optimum -- that solution is a
-    feasible point of the larger problem, so the restart guards the
-    highest-dimensional search against inferior local valleys; the better
-    of the two solves is kept.
+    Each case starts from its scenario's gains at full drive; a case with
+    ``warm_from`` also restarts from that case's optimum, which is solved on
+    demand when its own mode is not configured.
     """
-    record = RunRecord(config=config)
-    if not config.K_range or not config.modes:
-        return record
-    x_unit = excitation_for(config)
-    deepest = max(config.K_range)
-    opt_noise = optimization_noise(config, deepest, len(x_unit))
-    eval_noise = evaluation_noise(config, deepest, len(x_unit))
-
-    for stages in config.K_range:
-        s1_gains = scenario_gains(config, Scenario.ONE, stages)
-        s1_config = make_cascade_config(config, s1_gains, input_power=1.0)
-
-        equal_cache: dict[Mode, OptimizationResult] = {}
-
-        def solved_equal(mode: Mode) -> OptimizationResult:
-            if mode not in equal_cache:
-                start = scenario_start(Scenario.ONE, stages, config.alpha, mode)
-                equal_cache[mode] = _solve_case(
-                    config, x_unit, s1_config, mode, start, opt_noise
-                )
-            return equal_cache[mode]
-
-        def best_of(mode: Mode, warm_start: np.ndarray) -> OptimizationResult:
-            cold = _solve_case(
-                config, x_unit, s1_config, mode,
-                scenario_start(Scenario.ONE, stages, config.alpha, mode),
-                opt_noise,
-            )
-            warm = _solve_case(config, x_unit, s1_config, mode, warm_start, opt_noise)
-            return warm if warm.objective < cold.objective else cold
-
-        for mode in config.modes:
-            case_results: list[tuple[str, CascadeConfig, OptimizationResult]] = []
-            if mode is Mode.POWER_ONLY:
-                start = scenario_start(Scenario.ONE, stages, config.alpha, mode)
-                case_results.append(
-                    ("power_s1", s1_config,
-                     _solve_case(config, x_unit, s1_config, mode, start, opt_noise))
-                )
-                s2_gains = scenario_gains(config, Scenario.TWO, stages)
-                s2_config = make_cascade_config(config, s2_gains, input_power=1.0)
-                start = scenario_start(Scenario.TWO, stages, config.alpha, mode)
-                case_results.append(
-                    ("power_s2", s2_config,
-                     _solve_case(config, x_unit, s2_config, mode, start, opt_noise))
-                )
-            elif mode is Mode.EQUAL_GAINS:
-                case_results.append(("equal_gains", s1_config, solved_equal(mode)))
-            elif mode is Mode.UNEQUAL_GAINS:
-                start = scenario_start(Scenario.ONE, stages, config.alpha, mode)
-                case_results.append(
-                    ("unequal_gains", s1_config,
-                     _solve_case(config, x_unit, s1_config, mode, start, opt_noise))
-                )
-            elif mode is Mode.JOINT_EQUAL_GAINS:
-                case_results.append(("joint_equal", s1_config, solved_equal(mode)))
-            elif mode is Mode.JOINT_UNEQUAL_GAINS:
-                anchor = solved_equal(Mode.JOINT_EQUAL_GAINS)
-                warm = np.concatenate(
-                    [anchor.parameters[:1], np.full(stages, anchor.parameters[1])]
-                )
-                case_results.append(("joint_unequal", s1_config, best_of(mode, warm)))
-
-            for case, case_config, result in case_results:
-                p0, gains = expand_parameters(result.parameters, mode, case_config)
-                eval_config = make_cascade_config(config, gains, input_power=1.0)
-                metrics = _evaluate(config, x_unit, eval_config, p0, eval_noise)
-                key = (stages, case)
-                record.optimization_results[key] = result
-                record.optimization_metrics[key] = metrics
-                record.optimized_parameters[key] = (p0, gains)
-
-    return record
+    return _run_cases(config, [case for case in CASES if case.mode in config.modes])
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +383,11 @@ def _full(value: float) -> str:
 
 def _case_sort_key(item: tuple[int, str]) -> tuple[int, int]:
     stages, case = item
-    return (stages, CASE_ORDER.index(case))
+    return (stages, CASES.index(_CASE_NAMED[case]))
+
+
+def _layout(case: str) -> ModeLayout:
+    return MODE_LAYOUTS[_CASE_NAMED[case].mode]
 
 
 def _build_files(record: RunRecord) -> dict[str, bytes]:
@@ -431,8 +405,10 @@ def _build_files(record: RunRecord) -> dict[str, bytes]:
     for key in sorted(record.scenario_metrics, key=_case_sort_key):
         add_signal_files(*key, record.scenario_metrics[key])
 
+    # Signal files of the optimized cases: those that free both p0 and gains.
     for key in sorted(record.optimization_metrics, key=_case_sort_key):
-        if key[1] in ("joint_equal", "joint_unequal"):
+        layout = _layout(key[1])
+        if layout.free_power and layout.gain_count(key[0]):
             add_signal_files(*key, record.optimization_metrics[key])
 
     metric_rows = []
@@ -450,9 +426,10 @@ def _build_files(record: RunRecord) -> dict[str, bytes]:
     gain_rows = []
     for (stages, case) in sorted(record.optimized_parameters, key=_case_sort_key):
         p0, gains = record.optimized_parameters[(stages, case)]
-        if case in POWER_CASES:
+        layout = _layout(case)
+        if layout.free_power:
             power_rows.append(f"{case},{stages},{p0:.2f}")
-        if case in GAIN_CASES:
+        if layout.gain_count(stages):
             for k, gain in enumerate(gains, start=1):
                 gain_rows.append(f"{case},{stages},{k},{gain:.2f}")
     if power_rows:

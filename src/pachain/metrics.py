@@ -16,6 +16,9 @@ FLOOR_DB = -300.0
 # (occupied bandwidth (1+rolloff) symbol rates).
 DEFAULT_CHANNEL_BANDWIDTH = 1.22
 
+# Welch segment of estimate_psd and report, in samples.
+PSD_SEGMENT_LENGTH = 1024
+
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -69,9 +72,22 @@ def nmse(desired: Signal, actual: Signal) -> float:
     return 10.0 * np.log10(num / denom)
 
 
+def psd_span(oversampling: int, segment_length: int = PSD_SEGMENT_LENGTH) -> float:
+    """Highest |f|, in symbol rates, on estimate_psd's symmetric axis.
+
+    For an even segment that is the Nyquist frequency less one bin.
+    """
+    return oversampling * ((segment_length - 1) // 2) / segment_length
+
+
+def aclr_span(channel_bandwidth: float) -> float:
+    """Highest |f|, in symbol rates, that aclr's adjacent channels reach."""
+    return 1.5 * channel_bandwidth
+
+
 def estimate_psd(
     signal: Signal,
-    segment_length: int = 1024,
+    segment_length: int = PSD_SEGMENT_LENGTH,
     overlap_fraction: float = 0.5,
 ) -> PsdEstimate:
     """Welch PSD with a Hann window, axis in symbol rates, peak at 0 dB.
@@ -124,10 +140,10 @@ def aclr(psd: PsdEstimate, channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH)
     """
     b = channel_bandwidth
     f = psd.frequencies
-    if f[-1] < 1.5 * b:
+    needed = aclr_span(b)
+    if f[-1] < needed:
         raise ValueError(
-            f"PSD spans only |f| <= {f[-1]:.3g} symbol rates; ACLR needs "
-            f"{1.5 * b:.3g}"
+            f"PSD spans only |f| <= {f[-1]:.3g} symbol rates; ACLR needs {needed:.3g}"
         )
     linear = 10.0 ** (psd.power_density / 10.0)
     main = float(np.sum(linear[(f >= -b / 2) & (f < b / 2)]))
@@ -156,7 +172,7 @@ def report(
     desired: Signal,
     actual: Signal,
     reference_input: Signal | None = None,
-    segment_length: int = 1024,
+    segment_length: int = PSD_SEGMENT_LENGTH,
     overlap_fraction: float = 0.5,
     channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH,
     amam_decimate: int = 1,

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cascade import CascadeConfig, cascade_samples, scenario2_gain
+from .cascade import CascadeConfig, cascade_samples, check_noise, scenario2_gain
 from .signals import NoiseRealization, Signal
 
 POWER_LOWER_BOUND = 1e-6  # open interval 0 < p0 is not machine-representable
@@ -201,18 +201,7 @@ def build_residual(
     parts) of G*x_unit - y_K(theta).  The noise realization is frozen into
     the closure so the objective is deterministic.
     """
-    if config.sigma != 0.0:
-        if noise is None:
-            raise ValueError("config.sigma > 0 requires a NoiseRealization")
-        if noise.stages < config.stage_count:
-            raise ValueError(
-                f"noise has {noise.stages} stage rows, cascade needs "
-                f"{config.stage_count}"
-            )
-        if noise.length != len(x0_unit):
-            raise ValueError(
-                f"noise length {noise.length} != signal length {len(x0_unit)}"
-            )
+    check_noise(config, noise, len(x0_unit))
     x = x0_unit.samples
     desired = config.reference_gain * x
     alphas = config.alphas

@@ -22,6 +22,7 @@ from pachain.cascade import (
     x_max,
 )
 from pachain.metrics import nmse
+from pachain.optimizer import Mode, build_residual
 from pachain.signals import Signal, draw_noise, unit_excitation
 
 ALPHA = -0.33 * (1 - 0.1j)
@@ -128,15 +129,25 @@ def test_stage_outputs_retention():
     np.testing.assert_array_equal(lean.output.samples, run.output.samples)
 
 
-def test_noise_shape_validation():
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(cascade_forward, id="cascade_forward"),
+        pytest.param(
+            lambda x, config, noise: build_residual(x, config, noise, Mode.POWER_ONLY),
+            id="build_residual",
+        ),
+    ],
+)
+def test_noise_shape_validation(run):
     x = unit_excitation(64, 8, 0.22, 16, 5)
     config = make_config([ALPHA] * 3, [1.0] * 3, sigma=0.1)
-    with pytest.raises(ValueError):
-        cascade_forward(x, config, None)
-    with pytest.raises(ValueError):
-        cascade_forward(x, config, draw_noise(2, len(x), 1))
-    with pytest.raises(ValueError):
-        cascade_forward(x, config, draw_noise(3, len(x) + 1, 1))
+    with pytest.raises(ValueError, match="requires a NoiseRealization"):
+        run(x, config, None)
+    with pytest.raises(ValueError, match="stage rows"):
+        run(x, config, draw_noise(2, len(x), 1))
+    with pytest.raises(ValueError, match="noise length"):
+        run(x, config, draw_noise(3, len(x) + 1, 1))
 
 
 def test_cascade_samples_matches_cascade_forward():

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pachain
 import pachain.cli as cli
 import pachain.experiments as experiments
 from pachain.experiments import (
@@ -66,9 +68,16 @@ def test_config_validation_errors():
         dict(rolloff=0.0),
         dict(symbols=0),
         dict(K_range=(0,)),
+        # metrics would reject these only after the simulation had run
+        dict(oversampling=3),
+        dict(oversampling=6, rolloff=1.0),
+        dict(symbols=100),
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
             ExperimentConfig(**bad)
+    # the tightest accepted shapes run through every metric
+    run_scenarios(ExperimentConfig(oversampling=7, rolloff=1.0, symbols=147, K_range=(1,)))
+    run_scenarios(ExperimentConfig(symbols=128, K_range=(1,)))
 
 
 def test_config_from_json_reports_bad_files(tmp_path):
@@ -131,6 +140,26 @@ def test_run_optimizations_small():
     np.testing.assert_allclose(gains, 1.4944478185503975, rtol=1e-12)
     for result in record.optimization_results.values():
         assert isinstance(result.status, SolveStatus)
+
+
+def test_warm_start_anchor_is_solved_on_demand():
+    alone = run_optimizations(
+        ExperimentConfig(symbols=256, K_range=(2,), modes=(Mode.JOINT_UNEQUAL_GAINS,))
+    )
+    assert set(alone.optimization_results) == {(2, "joint_unequal")}
+    both = run_optimizations(
+        ExperimentConfig(
+            symbols=256, K_range=(2,),
+            modes=(Mode.JOINT_EQUAL_GAINS, Mode.JOINT_UNEQUAL_GAINS),
+        )
+    )
+    mine = alone.optimization_results[(2, "joint_unequal")]
+    reference = both.optimization_results[(2, "joint_unequal")]
+    np.testing.assert_array_equal(mine.parameters, reference.parameters)
+    np.testing.assert_array_equal(mine.objective_history, reference.objective_history)
+    assert (mine.objective, mine.status, mine.iterations) == (
+        reference.objective, reference.status, reference.iterations
+    )
 
 
 def test_linear_chain_power_s2_runs_at_unit_gains():
@@ -253,6 +282,15 @@ def test_unreachable_reference_serializes_at_floor(tmp_path):
     emit_outputs(run_scenarios(config))
     body = (tmp_path / "floor" / "metrics_vs_K.csv").read_text()
     assert "-300.0" in body
+
+
+def test_readme_sketch_imports_from_the_package():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1]
+    statement = re.search(r"from pachain import \(.*?\)", sketch, re.S).group(0)
+    names = re.findall(r"\w+", statement.split("(", 1)[1])
+    assert names and set(names) <= set(pachain.__all__)
+    exec(statement, {})
 
 
 # ---------------------------------------------------------------------- CLI
