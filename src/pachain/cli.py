@@ -1,7 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 bad arguments or configuration, 2 solver failure
-(a solve stalled at the feasible-set boundary), 3 output I/O failure.
+(a solve stalled at the feasible-set boundary), 3 output I/O failure.  Every
+solve that did not end Converged is named on stderr; one that ran out of
+iterations still exits 0, because its point is feasible and no worse than
+its start, and its outputs are written.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from pathlib import Path
 from .experiments import (
     ExperimentConfig,
     RunRecord,
+    _case_sort_key,
     combine_records,
     config_from_json,
     emit_outputs,
     run_optimizations,
     run_scenarios,
 )
-from .optimizer import Mode
+from .optimizer import Mode, SolveStatus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,12 +127,13 @@ def _run_sweep(args: argparse.Namespace) -> tuple[RunRecord, ExperimentConfig]:
 
 def _report_lines(record: RunRecord) -> list[str]:
     lines = []
-    for (stages, case), metrics in sorted(record.scenario_metrics.items()):
+    for stages, case in sorted(record.scenario_metrics, key=_case_sort_key):
+        metrics = record.scenario_metrics[stages, case]
         lines.append(
             f"{case} K={stages}: NMSE {metrics.nmse_db:.2f} dB, "
             f"ACLR {metrics.aclr_db:.2f} dB"
         )
-    for key in sorted(record.optimization_results):
+    for key in sorted(record.optimization_results, key=_case_sort_key):
         stages, case = key
         result = record.optimization_results[key]
         metrics = record.optimization_metrics[key]
@@ -166,12 +171,11 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(f"wrote {len(written)} files to {record.config.output_dir}")
 
-    failures = record.solver_failures()
-    if failures:
-        for stages, case in failures:
-            print(f"pachain: solver stalled at bound: {case} K={stages}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    for stages, case in sorted(record.optimization_results, key=_case_sort_key):
+        status = record.optimization_results[stages, case].status
+        if status is not SolveStatus.CONVERGED:
+            print(f"pachain: solve ended {status.value}: {case} K={stages}", file=sys.stderr)
+    return EXIT_SOLVER if record.solver_failures() else EXIT_OK
 
 
 if __name__ == "__main__":

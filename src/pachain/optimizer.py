@@ -6,9 +6,11 @@ on the mode).  Normalizing the desired signal by 1/sqrt(p0) cancels the p0
 dependence of the reference, so the desired side is simply G times the
 unit-drive excitation.
 
-The solver is a damped Gauss-Newton (Levenberg-Marquardt) iteration with a
-finite-difference Jacobian and projection of trial points onto the box; at
-most K+1 parameters are ever optimized, so the Jacobian is cheap.
+The solver is a damped Gauss-Newton (Levenberg-Marquardt) iteration with
+projection of trial points onto the box.  Its Jacobian is exact: the residual
+carries the derivatives with respect to the at most K+1 parameters through
+the same cascade pass that computes it (forward-mode tangents in
+cascade_samples), so one kernel call per trial point yields both.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ class ModeLayout:
             GainLayout.FIXED: 0,
             GainLayout.SHARED: 1,
             GainLayout.PER_STAGE: stage_count,
+        }[self.gains]
+
+    def gain_rows(self, stage_count: int) -> list[int | None]:
+        """Per stage, the vector index of the parameter its gain equals."""
+        first = int(self.free_power)
+        return {
+            GainLayout.FIXED: [None] * stage_count,
+            GainLayout.SHARED: [first] * stage_count,
+            GainLayout.PER_STAGE: list(range(first, first + stage_count)),
         }[self.gains]
 
     def reduce(self, p0: float, gains: np.ndarray) -> np.ndarray:
@@ -194,12 +205,15 @@ def build_residual(
     config: CascadeConfig,
     noise: NoiseRealization | None,
     mode: Mode,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Residual of the desired output against the cascade output.
 
-    Returns a function theta -> 2N real values (real parts, then imaginary
-    parts) of G*x_unit - y_K(theta).  The noise realization is frozen into
-    the closure so the objective is deterministic.
+    Returns a function theta -> the 2N real values of G*x_unit - y_K(theta),
+    the float view of the complex residual (real and imaginary parts
+    interleaved).  Called with ``jacobian=True`` it returns the pair
+    (residual, J), with J the exact (2N, dim) Jacobian in the same layout,
+    from the same cascade pass.  The noise realization is frozen into the
+    closure so the objective is deterministic.
     """
     check_noise(config, noise, len(x0_unit))
     x = x0_unit.samples
@@ -207,12 +221,22 @@ def build_residual(
     alphas = config.alphas
     sigma = config.sigma
     stage_noise = noise.stage_noise if noise is not None else None
+    layout = MODE_LAYOUTS[mode]
+    dim = mode_dimension(mode, config.stage_count)
+    gain_rows = layout.gain_rows(config.stage_count)
 
-    def residual(theta: np.ndarray) -> np.ndarray:
+    def residual(theta: np.ndarray, jacobian: bool = False):
         p0, gains = expand_parameters(theta, mode, config)
-        y = cascade_samples(np.sqrt(p0) * x, alphas, gains, sigma, stage_noise)
-        r = desired - y
-        return np.concatenate([r.real, r.imag])
+        x_drive = np.sqrt(p0) * x
+        if not jacobian:
+            y = cascade_samples(x_drive, alphas, gains, sigma, stage_noise)
+            return (desired - y).view(float)
+        dy = np.zeros((dim, len(x)), dtype=complex)
+        if layout.free_power:
+            dy[0] = x_drive / (2.0 * p0)
+        y = cascade_samples(x_drive, alphas, gains, sigma, stage_noise, (dy, gain_rows))
+        np.negative(dy, out=dy)  # d(desired - y) = -dy
+        return (desired - y).view(float), dy.view(float).T
 
     return residual
 
@@ -224,16 +248,18 @@ def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 
 def solve(
     spec: OptimizationSpec,
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[..., tuple[np.ndarray, np.ndarray]],
 ) -> OptimizationResult:
     """Projected Levenberg-Marquardt descent over the spec's box.
 
-    Jacobian by central differences (step 1e-6 * max(1, |theta_i|)); trial
-    steps are clipped to the box and accepted only on strict objective
-    decrease; damping is multiplied by 10 on rejection and divided by 10 on
-    acceptance.  Terminates when the projected gradient falls below
-    gradient_tolerance relative to its starting magnitude, when the accepted
-    step is below step_tolerance, or at max_iterations.
+    ``residual(theta, jacobian=True)`` must return the residual vector and
+    its exact Jacobian (one row per residual entry), as build_residual's
+    closure does; each is reduced at once to the normal matrix J^T J and the
+    gradient J^T r.  Trial steps are clipped to the box and accepted only on
+    strict objective decrease; damping is multiplied by 10 on rejection and
+    divided by 10 on acceptance.  Terminates when the projected gradient
+    falls below gradient_tolerance relative to its starting magnitude, when
+    the accepted step is below step_tolerance, or at max_iterations.
     """
     lo, hi = spec.bounds()
     if spec.start.size != lo.size:
@@ -241,33 +267,23 @@ def solve(
             f"start has {spec.start.size} parameters, mode {spec.mode.value} "
             f"over {spec.stage_count} stages needs {lo.size}"
         )
+
+    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        r, jac = residual(point, jacobian=True)
+        return float(r @ r), jac.T @ jac, jac.T @ r
+
     theta = _project_start(spec.start, lo, hi)
-    r = residual(theta)
-    objective = float(r @ r)
+    objective, normal, gradient = evaluate(theta)
     if not np.isfinite(objective):
         raise InvalidStartError(f"objective is {objective} at start {theta}")
     history = [objective]
     lam = 1e-3
-    dim = theta.size
     status = SolveStatus.MAX_ITERATIONS
-    gradient_floor: float | None = None
+    gradient_floor = spec.gradient_tolerance * max(float(np.max(np.abs(gradient))), 1.0)
     iterations = 0
 
     for _ in range(spec.max_iterations):
         iterations += 1
-        jac = np.empty((r.size, dim))
-        for i in range(dim):
-            h = 1e-6 * max(1.0, abs(theta[i]))
-            up = theta.copy()
-            up[i] += h
-            down = theta.copy()
-            down[i] -= h
-            jac[:, i] = (residual(up) - residual(down)) / (2.0 * h)
-        gradient = jac.T @ r
-        if gradient_floor is None:
-            gradient_floor = spec.gradient_tolerance * max(
-                float(np.max(np.abs(gradient))), 1.0
-            )
         # Zero out components that point outside the box at active bounds.
         projected = np.where(
             theta <= lo, np.minimum(gradient, 0.0),
@@ -277,7 +293,6 @@ def solve(
             status = SolveStatus.CONVERGED
             break
 
-        normal = jac.T @ jac
         damping_scale = np.diag(normal).copy()
         damping_scale[damping_scale == 0.0] = 1.0
         accepted = False
@@ -287,10 +302,10 @@ def solve(
             if float(np.max(np.abs(trial - theta))) <= spec.step_tolerance:
                 status = SolveStatus.CONVERGED
                 break
-            trial_r = residual(trial)
-            trial_objective = float(trial_r @ trial_r)
+            trial_objective, trial_normal, trial_gradient = evaluate(trial)
             if trial_objective < objective:
-                theta, r, objective = trial, trial_r, trial_objective
+                theta, objective = trial, trial_objective
+                normal, gradient = trial_normal, trial_gradient
                 history.append(objective)
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True

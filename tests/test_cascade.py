@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pachain import cascade
 from pachain.cascade import (
     CascadeConfig,
     ModelValidityWarning,
@@ -148,6 +149,29 @@ def test_noise_shape_validation(run):
         run(x, config, draw_noise(2, len(x), 1))
     with pytest.raises(ValueError, match="noise length"):
         run(x, config, draw_noise(3, len(x) + 1, 1))
+
+
+def test_cascade_samples_blocks_leave_every_bit(monkeypatch):
+    """The kernel's sample blocks, uneven last block included, change no
+    output bit and no tangent bit."""
+    x = unit_excitation(64, 8, 0.22, 16, 9)
+    noise = draw_noise(3, len(x), 13)
+    config = make_config([ALPHA, ALPHA * 0.5, ALPHA], [0.9, 1.2, 1.1], sigma=0.05)
+
+    def run():
+        dy = np.zeros((4, len(x)), dtype=complex)
+        dy[0] = x.samples
+        y = cascade_samples(
+            x.samples, config.alphas, config.gains, 0.05, noise.stage_noise,
+            (dy, [1, 2, 3]),
+        )
+        return y, dy
+
+    whole = run()
+    monkeypatch.setattr(cascade, "SAMPLE_BLOCK", 100)
+    blocked = run()
+    np.testing.assert_array_equal(blocked[0], whole[0])
+    np.testing.assert_array_equal(blocked[1], whole[1])
 
 
 def test_cascade_samples_matches_cascade_forward():

@@ -319,6 +319,31 @@ def test_cli_optimize(tmp_path, capsys):
     assert "equal_gains K=1" in capsys.readouterr().out
 
 
+def test_cli_sweep_prints_rows_in_case_order(tmp_path, capsys):
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({"K_range": [2]}))
+    code = cli.main(["sweep", "--config", str(path), "--symbols", "256",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    printed = [
+        line.split(" K=")[0]
+        for line in capsys.readouterr().out.splitlines()
+        if " K=2: " in line
+    ]
+    assert printed == [case.name for case in experiments.CASES]
+
+
+def test_cli_names_unconverged_solves_and_exits_zero(tmp_path, capsys):
+    code = cli.main([
+        "optimize", "--mode", "unequal-gains", "--K", "2", "--symbols", "512",
+        "--out", str(tmp_path / "opt"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "pachain: solve ended MaxIterations: unequal_gains K=2"
+    ]
+
+
 def test_cli_flag_overrides_change_the_run(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -357,7 +382,7 @@ def test_cli_output_collision_exits_three(tmp_path, capsys):
     assert "output error" in capsys.readouterr().err
 
 
-def test_cli_solver_failure_exits_two(monkeypatch, tmp_path):
+def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
     from pachain.metrics import MetricsReport
 
     record = RunRecord(config=ExperimentConfig(K_range=(), output_dir=tmp_path / "f"))
@@ -373,6 +398,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path):
     record.optimized_parameters[key] = (1.0, np.ones(1))
     monkeypatch.setattr(cli, "_run_optimize", lambda args: (record, record.config))
     assert cli.main(["optimize", "--mode", "power", "--K", "1"]) == 2
+    assert "pachain: solve ended StalledAtBound: power_s1 K=1" in capsys.readouterr().err
 
 
 def test_cli_empty_sweep_exits_zero(tmp_path):

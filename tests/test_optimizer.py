@@ -7,9 +7,12 @@ tiny cascades where the grid oracle can exhaustively confirm the result.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pachain.cascade import CascadeConfig, PaStage
 from pachain.optimizer import (
+    MODE_LAYOUTS,
     InvalidStartError,
     Mode,
     OptimizationSpec,
@@ -127,6 +130,17 @@ def linear_spec(start, lo, hi, **kw):
     )
 
 
+def linear_residual(A, b):
+    """theta -> A @ theta - b, whose exact Jacobian is A."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+
+    def residual(theta, jacobian=False):
+        r = A @ theta - b
+        return (r, A) if jacobian else r
+
+    return residual
+
+
 def test_solver_reaches_linear_least_squares_optimum():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 3)) + np.eye(40, 3) * 3
@@ -138,7 +152,7 @@ def test_solver_reaches_linear_least_squares_optimum():
         mode=Mode.UNEQUAL_GAINS, stage_count=3, start=np.zeros(3),
         power_bounds=(-10.0, 10.0), gain_bounds=(-10.0, 10.0),
     )
-    result = solve(spec, lambda theta: A @ theta - b)
+    result = solve(spec, linear_residual(A, b))
     assert result.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(result.parameters, target, atol=1e-6)
 
@@ -146,7 +160,7 @@ def test_solver_reaches_linear_least_squares_optimum():
 def test_solver_clips_exterior_optimum_to_bound():
     # scalar residual theta - 2 on the box [0, 1]: optimum sits at the edge
     spec = linear_spec([0.5], [0.0], [1.0])
-    result = solve(spec, lambda theta: np.array([theta[0] - 2.0]))
+    result = solve(spec, linear_residual([[1.0]], [2.0]))
     assert result.status is SolveStatus.CONVERGED
     assert result.parameters[0] == 1.0  # exactly at the bound, not near it
 
@@ -156,13 +170,16 @@ def test_solver_objective_history_strictly_decreases():
     A = rng.standard_normal((20, 2))
     b = rng.standard_normal(20)
     spec = linear_spec([0.0, 0.0], [-5.0, -5.0], [5.0, 5.0])
-    result = solve(spec, lambda theta: A @ theta - b)
+    result = solve(spec, linear_residual(A, b))
     assert np.all(np.diff(result.objective_history) < 0)
 
 
 def test_solver_iteration_budget():
-    def rosenbrock_residual(theta):
-        return np.array([10 * (theta[1] - theta[0] ** 2), 1 - theta[0]])
+    def rosenbrock_residual(theta, jacobian=False):
+        r = np.array([10 * (theta[1] - theta[0] ** 2), 1 - theta[0]])
+        if not jacobian:
+            return r
+        return r, np.array([[-20 * theta[0], 10.0], [-1.0, 0.0]])
 
     tight = linear_spec([-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], max_iterations=2)
     result = solve(tight, rosenbrock_residual)
@@ -177,7 +194,7 @@ def test_solver_iteration_budget():
 
 def test_solver_projects_start_into_box():
     spec = linear_spec([5.0], [0.0], [1.0])  # start outside the box
-    result = solve(spec, lambda theta: np.array([theta[0] - 0.3]))
+    result = solve(spec, linear_residual([[1.0]], [0.3]))
     assert result.parameters[0] == pytest.approx(0.3, abs=1e-8)
 
 
@@ -257,6 +274,52 @@ def test_residual_normalizes_drive_out_of_the_reference():
     p0 = 0.49
     r = residual(np.array([p0]))
     expected = (1.0 - 1.1 * 0.9 * np.sqrt(p0)) * x.samples
-    np.testing.assert_allclose(
-        r, np.concatenate([expected.real, expected.imag]), atol=1e-12
+    np.testing.assert_allclose(r, expected.view(float), atol=1e-12)
+
+
+# ------------------------------------------------------------ exact Jacobian
+
+
+@st.composite
+def residual_points(draw):
+    """A residual closure over a random chain, and an in-box point of its mode."""
+    stages = draw(st.integers(1, 4))
+    alpha = draw(st.floats(0.0, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1)))
+    mode = draw(st.sampled_from(Mode))
+    in_box = st.floats(0.7, 1.3)
+    fixed = [draw(in_box) for _ in range(stages)]
+    # p0 stays clear of 0 so the central-difference step keeps sqrt(p0) real.
+    p0 = draw(st.floats(0.01, 1.0))
+    gains = np.array([draw(in_box) for _ in range(stages)])
+    x = unit_excitation(32, 8, 0.22, 16, 42)
+    config = CascadeConfig(
+        stages=tuple(PaStage(alpha, g) for g in fixed),
+        sigma=sigma, input_power=1.0, reference_gain=1.0, epsilon=0.3,
     )
+    noise = draw_noise(stages, len(x), 43) if sigma else None
+    residual = build_residual(x, config, noise, mode)
+    return residual, MODE_LAYOUTS[mode].reduce(p0, gains)
+
+
+@settings(deadline=None)
+@given(residual_points())
+def test_jacobian_matches_central_differences(case):
+    residual, theta = case
+    _, jac = residual(theta, jacobian=True)
+    for i in range(theta.size):
+        h = 1e-6 * max(1.0, abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        central = (residual(up) - residual(down)) / (2.0 * h)
+        column = jac[:, i]
+        assert np.linalg.norm(column - central) <= 1e-6 * np.linalg.norm(column)
+
+
+@settings(deadline=None)
+@given(residual_points())
+def test_jacobian_call_returns_the_same_residual(case):
+    residual, theta = case
+    r, _ = residual(theta, jacobian=True)
+    assert np.array_equal(r, residual(theta))
