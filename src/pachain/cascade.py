@@ -98,12 +98,6 @@ class CascadeConfig:
             (1.0 + self.epsilon) * self.reference_gain,
         )
 
-    def gains_feasible(self, tolerance: float = 0.0) -> bool:
-        """Whether every stage gain sits inside the bound window."""
-        lo, hi = self.gain_bounds
-        g = self.gains
-        return bool(np.all(g >= lo - tolerance) and np.all(g <= hi + tolerance))
-
 
 @dataclass(frozen=True)
 class EquivalentPa:

@@ -15,12 +15,14 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    CASES,
     ExperimentConfig,
     RunRecord,
     _case_sort_key,
     combine_records,
     config_from_json,
     emit_outputs,
+    run_cases,
     run_optimizations,
     run_scenarios,
 )
@@ -104,12 +106,8 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _run_simulate(args: argparse.Namespace) -> tuple[RunRecord, ExperimentConfig]:
     config = dataclasses.replace(_base_config(args), K_range=(args.K,))
-    record = run_scenarios(config)
-    wanted = f"scenario{args.scenario}"
-    record.scenario_metrics = {
-        key: value for key, value in record.scenario_metrics.items() if key[1] == wanted
-    }
-    return record, config
+    cases = [c for c in CASES if c.mode is None and c.scenario.value == args.scenario]
+    return run_cases(config, cases), config
 
 
 def _run_optimize(args: argparse.Namespace) -> tuple[RunRecord, ExperimentConfig]:

@@ -99,6 +99,9 @@ class ExperimentConfig:
         object.__setattr__(self, "K_range", tuple(int(k) for k in self.K_range))
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        for name in ("alpha", "sigma_sq", "G", "epsilon", "rolloff"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_sq < 0:
             raise ConfigError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.G <= 0:
@@ -111,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"symbols must be >= 1, got {self.symbols}")
         if self.oversampling < 2:
             raise ConfigError(f"oversampling must be >= 2, got {self.oversampling}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.rolloff <= 1:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if not all(isinstance(m, Mode) for m in self.modes):
@@ -170,32 +175,59 @@ def combine_records(first: RunRecord, second: RunRecord) -> RunRecord:
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
+# The JSON types each field type accepts; a boolean is not a number here,
+# although Python counts it as an int.
+_JSON_TYPES = {
+    float: ((int, float), "a finite number"),
+    int: ((int,), "an integer"),
+    list: ((list, tuple), "a list"),
+    str: ((str,), "a string"),
+}
+
+
+def _read(key: str, value, kind: type):
+    """value as a kind (float, int, list or str), or a ConfigError naming key."""
+    accepted, what = _JSON_TYPES[kind]
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from JSON-style data; unknown keys are rejected."""
+    """Build a config from JSON-style data.
+
+    Unknown keys and values of the wrong JSON type are rejected with a
+    ConfigError that names the key; ExperimentConfig checks the ranges.
+    """
     unknown = set(data) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     kwargs: dict = {}
     if "alpha" in data:
-        alpha = data["alpha"]
-        if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2):
+        alpha = _read("alpha", data["alpha"], list)
+        if len(alpha) != 2:
             raise ConfigError("alpha must be a [real, imaginary] pair")
-        kwargs["alpha"] = complex(float(alpha[0]), float(alpha[1]))
+        kwargs["alpha"] = complex(*(_read("alpha", part, float) for part in alpha))
     if "modes" in data:
+        slugs = _read("modes", data["modes"], list)
         try:
-            kwargs["modes"] = tuple(Mode(slug) for slug in data["modes"])
+            kwargs["modes"] = tuple(Mode(slug) for slug in slugs)
         except ValueError as exc:
-            raise ConfigError(f"bad mode name: {exc}") from None
+            raise ConfigError(f"bad mode name in modes: {exc}") from None
     for key in ("sigma_sq", "G", "epsilon", "rolloff"):
         if key in data:
-            kwargs[key] = float(data[key])
+            kwargs[key] = _read(key, data[key], float)
     for key in ("symbols", "oversampling", "seed"):
         if key in data:
-            kwargs[key] = int(data[key])
+            kwargs[key] = _read(key, data[key], int)
     if "K_range" in data:
-        kwargs["K_range"] = tuple(int(k) for k in data["K_range"])
+        stage_counts = _read("K_range", data["K_range"], list)
+        kwargs["K_range"] = tuple(_read("K_range", k, int) for k in stage_counts)
     if "output_dir" in data:
-        kwargs["output_dir"] = Path(data["output_dir"])
+        kwargs["output_dir"] = Path(_read("output_dir", data["output_dir"], str))
     return ExperimentConfig(**kwargs)
 
 
@@ -318,8 +350,12 @@ def _case_point(
     return solved[case.name]
 
 
-def _run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
-    """Run the cases at every K and evaluate each on the evaluation noise."""
+def run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
+    """Run the cases at every K and evaluate each on the evaluation noise.
+
+    A case's warm-start anchor is solved when needed, but only the given
+    cases are recorded.
+    """
     record = RunRecord(config=config)
     if not config.K_range or not cases:
         return record
@@ -352,7 +388,7 @@ def run_scenarios(config: ExperimentConfig) -> RunRecord:
     Metrics are computed on the evaluation-noise realization so the rows are
     directly comparable with post-optimization metrics from the same config.
     """
-    return _run_cases(config, [case for case in CASES if case.mode is None])
+    return run_cases(config, [case for case in CASES if case.mode is None])
 
 
 def run_optimizations(config: ExperimentConfig) -> RunRecord:
@@ -362,7 +398,7 @@ def run_optimizations(config: ExperimentConfig) -> RunRecord:
     ``warm_from`` also restarts from that case's optimum, which is solved on
     demand when its own mode is not configured.
     """
-    return _run_cases(config, [case for case in CASES if case.mode in config.modes])
+    return run_cases(config, [case for case in CASES if case.mode in config.modes])
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,10 @@ FLOOR_DB = -300.0
 # (occupied bandwidth (1+rolloff) symbol rates).
 DEFAULT_CHANNEL_BANDWIDTH = 1.22
 
-# Welch segment of estimate_psd and report, in samples.
+# Welch segment of estimate_psd, in samples, and the overlap of neighbouring
+# segments as a fraction of it.
 PSD_SEGMENT_LENGTH = 1024
+PSD_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,6 @@ class PsdEstimate:
 
     frequencies: np.ndarray
     power_density: np.ndarray
-    segment_length: int
-    overlap_fraction: float
     peak_density: float
 
     @property
@@ -72,12 +72,12 @@ def nmse(desired: Signal, actual: Signal) -> float:
     return 10.0 * np.log10(num / denom)
 
 
-def psd_span(oversampling: int, segment_length: int = PSD_SEGMENT_LENGTH) -> float:
+def psd_span(oversampling: int) -> float:
     """Highest |f|, in symbol rates, on estimate_psd's symmetric axis.
 
-    For an even segment that is the Nyquist frequency less one bin.
+    For the even segment that is the Nyquist frequency less one bin.
     """
-    return oversampling * ((segment_length - 1) // 2) / segment_length
+    return oversampling * ((PSD_SEGMENT_LENGTH - 1) // 2) / PSD_SEGMENT_LENGTH
 
 
 def aclr_span(channel_bandwidth: float) -> float:
@@ -85,50 +85,39 @@ def aclr_span(channel_bandwidth: float) -> float:
     return 1.5 * channel_bandwidth
 
 
-def estimate_psd(
-    signal: Signal,
-    segment_length: int = PSD_SEGMENT_LENGTH,
-    overlap_fraction: float = 0.5,
-) -> PsdEstimate:
+def estimate_psd(signal: Signal) -> PsdEstimate:
     """Welch PSD with a Hann window, axis in symbol rates, peak at 0 dB.
 
+    Segments are PSD_SEGMENT_LENGTH samples long and overlap by PSD_OVERLAP.
     The unpaired bin at minus the Nyquist frequency is dropped so the axis is
     symmetric about 0.
     """
-    if segment_length > len(signal):
+    if PSD_SEGMENT_LENGTH > len(signal):
         raise ValueError(
-            f"segment_length {segment_length} exceeds signal length {len(signal)}"
+            f"the PSD segment of {PSD_SEGMENT_LENGTH} samples exceeds signal "
+            f"length {len(signal)}"
         )
-    if not 0 <= overlap_fraction < 1:
-        raise ValueError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
     freqs, density = scipy_signal.welch(
         signal.samples,
         fs=float(signal.oversampling),
         window="hann",
-        nperseg=segment_length,
-        noverlap=int(segment_length * overlap_fraction),
+        nperseg=PSD_SEGMENT_LENGTH,
+        noverlap=int(PSD_SEGMENT_LENGTH * PSD_OVERLAP),
         detrend=False,
         return_onesided=False,
         scaling="density",
     )
     freqs = np.fft.fftshift(freqs)
     density = np.fft.fftshift(density)
-    if segment_length % 2 == 0:
-        # Even-length FFT axes carry -Nyquist without +Nyquist.
-        freqs = freqs[1:]
-        density = density[1:]
+    # The even-length FFT axis carries -Nyquist without +Nyquist.
+    freqs = freqs[1:]
+    density = density[1:]
     peak = float(np.max(density))
     if peak == 0.0:
         raise DegenerateSignalError("signal has no spectral power")
     with np.errstate(divide="ignore"):
         density_db = 10.0 * np.log10(density / peak)
-    return PsdEstimate(
-        frequencies=freqs,
-        power_density=density_db,
-        segment_length=segment_length,
-        overlap_fraction=overlap_fraction,
-        peak_density=peak,
-    )
+    return PsdEstimate(frequencies=freqs, power_density=density_db, peak_density=peak)
 
 
 def aclr(psd: PsdEstimate, channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH) -> float:
@@ -171,23 +160,22 @@ def amam_points(input_signal: Signal, output_signal: Signal, decimate: int = 1) 
 def report(
     desired: Signal,
     actual: Signal,
-    reference_input: Signal | None = None,
-    segment_length: int = PSD_SEGMENT_LENGTH,
-    overlap_fraction: float = 0.5,
-    channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH,
-    amam_decimate: int = 1,
+    reference_input: Signal,
+    channel_bandwidth: float,
+    amam_decimate: int,
 ) -> MetricsReport:
     """Bundle NMSE, ACLR, PSD, and AM/AM for one output signal.
 
-    AM/AM pairs are computed against ``reference_input`` when given (the
-    chain's input), otherwise against ``desired``; ``amam_decimate`` thins
-    the point cloud for plotting.
+    The PSD is estimate_psd's (PSD_SEGMENT_LENGTH-sample Hann segments
+    overlapping by PSD_OVERLAP); ACLR is taken over channels of
+    ``channel_bandwidth`` symbol rates.  AM/AM pairs are computed against
+    ``reference_input`` (the chain's input); ``amam_decimate`` thins the
+    point cloud for plotting.
     """
-    psd = estimate_psd(actual, segment_length, overlap_fraction)
-    amam_ref = reference_input if reference_input is not None else desired
+    psd = estimate_psd(actual)
     return MetricsReport(
         nmse_db=nmse(desired, actual),
         aclr_db=aclr(psd, channel_bandwidth),
         psd=psd,
-        amam=amam_points(amam_ref, actual, decimate=amam_decimate),
+        amam=amam_points(reference_input, actual, decimate=amam_decimate),
     )

@@ -25,8 +25,12 @@ from .cascade import CascadeConfig, cascade_samples, check_noise, scenario2_gain
 from .signals import NoiseRealization, Signal
 
 POWER_LOWER_BOUND = 1e-6  # open interval 0 < p0 is not machine-representable
+POWER_BOUNDS = (POWER_LOWER_BOUND, 1.0)
 LAMBDA_LIMIT = 1e12
 START_MARGIN = 1e-3  # fraction of the box width the start is pushed inside
+MAX_ITERATIONS = 200
+GRADIENT_TOLERANCE = 1e-8  # of the projected gradient, relative to its start
+STEP_TOLERANCE = 1e-10
 
 
 class UnsupportedModeError(ValueError):
@@ -108,16 +112,16 @@ def mode_dimension(mode: Mode, stage_count: int) -> int:
 
 
 def mode_bounds(
-    mode: Mode,
-    stage_count: int,
-    power_bounds: tuple[float, float],
-    gain_bounds: tuple[float, float],
+    mode: Mode, stage_count: int, gain_bounds: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper box corners of a mode's parameter vector."""
+    """Lower and upper box corners of a mode's parameter vector.
+
+    The drive spans POWER_BOUNDS and every gain spans gain_bounds.
+    """
     layout = MODE_LAYOUTS[mode]
     return (
-        layout.reduce(power_bounds[0], np.full(stage_count, gain_bounds[0])),
-        layout.reduce(power_bounds[1], np.full(stage_count, gain_bounds[1])),
+        layout.reduce(POWER_BOUNDS[0], np.full(stage_count, gain_bounds[0])),
+        layout.reduce(POWER_BOUNDS[1], np.full(stage_count, gain_bounds[1])),
     )
 
 
@@ -174,21 +178,15 @@ def scenario_start(
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """What to solve: mode, start, box, and termination settings."""
+    """What to solve: mode, start, and the gain window of the box."""
 
     mode: Mode
     stage_count: int
     start: np.ndarray
-    power_bounds: tuple[float, float] = (POWER_LOWER_BOUND, 1.0)
-    gain_bounds: tuple[float, float] = (0.7, 1.3)
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
-    step_tolerance: float = 1e-10
+    gain_bounds: tuple[float, float]
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return mode_bounds(
-            self.mode, self.stage_count, self.power_bounds, self.gain_bounds
-        )
+        return mode_bounds(self.mode, self.stage_count, self.gain_bounds)
 
 
 @dataclass(frozen=True)
@@ -255,11 +253,12 @@ def solve(
     ``residual(theta, jacobian=True)`` must return the residual vector and
     its exact Jacobian (one row per residual entry), as build_residual's
     closure does; each is reduced at once to the normal matrix J^T J and the
-    gradient J^T r.  Trial steps are clipped to the box and accepted only on
+    gradient J^T r.  The start is moved START_MARGIN of the box width inside
+    the box.  Trial steps are clipped to the box and accepted only on
     strict objective decrease; damping is multiplied by 10 on rejection and
-    divided by 10 on acceptance.  Terminates when the projected gradient
-    falls below gradient_tolerance relative to its starting magnitude, when
-    the accepted step is below step_tolerance, or at max_iterations.
+    divided by 10 on acceptance.  Terminates when the projected gradient is
+    at most GRADIENT_TOLERANCE times its starting magnitude, when the clipped
+    step is at most STEP_TOLERANCE, or after MAX_ITERATIONS.
     """
     lo, hi = spec.bounds()
     if spec.start.size != lo.size:
@@ -279,10 +278,10 @@ def solve(
     history = [objective]
     lam = 1e-3
     status = SolveStatus.MAX_ITERATIONS
-    gradient_floor = spec.gradient_tolerance * max(float(np.max(np.abs(gradient))), 1.0)
+    gradient_floor = GRADIENT_TOLERANCE * max(float(np.max(np.abs(gradient))), 1.0)
     iterations = 0
 
-    for _ in range(spec.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         # Zero out components that point outside the box at active bounds.
         projected = np.where(
@@ -299,7 +298,7 @@ def solve(
         while lam <= LAMBDA_LIMIT:
             step = np.linalg.solve(normal + lam * np.diag(damping_scale), -gradient)
             trial = np.clip(theta + step, lo, hi)
-            if float(np.max(np.abs(trial - theta))) <= spec.step_tolerance:
+            if float(np.max(np.abs(trial - theta))) <= STEP_TOLERANCE:
                 status = SolveStatus.CONVERGED
                 break
             trial_objective, trial_normal, trial_gradient = evaluate(trial)
@@ -335,7 +334,7 @@ def grid_oracle(
     """Brute-force verification oracle for the 1- and 2-parameter modes.
 
     Scores every point of a uniform grid over the mode's box (drive in
-    [POWER_LOWER_BOUND, 1], gains in the config's gain window) with the
+    POWER_BOUNDS, gains in the config's gain window) with the
     solver's own objective ``r @ r`` from build_residual, and returns the
     first minimum in row-major order together with its objective.
     """
@@ -349,9 +348,7 @@ def grid_oracle(
         raise ValueError(f"resolution must be >= 50 per axis, got {resolution}")
 
     residual = build_residual(x0_unit, config, noise, mode)
-    lo, hi = mode_bounds(
-        mode, config.stage_count, (POWER_LOWER_BOUND, 1.0), config.gain_bounds
-    )
+    lo, hi = mode_bounds(mode, config.stage_count, config.gain_bounds)
     axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     values = np.empty(len(points))

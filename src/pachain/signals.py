@@ -140,21 +140,6 @@ def pulse_shape(
     )
 
 
-def normalize_power(signal: Signal, target_power: float) -> Signal:
-    """Scale all samples by one real factor so mean |sample|^2 == target_power."""
-    if target_power <= 0:
-        raise ValueError(f"target_power must be > 0, got {target_power}")
-    current = signal.mean_power
-    if current == 0.0:
-        raise DegenerateSignalError("cannot normalize an all-zero signal")
-    factor = np.sqrt(target_power / current)
-    return replace(
-        signal,
-        samples=signal.samples * factor,
-        nominal_power=target_power,
-    )
-
-
 def scale_amplitude(signal: Signal, factor: float) -> Signal:
     """Multiply every sample by a real factor, updating nominal_power."""
     return replace(

@@ -1,0 +1,65 @@
+"""The names by which the benchmark in perfbench/ reaches into pachain.
+
+The benchmark patches and calls pachain functions by name.  These tests load
+its modules from their files, unchanged, and check that every such name still
+resolves, so a rename in pachain fails here and not first in a benchmark run.
+"""
+
+import ast
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pachain
+
+ROOT = Path(__file__).parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_are_callable(monkeypatch):
+    tracing = load("tracing", monkeypatch)
+    for module, attribute, *_ in tracing.TRACED:
+        assert callable(getattr(module, attribute, None)), (module.__name__, attribute)
+    for module in tracing.RESIDUAL_BUILDERS:
+        assert callable(getattr(module, "build_residual", None)), module.__name__
+
+
+def test_every_workload_builds(monkeypatch, tmp_path):
+    workloads = load("workloads", monkeypatch)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [workload["name"] for workload in benchmark["workloads"]]
+    assert sorted(names) == ["oracle", "simulate", "study"]
+    for name in names:
+        assert callable(workloads.build(name, 42, tmp_path).run_round)
+
+
+def test_pachain_names_used_by_the_benchmark_exist():
+    """Every `from pachain... import name` and every `module.name` on an
+    imported pachain module, in each benchmark file."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {}  # local name -> imported pachain module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pachain"):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(source, alias.name, None)
+                    assert value is not None, (path.name, node.module, alias.name)
+                    if type(value) is type(pachain):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                assert hasattr(modules[node.value.id], node.attr), (path.name, node.value.id, node.attr)

@@ -11,6 +11,7 @@ import pytest
 import pachain
 import pachain.cli as cli
 import pachain.experiments as experiments
+from pachain.cascade import cascade_forward
 from pachain.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -68,6 +69,11 @@ def test_config_validation_errors():
         dict(rolloff=0.0),
         dict(symbols=0),
         dict(K_range=(0,)),
+        dict(seed=-1),
+        # the range checks alone would let these through
+        dict(G=float("nan")),
+        dict(sigma_sq=float("inf")),
+        dict(alpha=complex(float("nan"), 0.0)),
         # metrics would reject these only after the simulation had run
         dict(oversampling=3),
         dict(oversampling=6, rolloff=1.0),
@@ -371,6 +377,49 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     path.write_text('{"no_such_option": true}')
     assert cli.main(["sweep", "--config", str(path)]) == 1
     assert "unknown configuration keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        pytest.param({"symbols": None}, "symbols", id="symbols-null"),
+        pytest.param({"K_range": 3}, "K_range", id="K_range-scalar"),
+        pytest.param({"alpha": [1, None]}, "alpha", id="alpha-null-part"),
+        pytest.param({"output_dir": 5}, "output_dir", id="output_dir-number"),
+        pytest.param({"modes": "power"}, "modes", id="modes-string"),
+        pytest.param({"symbols": 1.7}, "symbols", id="symbols-fraction"),
+        pytest.param({"seed": True}, "seed", id="seed-boolean"),
+        pytest.param({"seed": -1}, "seed", id="seed-negative"),
+        pytest.param({"G": float("nan")}, "G", id="G-nan"),
+        pytest.param({"sigma_sq": 10**400}, "sigma_sq", id="sigma_sq-overflow"),
+    ],
+)
+def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pachain: error:")
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(args[1])
+        return cascade_forward(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cascade_forward", counting_forward)
+    out = tmp_path / "sim"
+    code = cli.main(["simulate", "--scenario", "2", "--K", "1", "--symbols", "128",
+                     "--out", str(out)])
+    assert code == 0
+    assert len(calls) == 1
+    assert (out / "amam_K1_scenario2.csv").exists()
+    assert not (out / "amam_K1_scenario1.csv").exists()
 
 
 def test_cli_output_collision_exits_three(tmp_path, capsys):

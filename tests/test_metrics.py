@@ -83,7 +83,7 @@ def test_psd_total_power_parseval():
 
 def test_psd_white_noise_is_flat():
     x = white_noise(1 << 19, 8)
-    psd = estimate_psd(x, segment_length=512)
+    psd = estimate_psd(x)
     # every bin within a few dB of the peak once enough segments average
     assert np.min(psd.power_density) > -3.0
 
@@ -135,7 +135,7 @@ def test_amam_points_shape_and_decimation():
 def test_report_bundles_everything():
     x = unit_excitation(1024, 8, 0.22, 16, 15)
     y = make_signal(x.samples + 0.01 * white_noise(len(x), 16).samples)
-    bundle = report(x, y, amam_decimate=4)
+    bundle = report(x, y, x, DEFAULT_CHANNEL_BANDWIDTH, 4)
     assert bundle.nmse_db < -30
     assert bundle.aclr_db < -20
     assert bundle.amam.shape == (len(x) // 4, 2)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pachain import optimizer
 from pachain.cascade import CascadeConfig, PaStage
 from pachain.optimizer import (
     MODE_LAYOUTS,
@@ -98,18 +99,17 @@ def test_scenario_starts():
 
 
 def test_spec_bounds_each_mode():
-    power, gain = (0.1, 0.9), (0.7, 1.3)
+    gain = (0.7, 1.3)
     expected = {
-        Mode.POWER_ONLY: ([0.1], [0.9]),
+        Mode.POWER_ONLY: ([1e-6], [1.0]),
         Mode.EQUAL_GAINS: ([0.7], [1.3]),
         Mode.UNEQUAL_GAINS: ([0.7, 0.7, 0.7], [1.3, 1.3, 1.3]),
-        Mode.JOINT_EQUAL_GAINS: ([0.1, 0.7], [0.9, 1.3]),
-        Mode.JOINT_UNEQUAL_GAINS: ([0.1, 0.7, 0.7, 0.7], [0.9, 1.3, 1.3, 1.3]),
+        Mode.JOINT_EQUAL_GAINS: ([1e-6, 0.7], [1.0, 1.3]),
+        Mode.JOINT_UNEQUAL_GAINS: ([1e-6, 0.7, 0.7, 0.7], [1.0, 1.3, 1.3, 1.3]),
     }
     for mode, (lo, hi) in expected.items():
         spec = OptimizationSpec(
-            mode=mode, stage_count=3, start=np.zeros(len(lo)),
-            power_bounds=power, gain_bounds=gain,
+            mode=mode, stage_count=3, start=np.zeros(len(lo)), gain_bounds=gain,
         )
         got_lo, got_hi = spec.bounds()
         np.testing.assert_array_equal(got_lo, lo)
@@ -119,14 +119,12 @@ def test_spec_bounds_each_mode():
 # -------------------------------------------------------------------- solver
 
 
-def linear_spec(start, lo, hi, **kw):
+def linear_spec(start, lo, hi):
     # mode/stage_count are bookkeeping here; bounds drive the behavior
     return OptimizationSpec(
         mode=Mode.UNEQUAL_GAINS, stage_count=len(start),
         start=np.asarray(start, dtype=float),
-        power_bounds=(lo[0], hi[0]),
         gain_bounds=(lo[-1], hi[-1]),
-        **kw,
     )
 
 
@@ -150,7 +148,7 @@ def test_solver_reaches_linear_least_squares_optimum():
 
     spec = OptimizationSpec(
         mode=Mode.UNEQUAL_GAINS, stage_count=3, start=np.zeros(3),
-        power_bounds=(-10.0, 10.0), gain_bounds=(-10.0, 10.0),
+        gain_bounds=(-10.0, 10.0),
     )
     result = solve(spec, linear_residual(A, b))
     assert result.status is SolveStatus.CONVERGED
@@ -181,13 +179,14 @@ def test_solver_iteration_budget():
             return r
         return r, np.array([[-20 * theta[0], 10.0], [-1.0, 0.0]])
 
-    tight = linear_spec([-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], max_iterations=2)
-    result = solve(tight, rosenbrock_residual)
+    spec = linear_spec([-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "MAX_ITERATIONS", 2)
+        result = solve(spec, rosenbrock_residual)
     assert result.status is SolveStatus.MAX_ITERATIONS
     assert result.iterations == 2
 
-    roomy = linear_spec([-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], max_iterations=500)
-    result = solve(roomy, rosenbrock_residual)
+    result = solve(spec, rosenbrock_residual)
     assert result.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(result.parameters, [1.0, 1.0], atol=1e-5)
 
@@ -200,7 +199,7 @@ def test_solver_projects_start_into_box():
 
 def test_solver_rejects_wrong_start_dimension():
     spec = OptimizationSpec(mode=Mode.JOINT_EQUAL_GAINS, stage_count=3,
-                            start=np.array([0.5, 1.0, 1.0]))
+                            start=np.array([0.5, 1.0, 1.0]), gain_bounds=(0.7, 1.3))
     with pytest.raises(InvalidStartError):
         solve(spec, lambda theta: theta)
 
@@ -213,6 +212,7 @@ def test_full_drive_optimum_lands_on_upper_bound_exactly():
     spec = OptimizationSpec(
         mode=Mode.POWER_ONLY, stage_count=2,
         start=scenario_start(Scenario.ONE, 2, ALPHA, Mode.POWER_ONLY),
+        gain_bounds=config.gain_bounds,
     )
     result = solve(spec, residual)
     assert result.status is SolveStatus.CONVERGED

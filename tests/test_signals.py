@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pachain.signals import (
-    DegenerateSignalError,
     Signal,
     draw_noise,
     generate_qam16,
-    normalize_power,
     pulse_shape,
     rrc_taps,
     scale_amplitude,
@@ -64,36 +60,12 @@ def test_pulse_shape_length_and_validation():
         pulse_shape(symbols, 4, 0.25, 3)
 
 
-def test_normalize_power_hits_target():
-    rng = np.random.default_rng(SEED)
-    samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    signal = Signal(samples, 4, 64, float(np.mean(np.abs(samples) ** 2)))
-    out = normalize_power(signal, 0.37)
-    assert out.mean_power == pytest.approx(0.37, rel=1e-12)
-    assert out.nominal_power == pytest.approx(0.37, rel=1e-12)
-
-
-def test_normalize_power_zero_signal_raises():
-    signal = Signal(np.zeros(16, dtype=complex), 4, 4, 0.0)
-    with pytest.raises(DegenerateSignalError):
-        normalize_power(signal, 1.0)
-
-
 def test_scale_amplitude_scales_power_quadratically():
     rng = np.random.default_rng(SEED)
     samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     signal = Signal(samples, 4, 16, float(np.mean(np.abs(samples) ** 2)))
     doubled = scale_amplitude(signal, 2.0)
     assert doubled.mean_power == pytest.approx(4 * signal.mean_power, rel=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(target=st.floats(min_value=1e-3, max_value=1e3))
-def test_normalize_power_property(target):
-    rng = np.random.default_rng(7)
-    samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    signal = Signal(samples, 4, 16, float(np.mean(np.abs(samples) ** 2)))
-    assert normalize_power(signal, target).mean_power == pytest.approx(target, rel=1e-9)
 
 
 def test_signal_validation():
