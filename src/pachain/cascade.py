@@ -147,6 +147,24 @@ def check_noise(config: CascadeConfig, noise: NoiseRealization | None, length: i
 SAMPLE_BLOCK = 8192
 
 
+class CascadeWorkspace:
+    """The work arrays of cascade_samples: one block each, kept across calls.
+
+    A caller that runs the kernel many times over short signals (the
+    optimizer's residual) keeps one workspace, so no call allocates
+    block-sized temporaries that the allocator may hand back to the system
+    and fault in again on the next call.  The arrays carry nothing from one
+    call to the next.  It holds blocks of the SAMPLE_BLOCK in force when it
+    is made.
+    """
+
+    def __init__(self) -> None:
+        self.noisy, self.ax, self.fx, self.ga, self.gb, self.conj_row = np.empty(
+            (6, SAMPLE_BLOCK), dtype=complex
+        )
+        self.x_sq = np.empty(SAMPLE_BLOCK)
+
+
 def cascade_samples(
     x0: np.ndarray,
     alphas: np.ndarray,
@@ -154,6 +172,8 @@ def cascade_samples(
     sigma: float,
     stage_noise: np.ndarray | None = None,
     tangent: tuple[np.ndarray, Sequence[int | None]] | None = None,
+    workspace: CascadeWorkspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bare-array cascade kernel: the one implementation of the stage recursion.
 
@@ -180,18 +200,24 @@ def cascade_samples(
 
     The samples are independent, so the chain runs over blocks of
     SAMPLE_BLOCK samples, each through every stage; every output bit is the
-    same as in one pass over all of them.
+    same as in one pass over all of them.  The temporaries of a block live
+    in ``workspace`` (a fresh CascadeWorkspace when None), and y is written
+    into ``out`` (a fresh array when None), which must not overlap x0.
     """
-    y = np.empty(len(x0), dtype=complex)
+    if workspace is None:
+        workspace = CascadeWorkspace()
+    y = np.empty(len(x0), dtype=complex) if out is None else out
     for start in range(0, len(x0), SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        y[block] = _cascade_block(
+        _cascade_block(
             x0[block],
             alphas,
             gains,
             sigma,
             None if sigma == 0.0 else stage_noise[:, block],
             None if tangent is None else (tangent[0][:, block], tangent[1]),
+            workspace,
+            y[block],
         )
     return y
 
@@ -203,36 +229,46 @@ def _cascade_block(
     sigma: float,
     stage_noise: np.ndarray | None,
     tangent: tuple[np.ndarray, Sequence[int | None]] | None,
-) -> np.ndarray:
-    """cascade_samples over one block of samples."""
+    work: CascadeWorkspace,
+    y: np.ndarray,
+) -> None:
+    """cascade_samples over one block of samples, written into y.
+
+    Every product keeps the operand order of the plain expressions in the
+    comments (complex multiplication is not bit-commutative under FMA).
+    """
+    m = len(x0)
+    noisy, ax, fx = work.noisy[:m], work.ax[:m], work.fx[:m]
+    ga, gb, conj_row, x_sq = work.ga[:m], work.gb[:m], work.conj_row[:m], work.x_sq[:m]
     if tangent is not None:
         dy, gain_rows = tangent
         live = min((row for row in gain_rows if row is not None), default=len(dy))
-        conj_row = np.empty_like(x0)
-    y = x0
+    x = x0
     for k in range(len(gains)):
-        x = y
         if sigma != 0.0:
-            x = x + sigma * stage_noise[k]
-        # pa_nonlinearity(x, alpha), term by term, keeping |x|^2 and alpha*x
-        # for the tangent.
+            # x = x + sigma * w_k
+            np.multiply(sigma, stage_noise[k], out=noisy)
+            x = np.add(x, noisy, out=noisy)
+        # pa_nonlinearity(x, alpha) term by term, keeping |x|^2 and alpha*x
+        # for the tangent: fx = x + (alpha * x) * np.abs(x)**2.
         g = gains[k]
-        ax = alphas[k] * x
-        x_sq = np.abs(x) ** 2
-        fx = x + ax * x_sq
-        y = g * fx
-        if tangent is None:
-            continue
-        ga = g + (2.0 * g * alphas[k]) * x_sq
-        gb = (g * ax) * x
-        for row in dy[:live]:
-            np.multiply(gb, np.conjugate(row, out=conj_row), out=conj_row)
-            row *= ga
-            row += conj_row
-        if gain_rows[k] is not None:
-            dy[gain_rows[k]] += fx
-            live = max(live, gain_rows[k] + 1)
-    return y
+        np.multiply(alphas[k], x, out=ax)
+        np.square(np.abs(x, out=x_sq), out=x_sq)
+        np.add(x, np.multiply(ax, x_sq, out=fx), out=fx)
+        if tangent is not None:
+            # ga = g + (2*g*alpha) * |x|^2,  gb = (g * ax) * x
+            np.add(g, np.multiply(2.0 * g * alphas[k], x_sq, out=ga), out=ga)
+            np.multiply(np.multiply(g, ax, out=gb), x, out=gb)
+            for row in dy[:live]:
+                np.multiply(gb, np.conjugate(row, out=conj_row), out=conj_row)
+                row *= ga
+                row += conj_row
+            if gain_rows[k] is not None:
+                dy[gain_rows[k]] += fx
+                live = max(live, gain_rows[k] + 1)
+        # y = g * fx, last: x may be y itself.
+        np.multiply(g, fx, out=y)
+        x = y
 
 
 def cascade_forward(

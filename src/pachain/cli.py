@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _stage_count(text: str) -> int:
+    """--K: a cascade depth of at least one stage."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-re", type=float, help="real part of the cubic coefficient")
     parser.add_argument("--alpha-im", type=float, help="imaginary part of the cubic coefficient")
@@ -61,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="run one scenario at one cascade depth")
     simulate.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    simulate.add_argument("--K", type=int, required=True, help="number of cascaded stages")
+    simulate.add_argument("--K", type=_stage_count, required=True, help="number of cascaded stages")
     _add_shared_flags(simulate)
 
     optimize = commands.add_parser("optimize", help="solve one mode at one cascade depth")
     optimize.add_argument(
         "--mode", choices=[mode.value for mode in Mode], required=True
     )
-    optimize.add_argument("--K", type=int, required=True, help="number of cascaded stages")
+    optimize.add_argument("--K", type=_stage_count, required=True, help="number of cascaded stages")
     _add_shared_flags(optimize)
 
     sweep = commands.add_parser("sweep", help="full scenario + optimization study")

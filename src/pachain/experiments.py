@@ -486,23 +486,48 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _listed_files(manifest_path: Path) -> set[str]:
+    """Names of the files an existing manifest lists; empty if there is none.
+
+    Only plain names are returned (no directory part, not the manifest
+    itself), so a deletion never leaves the manifest's directory.
+    """
+    try:
+        listed = json.loads(manifest_path.read_bytes())["files"]
+    except (FileNotFoundError, ValueError, TypeError, KeyError):
+        return set()
+    if not isinstance(listed, dict):
+        return set()
+    return {
+        name for name in listed
+        if name not in ("", ".", "..", manifest_path.name) and Path(name).name == name
+    }
+
+
 def emit_outputs(record: RunRecord) -> list[Path]:
     """Write the run's CSV files and a digest manifest to the output dir.
 
     The manifest holds the config, seed, and a sha256 digest per emitted
-    file; identical (config, seed) runs produce byte-identical trees.
+    file; identical (config, seed) runs produce byte-identical trees.  The
+    files that an earlier manifest in the directory lists and this run does
+    not write are deleted, so the directory holds exactly what the new
+    manifest lists; a file that no manifest lists is left alone.
     """
     output_dir = record.config.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
     files = _build_files(record)
     if not files:
         warnings.warn("run produced no data (empty K_range); emitting manifest only")
+    manifest_path = output_dir / "manifest.json"
+    stale = _listed_files(manifest_path) - set(files)
 
     written: list[Path] = []
     for name in sorted(files):
         path = output_dir / name
         _write_atomic(path, files[name])
         written.append(path)
+    for name in sorted(stale):
+        (output_dir / name).unlink(missing_ok=True)
 
     manifest = {
         "config": config_to_dict(record.config),
@@ -512,7 +537,6 @@ def emit_outputs(record: RunRecord) -> list[Path]:
         },
     }
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    manifest_path = output_dir / "manifest.json"
     _write_atomic(manifest_path, manifest_bytes)
     written.append(manifest_path)
     return written

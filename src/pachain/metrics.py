@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as scipy_signal
 
 from .signals import DegenerateSignalError, Signal
 
@@ -88,30 +87,30 @@ def aclr_span(channel_bandwidth: float) -> float:
 def estimate_psd(signal: Signal) -> PsdEstimate:
     """Welch PSD with a Hann window, axis in symbol rates, peak at 0 dB.
 
-    Segments are PSD_SEGMENT_LENGTH samples long and overlap by PSD_OVERLAP.
-    The unpaired bin at minus the Nyquist frequency is dropped so the axis is
-    symmetric about 0.
+    The averaged periodogram of Welch (1967): segments of L =
+    PSD_SEGMENT_LENGTH samples start every L - int(L*PSD_OVERLAP) samples,
+    and only whole segments are used (no padding, no detrending).  Each is
+    weighted by the periodic Hann window w[n] = 0.5 - 0.5*cos(2*pi*n/L);
+    the two-sided |FFT|^2, averaged over segments, is scaled by
+    1/(fs*sum(w^2)) with fs the oversampling, so it is a density per symbol
+    rate.  The unpaired bin at minus the Nyquist frequency is dropped so the
+    axis is symmetric about 0.
     """
-    if PSD_SEGMENT_LENGTH > len(signal):
+    length = PSD_SEGMENT_LENGTH
+    if length > len(signal):
         raise ValueError(
-            f"the PSD segment of {PSD_SEGMENT_LENGTH} samples exceeds signal "
+            f"the PSD segment of {length} samples exceeds signal "
             f"length {len(signal)}"
         )
-    freqs, density = scipy_signal.welch(
-        signal.samples,
-        fs=float(signal.oversampling),
-        window="hann",
-        nperseg=PSD_SEGMENT_LENGTH,
-        noverlap=int(PSD_SEGMENT_LENGTH * PSD_OVERLAP),
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    freqs = np.fft.fftshift(freqs)
-    density = np.fft.fftshift(density)
+    fs = float(signal.oversampling)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    step = length - int(length * PSD_OVERLAP)
+    segments = np.lib.stride_tricks.sliding_window_view(signal.samples, length)[::step]
+    spectra = np.fft.fft(segments * window, axis=-1)
+    density = np.mean(np.abs(spectra) ** 2, axis=0) / (fs * np.sum(window**2))
     # The even-length FFT axis carries -Nyquist without +Nyquist.
-    freqs = freqs[1:]
-    density = density[1:]
+    freqs = np.fft.fftshift(np.fft.fftfreq(length, 1.0 / fs))[1:]
+    density = np.fft.fftshift(density)[1:]
     peak = float(np.max(density))
     if peak == 0.0:
         raise DegenerateSignalError("signal has no spectral power")

@@ -21,7 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cascade import CascadeConfig, cascade_samples, check_noise, scenario2_gain
+from .cascade import (
+    CascadeConfig,
+    CascadeWorkspace,
+    cascade_samples,
+    check_noise,
+    scenario2_gain,
+)
 from .signals import NoiseRealization, Signal
 
 POWER_LOWER_BOUND = 1e-6  # open interval 0 < p0 is not machine-representable
@@ -211,7 +217,9 @@ def build_residual(
     interleaved).  Called with ``jacobian=True`` it returns the pair
     (residual, J), with J the exact (2N, dim) Jacobian in the same layout,
     from the same cascade pass.  The noise realization is frozen into the
-    closure so the objective is deterministic.
+    closure so the objective is deterministic.  The closure keeps its
+    kernel workspace and its drive, output and tangent arrays across calls,
+    so it is not reentrant; the arrays it returns are its caller's.
     """
     check_noise(config, noise, len(x0_unit))
     x = x0_unit.samples
@@ -222,19 +230,24 @@ def build_residual(
     layout = MODE_LAYOUTS[mode]
     dim = mode_dimension(mode, config.stage_count)
     gain_rows = layout.gain_rows(config.stage_count)
+    # Working arrays of every call, made once; what a call returns is fresh.
+    work = CascadeWorkspace()
+    x_drive = np.empty_like(x)
+    y = np.empty_like(x)
+    dy = np.empty((dim, len(x)), dtype=complex)
 
     def residual(theta: np.ndarray, jacobian: bool = False):
         p0, gains = expand_parameters(theta, mode, config)
-        x_drive = np.sqrt(p0) * x
+        np.multiply(np.sqrt(p0), x, out=x_drive)
         if not jacobian:
-            y = cascade_samples(x_drive, alphas, gains, sigma, stage_noise)
+            cascade_samples(x_drive, alphas, gains, sigma, stage_noise, None, work, y)
             return (desired - y).view(float)
-        dy = np.zeros((dim, len(x)), dtype=complex)
+        dy.fill(0.0)
         if layout.free_power:
-            dy[0] = x_drive / (2.0 * p0)
-        y = cascade_samples(x_drive, alphas, gains, sigma, stage_noise, (dy, gain_rows))
-        np.negative(dy, out=dy)  # d(desired - y) = -dy
-        return (desired - y).view(float), dy.view(float).T
+            np.divide(x_drive, 2.0 * p0, out=dy[0])
+        cascade_samples(x_drive, alphas, gains, sigma, stage_noise, (dy, gain_rows), work, y)
+        # d(desired - y) = -dy
+        return (desired - y).view(float), np.negative(dy).view(float).T
 
     return residual
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pachain import cascade
 from pachain.cascade import (
     CascadeConfig,
+    CascadeWorkspace,
     ModelValidityWarning,
     PaStage,
     SaturationUndefinedError,
@@ -27,6 +28,9 @@ from pachain.optimizer import Mode, build_residual
 from pachain.signals import Signal, draw_noise, unit_excitation
 
 ALPHA = -0.33 * (1 - 0.1j)
+# One kernel workspace for every call of the kernel tests below, so each
+# call starts on the arrays that earlier calls left behind.
+SHARED_WORK = CascadeWorkspace()
 
 
 def make_config(alphas, gains, sigma=0.0, input_power=1.0):
@@ -150,7 +154,7 @@ def test_noise_shape_validation(run):
 
 def test_cascade_samples_blocks_leave_every_bit(monkeypatch):
     """The kernel's sample blocks, uneven last block included, change no
-    output bit and no tangent bit."""
+    output bit and no tangent bit, on a workspace reused across calls."""
     x = unit_excitation(64, 8, 0.22, 16, 9)
     noise = draw_noise(3, len(x), 13)
     config = make_config([ALPHA, ALPHA * 0.5, ALPHA], [0.9, 1.2, 1.1], sigma=0.05)
@@ -160,7 +164,7 @@ def test_cascade_samples_blocks_leave_every_bit(monkeypatch):
         dy[0] = x.samples
         y = cascade_samples(
             x.samples, config.alphas, config.gains, 0.05, noise.stage_noise,
-            (dy, [1, 2, 3]),
+            (dy, [1, 2, 3]), SHARED_WORK,
         )
         return y, dy
 
@@ -187,9 +191,9 @@ def chains(draw):
 @settings(deadline=None)
 @given(chains())
 def test_cascade_samples_matches_scalar_loop(chain):
-    """The kernel, in blocks of any size, against y <- g*f(y + sigma*w) run
-    one sample at a time in Python complex arithmetic: equal to within 1e-12
-    of the largest output magnitude."""
+    """The kernel, in blocks of any size and on a reused workspace, against
+    y <- g*f(y + sigma*w) run one sample at a time in Python complex
+    arithmetic: equal to within 1e-12 of the largest output magnitude."""
     alphas, gains, sigma, block = chain
     x = unit_excitation(32, 8, 0.22, 16, 21).samples
     noise = draw_noise(len(gains), len(x), 22).stage_noise
@@ -202,7 +206,7 @@ def test_cascade_samples_matches_scalar_loop(chain):
         expected[n] = y
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cascade, "SAMPLE_BLOCK", block)
-        got = cascade_samples(x, alphas, gains, sigma, noise)
+        got = cascade_samples(x, alphas, gains, sigma, noise, workspace=SHARED_WORK)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

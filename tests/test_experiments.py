@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +284,49 @@ def test_emit_empty_record_warns(tmp_path):
     assert [p.name for p in paths] == ["manifest.json"]
 
 
+def test_rerun_into_one_directory_leaves_only_its_files(tmp_path):
+    """simulate --scenario 1, then --scenario 2 into the same directory: the
+    first run's files that the second does not write are gone, and a file
+    that no manifest lists stays."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    for scenario in ("1", "2"):
+        code = cli.main([
+            "simulate", "--scenario", scenario, "--K", "1", "--symbols", "128",
+            "--out", str(out),
+        ])
+        assert code == 0
+    listed = set(json.loads((out / "manifest.json").read_text())["files"])
+    assert "psd_K1_scenario2.csv" in listed
+    assert {p.name for p in out.iterdir()} == listed | {"manifest.json", "notes.txt"}
+
+
+def test_emit_deletes_only_plain_names_of_the_old_manifest(tmp_path):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    keep = [tmp_path / "outside.csv", out / "sub" / "inner.csv", out / "unlisted.csv"]
+    for path in keep:
+        path.write_text("kept")
+    (out / "stale.csv").write_text("old")
+    old = ["../outside.csv", "sub/inner.csv", "..", "", "manifest.json", "stale.csv"]
+    (out / "manifest.json").write_text(json.dumps({"files": dict.fromkeys(old, "")}))
+    emit_outputs(run_scenarios(ExperimentConfig(output_dir=out, **SMALL)))
+    assert all(path.read_text() == "kept" for path in keep)
+    assert not (out / "stale.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy is a test dependency only: importing the package and its CLI
+    must not load it."""
+    code = "import sys, pachain, pachain.cli; sys.exit(int('scipy' in sys.modules))"
+    src = str(Path(pachain.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0
+
+
 def test_unreachable_reference_serializes_at_floor(tmp_path):
     config = ExperimentConfig(
         alpha=0.0, sigma_sq=0.0, output_dir=tmp_path / "floor", **SMALL
@@ -370,6 +416,21 @@ def test_cli_bad_usage_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--scenario", "1"], ["optimize", "--mode", "power"]],
+    ids=["simulate", "optimize"],
+)
+def test_cli_zero_stages_names_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--K", "0", "--symbols", "128", "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--K" in err and "K_range" not in err
+    assert not out.exists()
 
 
 def test_cli_bad_config_exits_one(tmp_path, capsys):

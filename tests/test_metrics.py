@@ -4,6 +4,8 @@ import pytest
 from pachain.metrics import (
     DEFAULT_CHANNEL_BANDWIDTH,
     FLOOR_DB,
+    PSD_OVERLAP,
+    PSD_SEGMENT_LENGTH,
     aclr,
     amam_points,
     estimate_psd,
@@ -86,6 +88,27 @@ def test_psd_white_noise_is_flat():
     psd = estimate_psd(x)
     # every bin within a few dB of the peak once enough segments average
     assert np.min(psd.power_density) > -3.0
+
+
+@pytest.mark.parametrize("length", [4096, 5000, 524288])
+def test_psd_matches_scipy_welch(length):
+    """The numpy Welch estimate against scipy's, two-sided, Hann-windowed,
+    undetrended density: the same axis and every bin within 1e-12 relative.
+    5,000 samples leave a partial trailing segment, which both drop."""
+    from scipy.signal import welch
+
+    x = white_noise(length, 12)
+    freqs, density = welch(
+        x.samples, fs=float(x.oversampling), window="hann",
+        nperseg=PSD_SEGMENT_LENGTH, noverlap=int(PSD_SEGMENT_LENGTH * PSD_OVERLAP),
+        detrend=False, return_onesided=False, scaling="density",
+    )
+    expected = np.fft.fftshift(density)[1:]
+    psd = estimate_psd(x)
+    np.testing.assert_array_equal(psd.frequencies, np.fft.fftshift(freqs)[1:])
+    got = 10.0 ** (psd.power_density / 10.0) * psd.peak_density
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert psd.peak_density == pytest.approx(np.max(expected), rel=1e-12)
 
 
 def test_aclr_white_noise_near_zero():

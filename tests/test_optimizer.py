@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pachain import optimizer
+from pachain import cascade, optimizer
 from pachain.cascade import CascadeConfig, PaStage
 from pachain.optimizer import (
     MODE_LAYOUTS,
@@ -323,3 +323,30 @@ def test_jacobian_call_returns_the_same_residual(case):
     residual, theta = case
     r, _ = residual(theta, jacobian=True)
     assert np.array_equal(r, residual(theta))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_residual_closure_reuses_its_arrays_safely(monkeypatch, mode):
+    """Interleaved calls on one closure, at two points, with and without the
+    Jacobian, each equal a fresh closure's call, and no later call changes
+    an array that an earlier one returned.  Blocks of 300 samples make the
+    1,024 samples run through several blocks of the reused workspace."""
+    monkeypatch.setattr(cascade, "SAMPLE_BLOCK", 300)
+    x, config, noise = small_problem(3, sigma=0.01, gains=[0.9, 1.1, 1.2])
+    shared = build_residual(x, config, noise, mode)
+    layout = MODE_LAYOUTS[mode]
+    points = [
+        layout.reduce(0.8, np.array([0.9, 1.1, 1.2])),
+        layout.reduce(0.3, np.array([1.25, 0.75, 1.0])),
+    ]
+    returned, copies = [], []
+    for _ in range(2):
+        for theta in points:
+            for jacobian in (False, True):
+                got = shared(theta, jacobian=jacobian)
+                fresh = build_residual(x, config, noise, mode)(theta, jacobian=jacobian)
+                got, fresh = (got, fresh) if jacobian else ((got,), (fresh,))
+                assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+                returned.extend(got)
+                copies.extend(a.copy() for a in got)
+    assert all(np.array_equal(a, b) for a, b in zip(returned, copies))
