@@ -150,8 +150,10 @@ def _report_lines(record: RunRecord) -> list[str]:
         gains_text = ", ".join(f"{g:.4f}" for g in gains)
         lines.append(
             f"{case} K={stages}: p0={p0:.4f} gains=[{gains_text}] "
-            f"status={result.status.value} NMSE {metrics.nmse_db:.2f} dB, "
-            f"ACLR {metrics.aclr_db:.2f} dB"
+            f"status={result.status.value} iterations={result.iterations} "
+            f"evaluations={result.evaluations} "
+            f"jacobian_evaluations={result.jacobian_evaluations} "
+            f"NMSE {metrics.nmse_db:.2f} dB, ACLR {metrics.aclr_db:.2f} dB"
         )
     return lines
 

@@ -10,7 +10,11 @@ The solver is a damped Gauss-Newton (Levenberg-Marquardt) iteration with
 projection of trial points onto the box.  Its Jacobian is exact: the residual
 carries the derivatives with respect to the at most K+1 parameters through
 the same cascade pass that computes it (forward-mode tangents in
-cascade_samples), so one kernel call per trial point yields both.
+cascade_samples).  The tangents are paid for only where the solver needs
+them: the first trial of each iteration, which the damping schedule rejects
+about half the time, is scored on its residual alone, and its tangents are
+computed only if it is accepted; a retry after a rejection carries them from
+the start.
 """
 
 from __future__ import annotations
@@ -101,6 +105,24 @@ class ModeLayout:
             [[p0][: int(self.free_power)], gains[: self.gain_count(len(gains))]]
         )
 
+    def expand(
+        self, theta: np.ndarray, p0: float, gains: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """The full (p0, per-stage gains) point of the mode's vector theta.
+
+        The inverse of reduce: what the mode does not free is the given p0
+        or gains (returned as they are), and theta must have the mode's
+        dimension over len(gains) stages.
+        """
+        if self.free_power:
+            p0 = float(theta[0])
+        free_gains = theta[int(self.free_power):]
+        if self.gains is GainLayout.FIXED:
+            return p0, gains
+        if self.gains is GainLayout.SHARED:
+            return p0, np.full(len(gains), free_gains[0])
+        return p0, free_gains.copy()
+
 
 MODE_LAYOUTS = {
     Mode.POWER_ONLY: ModeLayout(True, GainLayout.FIXED),
@@ -139,21 +161,20 @@ def expand_parameters(
     Values not covered by the mode come from the config: gains for
     power-only, drive power for the gains-only modes.
     """
+    stage_count = config.stage_count
+    theta = _checked(theta, mode, stage_count, mode_dimension(mode, stage_count))
+    return MODE_LAYOUTS[mode].expand(theta, config.input_power, config.gains)
+
+
+def _checked(theta, mode: Mode, stage_count: int, dimension: int) -> np.ndarray:
+    """theta as a float vector, if it has the mode's dimension."""
     theta = np.asarray(theta, dtype=float)
-    expected = mode_dimension(mode, config.stage_count)
-    if theta.shape != (expected,):
+    if theta.shape != (dimension,):
         raise ValueError(
-            f"mode {mode.value} over {config.stage_count} stages takes "
-            f"{expected} parameters, got shape {theta.shape}"
+            f"mode {mode.value} over {stage_count} stages takes "
+            f"{dimension} parameters, got shape {theta.shape}"
         )
-    layout = MODE_LAYOUTS[mode]
-    p0 = float(theta[0]) if layout.free_power else config.input_power
-    free_gains = theta[int(layout.free_power):]
-    if layout.gains is GainLayout.FIXED:
-        return p0, config.gains
-    if layout.gains is GainLayout.SHARED:
-        return p0, np.full(config.stage_count, free_gains[0])
-    return p0, free_gains.copy()
+    return theta
 
 
 def scenario_start(
@@ -202,6 +223,8 @@ class OptimizationResult:
     objective_history: np.ndarray
     status: SolveStatus
     iterations: int
+    evaluations: int  # residual calls without tangents
+    jacobian_evaluations: int  # residual calls with tangents
 
 
 def build_residual(
@@ -227,9 +250,13 @@ def build_residual(
     alphas = config.alphas
     sigma = config.sigma
     stage_noise = noise.stage_noise if noise is not None else None
+    stage_count = config.stage_count
     layout = MODE_LAYOUTS[mode]
-    dim = mode_dimension(mode, config.stage_count)
-    gain_rows = layout.gain_rows(config.stage_count)
+    dim = mode_dimension(mode, stage_count)
+    gain_rows = layout.gain_rows(stage_count)
+    # What the mode holds fixed, read from the config once.
+    input_power = config.input_power
+    fixed_gains = config.gains
     # Working arrays of every call, made once; what a call returns is fresh.
     work = CascadeWorkspace()
     x_drive = np.empty_like(x)
@@ -237,7 +264,8 @@ def build_residual(
     dy = np.empty((dim, len(x)), dtype=complex)
 
     def residual(theta: np.ndarray, jacobian: bool = False):
-        p0, gains = expand_parameters(theta, mode, config)
+        theta = _checked(theta, mode, stage_count, dim)
+        p0, gains = layout.expand(theta, input_power, fixed_gains)
         np.multiply(np.sqrt(p0), x, out=x_drive)
         if not jacobian:
             cascade_samples(x_drive, alphas, gains, sigma, stage_noise, None, work, y)
@@ -259,19 +287,24 @@ def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 
 def solve(
     spec: OptimizationSpec,
-    residual: Callable[..., tuple[np.ndarray, np.ndarray]],
+    residual: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]],
 ) -> OptimizationResult:
     """Projected Levenberg-Marquardt descent over the spec's box.
 
-    ``residual(theta, jacobian=True)`` must return the residual vector and
-    its exact Jacobian (one row per residual entry), as build_residual's
-    closure does; each is reduced at once to the normal matrix J^T J and the
-    gradient J^T r.  The start is moved START_MARGIN of the box width inside
-    the box.  Trial steps are clipped to the box and accepted only on
-    strict objective decrease; damping is multiplied by 10 on rejection and
-    divided by 10 on acceptance.  Terminates when the projected gradient is
-    at most GRADIENT_TOLERANCE times its starting magnitude, when the clipped
-    step is at most STEP_TOLERANCE, or after MAX_ITERATIONS.
+    ``residual(theta)`` must return the residual vector, and
+    ``residual(theta, jacobian=True)`` the same vector and its exact Jacobian
+    (one row per residual entry), as build_residual's closure does; a
+    Jacobian is reduced at once to the normal matrix J^T J and the gradient
+    J^T r.  The start is moved START_MARGIN of the box width inside the box.
+    Trial steps are clipped to the box and accepted only on strict objective
+    decrease; damping is multiplied by 10 on rejection and divided by 10 on
+    acceptance.  The Jacobian is taken at the start, at every accepted point
+    and at every retry after a rejection; the first trial of an iteration is
+    scored on its residual alone and linearized only if it is accepted.  The
+    result counts both kinds of call.  Terminates when the
+    projected gradient is at most GRADIENT_TOLERANCE times its starting
+    magnitude, when the clipped step is at most STEP_TOLERANCE, or after
+    MAX_ITERATIONS.
     """
     lo, hi = spec.bounds()
     if spec.start.size != lo.size:
@@ -279,13 +312,19 @@ def solve(
             f"start has {spec.start.size} parameters, mode {spec.mode.value} "
             f"over {spec.stage_count} stages needs {lo.size}"
         )
+    calls = [0, 0]  # without, with tangents
 
-    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(point: np.ndarray, jacobian: bool):
+        """(objective, J^T J, J^T r), the last two None without the Jacobian."""
+        calls[jacobian] += 1
+        if not jacobian:
+            r = residual(point)
+            return float(r @ r), None, None
         r, jac = residual(point, jacobian=True)
         return float(r @ r), jac.T @ jac, jac.T @ r
 
     theta = _project_start(spec.start, lo, hi)
-    objective, normal, gradient = evaluate(theta)
+    objective, normal, gradient = evaluate(theta, True)
     if not np.isfinite(objective):
         raise InvalidStartError(f"objective is {objective} at start {theta}")
     history = [objective]
@@ -308,14 +347,17 @@ def solve(
         damping_scale = np.diag(normal).copy()
         damping_scale[damping_scale == 0.0] = 1.0
         accepted = False
+        retry = False
         while lam <= LAMBDA_LIMIT:
             step = np.linalg.solve(normal + lam * np.diag(damping_scale), -gradient)
             trial = np.clip(theta + step, lo, hi)
             if float(np.max(np.abs(trial - theta))) <= STEP_TOLERANCE:
                 status = SolveStatus.CONVERGED
                 break
-            trial_objective, trial_normal, trial_gradient = evaluate(trial)
+            trial_objective, trial_normal, trial_gradient = evaluate(trial, retry)
             if trial_objective < objective:
+                if trial_normal is None:
+                    _, trial_normal, trial_gradient = evaluate(trial, True)
                 theta, objective = trial, trial_objective
                 normal, gradient = trial_normal, trial_gradient
                 history.append(objective)
@@ -323,6 +365,7 @@ def solve(
                 accepted = True
                 break
             lam *= 10.0
+            retry = True
         if not accepted:
             if status is not SolveStatus.CONVERGED:
                 status = SolveStatus.STALLED_AT_BOUND
@@ -334,6 +377,8 @@ def solve(
         objective_history=np.array(history),
         status=status,
         iterations=iterations,
+        evaluations=calls[False],
+        jacobian_evaluations=calls[True],
     )
 
 

@@ -501,6 +501,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
         parameters=np.array([1.0]), objective=1.0,
         objective_history=np.array([1.0]),
         status=SolveStatus.STALLED_AT_BOUND, iterations=3,
+        evaluations=2, jacobian_evaluations=4,
     )
     record.optimization_metrics[key] = MetricsReport(
         nmse_db=-10.0, aclr_db=-30.0, psd=None, amam=None
@@ -508,7 +509,9 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
     record.optimized_parameters[key] = (1.0, np.ones(1))
     monkeypatch.setattr(cli, "_run_optimize", lambda args: (record, record.config))
     assert cli.main(["optimize", "--mode", "power", "--K", "1"]) == 2
-    assert "pachain: solve ended StalledAtBound: power_s1 K=1" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "pachain: solve ended StalledAtBound: power_s1 K=1" in printed.err
+    assert "iterations=3 evaluations=2 jacobian_evaluations=4" in printed.out
 
 
 def test_cli_empty_sweep_exits_zero(tmp_path):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pachain import cascade, optimizer
+from pachain import cascade, experiments, optimizer
 from pachain.cascade import CascadeConfig, PaStage
+from pachain.experiments import ExperimentConfig
 from pachain.optimizer import (
     MODE_LAYOUTS,
     InvalidStartError,
@@ -219,6 +220,62 @@ def test_full_drive_optimum_lands_on_upper_bound_exactly():
     assert result.parameters[0] == 1.0
 
 
+def always_with_tangents(residual):
+    """residual, computing the tangents on every call and dropping J when it
+    was not asked for.  Counts the calls of each kind, and the points
+    evaluated: a Jacobian call at the point just scored objective-only is
+    not a new point.  Keeps the objectives at which J was asked for."""
+    seen = {False: 0, True: 0, "points": 0, "last_plain": None, "linearized": set()}
+
+    def wrapped(theta, jacobian=False):
+        key = np.asarray(theta).tobytes()
+        seen[jacobian] += 1
+        if not (jacobian and key == seen["last_plain"]):
+            seen["points"] += 1
+        seen["last_plain"] = None if jacobian else key
+        r, jac = residual(theta, jacobian=True)
+        if jacobian:
+            seen["linearized"].add(float(r @ r))
+        return (r, jac) if jacobian else r
+
+    return wrapped, seen
+
+
+@pytest.mark.parametrize(
+    "mode, stages",
+    [(Mode.UNEQUAL_GAINS, 3), (Mode.JOINT_UNEQUAL_GAINS, 2)],
+    ids=lambda value: value.value if isinstance(value, Mode) else f"K{value}",
+)
+def test_tangents_only_where_needed_leave_the_solve_unchanged(mode, stages):
+    """Scoring first trials without tangents changes no iterate: the study's
+    solve equals one whose every residual call also computes the Jacobian.
+    It takes the Jacobian at the start and at every accepted point, counts
+    its calls of each kind, and asks for tangents at fewer points than it
+    evaluates."""
+    config = ExperimentConfig(symbols=256)
+    x = experiments.excitation_for(config)
+    noise = experiments.optimization_noise(config, stages, len(x))
+    fixed = experiments.make_cascade_config(
+        config, experiments.scenario_gains(config, Scenario.ONE, stages)
+    )
+    spec = OptimizationSpec(
+        mode=mode, stage_count=stages,
+        start=scenario_start(Scenario.ONE, stages, config.alpha, mode),
+        gain_bounds=fixed.gain_bounds,
+    )
+    result = solve(spec, build_residual(x, fixed, noise, mode))
+    wrapped, seen = always_with_tangents(build_residual(x, fixed, noise, mode))
+    reference = solve(spec, wrapped)
+
+    assert result.parameters.tobytes() == reference.parameters.tobytes()
+    assert result.objective == reference.objective
+    assert result.objective_history.tobytes() == reference.objective_history.tobytes()
+    assert (result.status, result.iterations) == (reference.status, reference.iterations)
+    assert (result.evaluations, result.jacobian_evaluations) == (seen[False], seen[True])
+    assert set(result.objective_history) <= seen["linearized"]
+    assert result.jacobian_evaluations < seen["points"]
+
+
 # --------------------------------------------------------------- grid oracle
 
 
@@ -323,6 +380,15 @@ def test_jacobian_call_returns_the_same_residual(case):
     residual, theta = case
     r, _ = residual(theta, jacobian=True)
     assert np.array_equal(r, residual(theta))
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+def test_residual_rejects_a_wrong_shape(jacobian):
+    x, config, noise = small_problem(3, sigma=0.01)
+    residual = build_residual(x, config, noise, Mode.JOINT_EQUAL_GAINS)
+    for theta in (np.array([0.5, 1.0, 1.0]), np.array([0.5]), np.array([[0.5, 1.0]])):
+        with pytest.raises(ValueError, match="takes 2 parameters"):
+            residual(theta, jacobian=jacobian)
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
