@@ -281,7 +281,9 @@ def cascade_forward(
 
     ``x0`` must already be scaled to the configured drive (input_power).
     With ``keep_stages=False`` the intermediate outputs are discarded
-    (stage_outputs is empty), which matters only for very long signals.
+    (stage_outputs is empty) and only the output is made a Signal, which
+    matters only for very long signals.  Every stage runs on one kernel
+    workspace.
 
     Emits ModelValidityWarning if any stage's mean input power exceeds the
     squared saturation input of that stage -- the model still evaluates (the
@@ -290,27 +292,32 @@ def cascade_forward(
     """
     check_noise(config, noise, len(x0))
 
+    def as_signal(samples: np.ndarray) -> Signal:
+        return Signal(
+            samples=samples,
+            oversampling=x0.oversampling,
+            symbol_count=x0.symbol_count,
+            nominal_power=float(np.mean(np.abs(samples) ** 2)),
+        )
+
     overdriven: list[int] = []
     alphas = config.alphas
     gains = config.gains
-    y = x0
+    work = CascadeWorkspace()
+    samples = x0.samples
     kept: list[Signal] = []
     for k, stage in enumerate(config.stages):
-        stage_in = y.samples
+        stage_in = samples
         if config.sigma != 0.0:
             stage_in = stage_in + config.sigma * noise.stage_noise[k]
         if stage.alpha != 0:
             if np.mean(np.abs(stage_in) ** 2) > x_max(stage.alpha) ** 2:
                 overdriven.append(k + 1)
-        out = cascade_samples(stage_in, alphas[k : k + 1], gains[k : k + 1], 0.0)
-        y = Signal(
-            samples=out,
-            oversampling=x0.oversampling,
-            symbol_count=x0.symbol_count,
-            nominal_power=float(np.mean(np.abs(out) ** 2)),
+        samples = cascade_samples(
+            stage_in, alphas[k : k + 1], gains[k : k + 1], 0.0, workspace=work
         )
         if keep_stages:
-            kept.append(y)
+            kept.append(as_signal(samples))
 
     if overdriven:
         warnings.warn(
@@ -319,7 +326,8 @@ def cascade_forward(
             ModelValidityWarning,
             stacklevel=2,
         )
-    return CascadeRun(output=y, stage_outputs=tuple(kept))
+    output = kept[-1] if keep_stages else as_signal(samples)
+    return CascadeRun(output=output, stage_outputs=tuple(kept))
 
 
 def equivalent_gain(gains: Sequence[float]) -> float:

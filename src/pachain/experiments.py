@@ -18,7 +18,9 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -409,12 +411,40 @@ def _finite_db(value: float) -> float:
     return FLOOR_DB if value == float("-inf") else float(value)
 
 
-def _csv_bytes(header: str, rows: list[str]) -> bytes:
-    return ("\n".join([header] + rows) + "\n").encode("utf-8")
+def _csv_bytes(header: str, rows: Iterable[str]) -> bytes:
+    return "\n".join(chain([header], rows, [""])).encode("utf-8")
 
 
 def _full(value: float) -> str:
     return repr(float(value))
+
+
+def _column_text(column: np.ndarray) -> list[str]:
+    """repr of every value: the shortest text that float() reads back exactly."""
+    return list(map(repr, column.tolist()))
+
+
+class _ColumnText:
+    """One role's last formatted column, reused while the next one is the same.
+
+    Columns are compared by their bytes: -0.0 and 0.0 are equal numbers but
+    format differently, and a NaN never equals itself.  Only the last column
+    is kept, so the reuse holds one column's text at a time.
+    """
+
+    def __init__(self) -> None:
+        self._key: bytes | None = None
+        self._text: list[str] = []
+
+    def __call__(self, column: np.ndarray) -> list[str]:
+        key = column.tobytes()
+        if key != self._key:
+            self._key, self._text = key, _column_text(column)
+        return self._text
+
+
+def _pairs_csv(header: str, first: list[str], second: list[str]) -> bytes:
+    return _csv_bytes(header, map(",".join, zip(first, second)))
 
 
 def _case_sort_key(item: tuple[int, str]) -> tuple[int, int]:
@@ -427,16 +457,28 @@ def _layout(case: str) -> ModeLayout:
 
 
 def _build_files(record: RunRecord) -> dict[str, bytes]:
+    """The run's files by name, each as the bytes to write.
+
+    AM/AM and PSD values are written as repr, whole columns at a time.  A
+    column that repeats from one file to the next (the AM/AM input at one
+    drive, the PSD frequency axis) is formatted once per call; the reuse
+    keeps only the last column of each of those two roles, so it is bounded
+    by two columns' text whatever the record holds.
+    """
     files: dict[str, bytes] = {}
+    amam_inputs, psd_axes = _ColumnText(), _ColumnText()
 
     def add_signal_files(stages: int, case: str, metrics: MetricsReport) -> None:
-        amam_rows = [f"{_full(x)},{_full(y)}" for x, y in metrics.amam]
-        files[f"amam_K{stages}_{case}.csv"] = _csv_bytes("input_mag,output_mag", amam_rows)
-        psd_rows = [
-            f"{_full(f)},{_full(p)}"
-            for f, p in zip(metrics.psd.frequencies, metrics.psd.power_density)
-        ]
-        files[f"psd_K{stages}_{case}.csv"] = _csv_bytes("freq_symrate,psd_db", psd_rows)
+        files[f"amam_K{stages}_{case}.csv"] = _pairs_csv(
+            "input_mag,output_mag",
+            amam_inputs(metrics.amam[:, 0]),
+            _column_text(metrics.amam[:, 1]),
+        )
+        files[f"psd_K{stages}_{case}.csv"] = _pairs_csv(
+            "freq_symrate,psd_db",
+            psd_axes(metrics.psd.frequencies),
+            _column_text(metrics.psd.power_density),
+        )
 
     for key in sorted(record.scenario_metrics, key=_case_sort_key):
         add_signal_files(*key, record.scenario_metrics[key])

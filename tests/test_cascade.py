@@ -121,14 +121,18 @@ def test_linear_chain_is_pure_gain():
 
 
 def test_stage_outputs_retention():
+    """The lean run's output equals the full run's bit for bit, samples and
+    nominal power, without noise and with it."""
     x = unit_excitation(64, 8, 0.22, 16, 5)
-    config = make_config([ALPHA] * 3, [1.0, 1.0, 1.0])
-    run = cascade_forward(x, config, None)
-    assert len(run.stage_outputs) == 3
-    np.testing.assert_array_equal(run.stage_outputs[-1].samples, run.output.samples)
-    lean = cascade_forward(x, config, None, keep_stages=False)
-    assert lean.stage_outputs == ()
-    np.testing.assert_array_equal(lean.output.samples, run.output.samples)
+    for sigma, noise in [(0.0, None), (0.05, draw_noise(3, len(x), 7))]:
+        config = make_config([ALPHA] * 3, [1.0, 1.0, 1.0], sigma=sigma)
+        run = cascade_forward(x, config, noise)
+        assert len(run.stage_outputs) == 3
+        np.testing.assert_array_equal(run.stage_outputs[-1].samples, run.output.samples)
+        lean = cascade_forward(x, config, noise, keep_stages=False)
+        assert lean.stage_outputs == ()
+        assert lean.output.samples.tobytes() == run.output.samples.tobytes()
+        assert lean.output.nominal_power == run.output.nominal_power
 
 
 @pytest.mark.parametrize(

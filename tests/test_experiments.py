@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from pachain.experiments import (
     run_scenarios,
     scenario_gains,
 )
+from pachain.metrics import MetricsReport, PsdEstimate
 from pachain.optimizer import Mode, OptimizationResult, Scenario, SolveStatus
 from pachain.signals import draw_noise
 
@@ -266,6 +269,111 @@ def test_emit_manifest_digests(emitted):
         actual = hashlib.sha256(out.joinpath(name).read_bytes()).hexdigest()
         assert actual == digest, name
     assert "manifest.json" not in manifest["files"]
+
+
+def _signal_columns(record):
+    """(name, header, first column, second column) of each AM/AM and PSD file
+    that a record's metrics could give."""
+    for (stages, case), metrics in {**record.scenario_metrics, **record.optimization_metrics}.items():
+        amam, psd = metrics.amam, metrics.psd
+        yield f"amam_K{stages}_{case}.csv", "input_mag,output_mag", amam[:, 0], amam[:, 1]
+        yield f"psd_K{stages}_{case}.csv", "freq_symrate,psd_db", psd.frequencies, psd.power_density
+
+
+def _signal_files_per_value(record):
+    """The AM/AM and PSD files formatted one value at a time, as the reference:
+    a row per pair, repr of each float, the header first and a newline last."""
+    files = {}
+    for name, header, first, second in _signal_columns(record):
+        rows = [f"{repr(float(x))},{repr(float(y))}" for x, y in zip(first, second)]
+        files[name] = ("\n".join([header] + rows) + "\n").encode("utf-8")
+    return files
+
+
+def test_signal_files_match_per_value_formatting(emitted):
+    """Every AM/AM and PSD file is byte for byte the per-value repr text, on a
+    record whose scenario rows share one input column and whose joint rows
+    each have their own drive; every field reads back as its exact value."""
+    config = replace(emitted[1].config, K_range=(1, 2))
+    record = combine_records(run_scenarios(config), run_optimizations(config))
+    inputs = {key: m.amam[:, 0] for key, m in record.scenario_metrics.items()}
+    assert len(inputs) == 4
+    assert all(np.array_equal(column, inputs[(1, "scenario1")]) for column in inputs.values())
+    joint = [record.optimization_metrics[(k, "joint_equal")].amam[:, 0] for k in (1, 2)]
+    assert not np.array_equal(joint[0], joint[1])
+    assert not np.array_equal(joint[0], inputs[(1, "scenario1")])
+
+    files = experiments._build_files(record)
+    signal_names = {name for name in files if name.startswith(("amam_", "psd_"))}
+    reference = _signal_files_per_value(record)
+    assert signal_names == {
+        f"{kind}_K{k}_{case}.csv"
+        for kind in ("amam", "psd")
+        for k in (1, 2)
+        for case in ("scenario1", "scenario2", "joint_equal")
+    }
+    for name, _, first, second in _signal_columns(record):
+        if name not in signal_names:
+            continue
+        assert files[name] == reference[name], name
+        lines = files[name].decode().splitlines()[1:]
+        assert len(lines) == len(first)
+        for line, x, y in zip(lines, first, second):
+            text_x, text_y = line.split(",")
+            assert float(text_x) == x and float(text_y) == y, (name, line)
+
+
+def _synthetic_signal_record(input_columns, rows, seed=3):
+    """A record whose scenario rows, at K = 1, 2, ..., have the given input
+    columns, and whose joint rows (K = 1..5, equal and unequal gains) each
+    have an input column of their own, as at distinct drives."""
+    rng = np.random.default_rng(seed)
+    record = RunRecord(config=ExperimentConfig())
+    axis = np.linspace(-4.0, 4.0, 1023)
+
+    def metrics(inputs):
+        psd = PsdEstimate(axis, -60.0 * rng.random(len(axis)), 1.0)
+        return MetricsReport(-30.0, -40.0, psd, np.column_stack([inputs, rng.random(len(inputs))]))
+
+    for stages, (case, column) in enumerate(input_columns, start=1):
+        record.scenario_metrics[(stages, case)] = metrics(column)
+    for stages in range(1, 6):
+        for case in ("joint_equal", "joint_unequal"):
+            record.optimization_metrics[(stages, case)] = metrics(rng.random(rows))
+    return record
+
+
+def test_reused_columns_are_matched_by_their_bytes():
+    """0.0 and -0.0 are equal numbers but not the same text: a column that
+    differs from the last only in the sign of a zero is formatted anew."""
+    zero, negative_zero = np.array([0.0, 0.5, 1.0]), np.array([-0.0, 0.5, 1.0])
+    record = _synthetic_signal_record(
+        [("scenario1", zero), ("scenario2", negative_zero)], rows=3
+    )
+    files = experiments._build_files(record)
+    assert files["amam_K2_scenario2.csv"].splitlines()[1].startswith(b"-0.0,")
+    reference = _signal_files_per_value(record)
+    assert all(files[name] == text for name, text in reference.items())
+
+
+def test_column_reuse_is_bounded():
+    """The reuse keeps at most one formatted column per role, so ten joint
+    rows on distinct drives are built with a tracemalloc peak under the
+    returned bytes plus 12 times the largest file.  Calibrated at 4,096
+    rows: this code peaks 6.9 largest files above the returned bytes, and
+    a copy that keeps the text of every distinct input column 28.5."""
+    shared = np.random.default_rng(1).random(4096)
+    record = _synthetic_signal_record(
+        [("scenario1", shared), ("scenario2", shared)], rows=4096
+    )
+    tracemalloc.start()
+    try:
+        files = experiments._build_files(record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [len(data) for data in files.values()]
+    assert peak < sum(sizes) + 12 * max(sizes)
 
 
 def test_emit_is_deterministic(tmp_path):
