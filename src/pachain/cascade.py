@@ -174,14 +174,25 @@ def cascade_samples(
     tangent: tuple[np.ndarray, Sequence[int | None]] | None = None,
     workspace: CascadeWorkspace | None = None,
     out: np.ndarray | None = None,
+    stage_f: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bare-array cascade kernel: the one implementation of the stage recursion.
 
     Applies y <- g_k * f(y + sigma*w_k) for k = 1..K, with K = len(gains)
     and w_k = stage_noise[k] (unused, and may be None, when sigma is 0).
-    The optimizer's residual, and through it the grid oracle, call it once
-    per parameter vector; cascade_forward calls it once per stage with the
-    noise already added, so all of them share its arithmetic.
+    With sigma = 1 the rows are added as they are, with no multiply, which
+    changes no finite nonzero value: a caller that runs the chain many times
+    over one noise realization (the optimizer's residual) scales it once and
+    passes it so.  Any other sigma scales the rows once per call.  The
+    optimizer's residual, and through it the grid oracle, call it once per
+    parameter vector; cascade_forward calls it once per stage with the noise
+    already added, so all of them share its arithmetic.
+
+    ``stage_f``, a complex (K, N) array, receives each stage's pre-gain
+    output f(y_{k-1} + sigma*w_k) in row k-1: the stage computes it there in
+    place of a work buffer, so keeping it costs no copy.  Row k-1 depends on
+    x0 and g_1..g_{k-1} only, so a caller that changes only later gains can
+    resume the chain from it.
 
     ``tangent = (dy, gain_rows)`` also carries, in the same pass, the
     derivatives of y with respect to real parameters theta_1..theta_d.  On
@@ -206,6 +217,12 @@ def cascade_samples(
     """
     if workspace is None:
         workspace = CascadeWorkspace()
+    if sigma == 0.0:
+        noise = None
+    elif sigma == 1.0:
+        noise = stage_noise
+    else:
+        noise = sigma * stage_noise[: len(gains)]
     y = np.empty(len(x0), dtype=complex) if out is None else out
     for start in range(0, len(x0), SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
@@ -213,11 +230,11 @@ def cascade_samples(
             x0[block],
             alphas,
             gains,
-            sigma,
-            None if sigma == 0.0 else stage_noise[:, block],
+            None if noise is None else noise[:, block],
             None if tangent is None else (tangent[0][:, block], tangent[1]),
             workspace,
             y[block],
+            None if stage_f is None else stage_f[:, block],
         )
     return y
 
@@ -226,43 +243,45 @@ def _cascade_block(
     x0: np.ndarray,
     alphas: np.ndarray,
     gains: np.ndarray,
-    sigma: float,
-    stage_noise: np.ndarray | None,
+    noise: np.ndarray | None,
     tangent: tuple[np.ndarray, Sequence[int | None]] | None,
     work: CascadeWorkspace,
     y: np.ndarray,
+    stage_f: np.ndarray | None,
 ) -> None:
     """cascade_samples over one block of samples, written into y.
 
+    noise[k] is the term sigma*w_k itself, or None for a noise-free chain.
     Every product keeps the operand order of the plain expressions in the
     comments (complex multiplication is not bit-commutative under FMA).
     """
     m = len(x0)
-    noisy, ax, fx = work.noisy[:m], work.ax[:m], work.fx[:m]
+    noisy, ax = work.noisy[:m], work.ax[:m]
     ga, gb, conj_row, x_sq = work.ga[:m], work.gb[:m], work.conj_row[:m], work.x_sq[:m]
     if tangent is not None:
         dy, gain_rows = tangent
         live = min((row for row in gain_rows if row is not None), default=len(dy))
     x = x0
     for k in range(len(gains)):
-        if sigma != 0.0:
+        if noise is not None:
             # x = x + sigma * w_k
-            np.multiply(sigma, stage_noise[k], out=noisy)
-            x = np.add(x, noisy, out=noisy)
+            x = np.add(x, noise[k], out=noisy)
         # pa_nonlinearity(x, alpha) term by term, keeping |x|^2 and alpha*x
         # for the tangent: fx = x + (alpha * x) * np.abs(x)**2.
         g = gains[k]
+        fx = work.fx[:m] if stage_f is None else stage_f[k]
         np.multiply(alphas[k], x, out=ax)
         np.square(np.abs(x, out=x_sq), out=x_sq)
         np.add(x, np.multiply(ax, x_sq, out=fx), out=fx)
         if tangent is not None:
-            # ga = g + (2*g*alpha) * |x|^2,  gb = (g * ax) * x
-            np.add(g, np.multiply(2.0 * g * alphas[k], x_sq, out=ga), out=ga)
-            np.multiply(np.multiply(g, ax, out=gb), x, out=gb)
-            for row in dy[:live]:
-                np.multiply(gb, np.conjugate(row, out=conj_row), out=conj_row)
-                row *= ga
-                row += conj_row
+            if live:
+                # ga = g + (2*g*alpha) * |x|^2,  gb = (g * ax) * x
+                np.add(g, np.multiply(2.0 * g * alphas[k], x_sq, out=ga), out=ga)
+                np.multiply(np.multiply(g, ax, out=gb), x, out=gb)
+                for row in dy[:live]:
+                    np.multiply(gb, np.conjugate(row, out=conj_row), out=conj_row)
+                    row *= ga
+                    row += conj_row
             if gain_rows[k] is not None:
                 dy[gain_rows[k]] += fx
                 live = max(live, gain_rows[k] + 1)

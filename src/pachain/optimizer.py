@@ -240,17 +240,29 @@ def build_residual(
     interleaved).  Called with ``jacobian=True`` it returns the pair
     (residual, J), with J the exact (2N, dim) Jacobian in the same layout,
     from the same cascade pass.  The noise realization is frozen into the
-    closure so the objective is deterministic.  The closure keeps its
-    kernel workspace and its drive, output and tangent arrays across calls,
-    so it is not reentrant; the arrays it returns are its caller's.
+    closure, scaled by sigma once, so the objective is deterministic.
+
+    The closure keeps, across calls, every stage's pre-gain output
+    f_k = f(y_{k-1} + sigma*w_k) of its last call, with the bytes of the p0
+    and g_1..g_{K-1} it was computed from.  f_k depends on p0 and
+    g_1..g_{k-1} alone, so a call without the Jacobian first counts the
+    leading stages whose inputs keep every bit (compared as bytes, so -0.0
+    and 0.0 differ and a NaN matches itself) and runs only the stages after
+    them: none when only g_K changed, which then costs one multiply.  A call
+    with the Jacobian runs the whole chain.  Every call is bit for bit what a
+    fresh closure returns.  The closure also keeps its kernel workspace and
+    its input, output and tangent arrays, so it is not reentrant; the arrays
+    it returns are its caller's.
     """
     check_noise(config, noise, len(x0_unit))
     x = x0_unit.samples
     desired = config.reference_gain * x
     alphas = config.alphas
-    sigma = config.sigma
-    stage_noise = noise.stage_noise if noise is not None else None
     stage_count = config.stage_count
+    # The noise term sigma*w_k of every stage, added by the kernel as it is.
+    noise_scale, noise_terms = (0.0, None)
+    if config.sigma != 0.0:
+        noise_scale, noise_terms = 1.0, config.sigma * noise.stage_noise[:stage_count]
     layout = MODE_LAYOUTS[mode]
     dim = mode_dimension(mode, stage_count)
     gain_rows = layout.gain_rows(stage_count)
@@ -259,21 +271,47 @@ def build_residual(
     fixed_gains = config.gains
     # Working arrays of every call, made once; what a call returns is fresh.
     work = CascadeWorkspace()
-    x_drive = np.empty_like(x)
+    stage_in = np.empty_like(x)  # input of the first stage a call runs
     y = np.empty_like(x)
     dy = np.empty((dim, len(x)), dtype=complex)
+    stage_f = np.empty((stage_count, len(x)), dtype=complex)
+    filled = b""  # bytes of the (p0, g_1..g_{K-1}) behind stage_f
 
     def residual(theta: np.ndarray, jacobian: bool = False):
+        nonlocal filled
         theta = _checked(theta, mode, stage_count, dim)
         p0, gains = layout.expand(theta, input_power, fixed_gains)
-        np.multiply(np.sqrt(p0), x, out=x_drive)
+        inputs = np.concatenate(([p0], gains[:-1])).tobytes()
+        depth = 0  # leading stages whose f_k is kept
         if not jacobian:
-            cascade_samples(x_drive, alphas, gains, sigma, stage_noise, None, work, y)
+            while depth < stage_count and (
+                inputs[8 * depth : 8 * depth + 8] == filled[8 * depth : 8 * depth + 8]
+            ):
+                depth += 1
+        # stage_f is rewritten from row `depth` on: it matches no inputs
+        # until the kernel returns.
+        filled = b""
+        tangent = None
+        if depth == stage_count:
+            np.multiply(gains[-1], stage_f[-1], out=y)
+        elif depth:
+            np.multiply(gains[depth - 1], stage_f[depth - 1], out=stage_in)
+        else:
+            np.multiply(np.sqrt(p0), x, out=stage_in)
+            if jacobian:
+                dy.fill(0.0)
+                if layout.free_power:
+                    np.divide(stage_in, 2.0 * p0, out=dy[0])
+                tangent = (dy, gain_rows)
+        if depth < stage_count:
+            cascade_samples(
+                stage_in, alphas[depth:], gains[depth:], noise_scale,
+                None if noise_terms is None else noise_terms[depth:],
+                tangent, work, y, stage_f[depth:],
+            )
+        filled = inputs
+        if not jacobian:
             return (desired - y).view(float)
-        dy.fill(0.0)
-        if layout.free_power:
-            np.divide(x_drive, 2.0 * p0, out=dy[0])
-        cascade_samples(x_drive, alphas, gains, sigma, stage_noise, (dy, gain_rows), work, y)
         # d(desired - y) = -dy
         return (desired - y).view(float), np.negative(dy).view(float).T
 
@@ -394,7 +432,10 @@ def grid_oracle(
     Scores every point of a uniform grid over the mode's box (drive in
     POWER_BOUNDS, gains in the config's gain window) with the
     solver's own objective ``r @ r`` from build_residual, and returns the
-    first minimum in row-major order together with its objective.
+    first minimum in row-major order together with its objective.  The walk
+    is row-major, so along a row only the last parameter moves, and the
+    residual re-runs only the stages that parameter feeds: none when it is
+    the last stage's gain alone, every stage when it is the drive.
     """
     dim = mode_dimension(mode, config.stage_count)
     if dim > 2:

@@ -11,7 +11,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import pachain
+from pachain import optimizer
+from pachain.cascade import CascadeConfig, PaStage
+from pachain.optimizer import Mode
+from pachain.signals import draw_noise, unit_excitation
 
 ROOT = Path(__file__).parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -63,3 +69,33 @@ def test_pachain_names_used_by_the_benchmark_exist():
                 and node.value.id in modules
             ):
                 assert hasattr(modules[node.value.id], node.attr), (path.name, node.value.id, node.attr)
+
+
+def test_traced_kernel_work_counts_the_stages_each_call_runs(monkeypatch):
+    """The tracer reads a kernel call's samples from its first argument and
+    its stages from its third; each span's sample_stages must be the samples
+    times the stages that call ran, or cascade.kernel_ns_per_sample_stage is
+    wrong.  The calls: the whole chain without tangents, the whole chain with
+    them, and a call that changes only g_2 and runs stage 3 alone."""
+    tracing = load("tracing", monkeypatch)
+    x = unit_excitation(32, 8, 0.22, 16, 42)
+    config = CascadeConfig(
+        stages=tuple(PaStage(-0.33 * (1 - 0.1j), 1.0) for _ in range(3)),
+        sigma=0.01, input_power=1.0, reference_gain=1.0, epsilon=0.3,
+    )
+    noise = draw_noise(3, len(x), 43)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        residual = optimizer.build_residual(x, config, noise, Mode.UNEQUAL_GAINS)
+        residual(np.array([0.9, 1.0, 1.1]))
+        residual(np.array([0.9, 1.0, 1.1]), jacobian=True)
+        residual(np.array([0.9, 1.2, 1.1]))
+    finally:
+        tracer.uninstall()
+    work = [
+        span.counts["sample_stages"]
+        for span in tracer.spans
+        if span.name == "cascade.cascade_samples"
+    ]
+    assert work == [3 * len(x), 3 * len(x), 1 * len(x)]

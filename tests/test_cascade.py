@@ -215,6 +215,8 @@ def test_cascade_samples_matches_scalar_loop(chain):
 
 
 def test_cascade_samples_matches_cascade_forward():
+    """Bit for bit, whether the kernel scales the noise or is handed it
+    scaled, with sigma = 1, as the optimizer's residual does."""
     x = unit_excitation(64, 8, 0.22, 16, 9)
     noise = draw_noise(2, len(x), 13)
     config = make_config([ALPHA, ALPHA * 0.5], [0.9, 1.2], sigma=0.05)
@@ -222,7 +224,11 @@ def test_cascade_samples_matches_cascade_forward():
     bare = cascade_samples(
         x.samples, config.alphas, config.gains, 0.05, noise.stage_noise
     )
+    prescaled = cascade_samples(
+        x.samples, config.alphas, config.gains, 1.0, 0.05 * noise.stage_noise
+    )
     np.testing.assert_array_equal(run.output.samples, bare)
+    assert prescaled.tobytes() == bare.tobytes()
 
 
 def test_equivalent_gain_is_product():

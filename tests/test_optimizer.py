@@ -416,3 +416,98 @@ def test_residual_closure_reuses_its_arrays_safely(monkeypatch, mode):
                 returned.extend(got)
                 copies.extend(a.copy() for a in got)
     assert all(np.array_equal(a, b) for a, b in zip(returned, copies))
+
+
+# ------------------------------------------------------------ stage reuse
+
+
+@st.composite
+def reuse_walks(draw):
+    """A chain, a mode, and a walk of points, each made from the last by
+    redrawing a suffix (maybe empty) of the full (p0, gains) point and asked
+    for with or without the Jacobian."""
+    stages = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(Mode))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1)))
+    in_box = st.floats(0.7, 1.3)
+    fixed = [draw(in_box) for _ in range(stages)]
+    # Entry 0 is p0, entries 1..K the gains.
+    entries = [st.floats(0.01, 1.0)] + [in_box] * stages
+    full = [draw(entry) for entry in entries]
+    walk = []
+    for _ in range(draw(st.integers(2, 8))):
+        first = draw(st.integers(0, stages + 1))
+        full = full[:first] + [draw(entry) for entry in entries[first:]]
+        theta = MODE_LAYOUTS[mode].reduce(full[0], np.array(full[1:]))
+        walk.append((theta, draw(st.booleans())))
+    return stages, mode, sigma, fixed, walk
+
+
+@settings(deadline=None)
+@given(reuse_walks())
+def test_stage_reuse_matches_a_fresh_closure(case):
+    """Each call of a closure that resumes from the stages its last call kept
+    returns the bytes of a fresh closure's call, and no call changes an array
+    an earlier one returned.  Blocks of 100 samples split the 256 samples
+    unevenly."""
+    stages, mode, sigma, fixed, walk = case
+    x, config, noise = small_problem(stages, sigma=sigma, symbols=32, gains=fixed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cascade, "SAMPLE_BLOCK", 100)
+        shared = build_residual(x, config, noise, mode)
+        returned, copies = [], []
+        for theta, jacobian in walk:
+            got = shared(theta, jacobian=jacobian)
+            fresh = build_residual(x, config, noise, mode)(theta, jacobian=jacobian)
+            got, fresh = (got, fresh) if jacobian else ((got,), (fresh,))
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in fresh]
+            returned.extend(got)
+            copies.extend(a.copy() for a in got)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(returned, copies))
+
+
+def count_stages(monkeypatch):
+    """Patch the residual's kernel to add up the stages each call runs."""
+    runs = []
+    kernel = optimizer.cascade_samples
+
+    def counted(x0, alphas, gains, *args, **kwargs):
+        runs.append(len(gains))
+        return kernel(x0, alphas, gains, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "cascade_samples", counted)
+    return runs
+
+
+def test_negative_zero_gain_is_not_reused(monkeypatch):
+    """-0.0 == 0.0, but the two have different bits: a point that differs
+    from the last only in the sign of a zero g_1 runs stages 2 and 3 again."""
+    runs = count_stages(monkeypatch)
+    x, config, noise = small_problem(3, sigma=0.01, symbols=32)
+    residual = build_residual(x, config, noise, Mode.UNEQUAL_GAINS)
+    residual(np.array([0.0, 1.1, 0.9]))
+    got = residual(np.array([-0.0, 1.1, 0.9]))
+    fresh = build_residual(x, config, noise, Mode.UNEQUAL_GAINS)(np.array([-0.0, 1.1, 0.9]))
+    assert got.tobytes() == fresh.tobytes()
+    assert runs == [3, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "mode, stages, expected",
+    [
+        (Mode.UNEQUAL_GAINS, 2, 2 + 49),
+        (Mode.JOINT_EQUAL_GAINS, 1, 50),
+        (Mode.JOINT_EQUAL_GAINS, 2, 50 * (2 + 49)),
+    ],
+    ids=["unequal-gains-K2", "joint-equal-K1", "joint-equal-K2"],
+)
+def test_grid_oracle_reruns_only_the_stages_a_step_changes(monkeypatch, mode, stages, expected):
+    """The row-major walk moves the last parameter fastest.  Along a row of
+    unequal gains only g_2 moves, which needs no kernel call, and each new row
+    runs stage 2 alone; a row of joint-equal K1 moves only g; along a row of
+    joint-equal K2, f_1 is shared.  The whole chain at every point would run
+    stages x 2,500."""
+    runs = count_stages(monkeypatch)
+    x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
+    grid_oracle(x, config, noise, mode, 50)
+    assert sum(runs) == expected
