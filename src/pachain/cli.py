@@ -153,6 +153,7 @@ def _report_lines(record: RunRecord) -> list[str]:
             f"status={result.status.value} iterations={result.iterations} "
             f"evaluations={result.evaluations} "
             f"jacobian_evaluations={result.jacobian_evaluations} "
+            f"criticality={result.criticality:.3g} "
             f"NMSE {metrics.nmse_db:.2f} dB, ACLR {metrics.aclr_db:.2f} dB"
         )
     return lines

@@ -41,6 +41,7 @@ START_MARGIN = 1e-3  # fraction of the box width the start is pushed inside
 MAX_ITERATIONS = 200
 GRADIENT_TOLERANCE = 1e-8  # of the projected gradient, relative to its start
 STEP_TOLERANCE = 1e-10
+ROW_FIT_MARGIN = 1e-9  # grid_oracle: of the largest probe of a row
 
 
 class UnsupportedModeError(ValueError):
@@ -225,6 +226,9 @@ class OptimizationResult:
     iterations: int
     evaluations: int  # residual calls without tangents
     jacobian_evaluations: int  # residual calls with tangents
+    # ||clip(theta - grad f, lo, hi) - theta||_inf at the returned point, from
+    # its last linearization: 0 exactly at a first-order (KKT) point of the box.
+    criticality: float
 
 
 def build_residual(
@@ -339,7 +343,9 @@ def solve(
     acceptance.  The Jacobian is taken at the start, at every accepted point
     and at every retry after a rejection; the first trial of an iteration is
     scored on its residual alone and linearized only if it is accepted.  The
-    result counts both kinds of call.  Terminates when the
+    result counts both kinds of call, and reports the criticality of its
+    point from the gradient of the last linearization, at no extra call; it
+    does not enter the status.  Terminates when the
     projected gradient is at most GRADIENT_TOLERANCE times its starting
     magnitude, when the clipped step is at most STEP_TOLERANCE, or after
     MAX_ITERATIONS.
@@ -409,6 +415,8 @@ def solve(
                 status = SolveStatus.STALLED_AT_BOUND
             break
 
+    # grad f = 2 J^T r, from the linearization at theta.
+    criticality = float(np.max(np.abs(np.clip(theta - 2.0 * gradient, lo, hi) - theta)))
     return OptimizationResult(
         parameters=theta,
         objective=objective,
@@ -417,6 +425,7 @@ def solve(
         iterations=iterations,
         evaluations=calls[False],
         jacobian_evaluations=calls[True],
+        criticality=criticality,
     )
 
 
@@ -429,13 +438,28 @@ def grid_oracle(
 ) -> tuple[np.ndarray, float]:
     """Brute-force verification oracle for the 1- and 2-parameter modes.
 
-    Scores every point of a uniform grid over the mode's box (drive in
-    POWER_BOUNDS, gains in the config's gain window) with the
-    solver's own objective ``r @ r`` from build_residual, and returns the
-    first minimum in row-major order together with its objective.  The walk
-    is row-major, so along a row only the last parameter moves, and the
-    residual re-runs only the stages that parameter feeds: none when it is
-    the last stage's gain alone, every stage when it is the drive.
+    Returns the first minimum in row-major order of a uniform grid over the
+    mode's box (drive in POWER_BOUNDS, gains in the config's gain window),
+    scored with the solver's own objective ``r @ r`` from build_residual,
+    together with its objective.  The walk is row-major, so along a row only
+    the last parameter c moves, and the residual re-runs only the stages
+    that parameter feeds: none when it is the last stage's gain alone, every
+    stage when it is the drive.
+
+    When c is the last stage's gain alone (unequal-gains up to K = 2, and
+    every mode that frees a gain at K = 1), it only scales the output and
+    feeds no later stage: along the row the residual is d - c*f_K with d and
+    f_K fixed, so ``r @ r`` is an exact quadratic in c.  Such a row scores
+    three probes exactly (its first, middle and last points), predicts every
+    point from the quadratic through them, and scores exactly every point
+    predicted within ``ROW_FIT_MARGIN`` times the largest probe of the
+    predicted row minimum; the rest cannot win and are skipped.  The
+    rounding of an exact score and of the fit is about 1e-12 of the largest
+    probe, far below that margin, so every point that could be the row's
+    minimum, or tie it, is scored, and the returned point and objective are
+    bit for bit those of scoring every point.  A row whose prediction is not
+    finite is scored whole, as is every row of the other modes (and of a box
+    too narrow for three distinct probes).
     """
     dim = mode_dimension(mode, config.stage_count)
     if dim > 2:
@@ -450,9 +474,35 @@ def grid_oracle(
     lo, hi = mode_bounds(mode, config.stage_count, config.gain_bounds)
     axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    values = np.empty(len(points))
-    for i, theta in enumerate(points):
-        r = residual(theta)
-        values[i] = r @ r
+    values = np.full(len(points), np.inf)
+
+    def score(indices) -> None:
+        for i in indices:
+            r = residual(points[i])
+            values[i] = r @ r
+
+    gain_rows = MODE_LAYOUTS[mode].gain_rows(config.stage_count)
+    probes = np.array([0, (resolution - 1) // 2, resolution - 1])
+    c = axes[-1]
+    c0, c1, c2 = c[probes]
+    if gain_rows.count(dim - 1) != 1 or gain_rows[-1] != dim - 1 or not c0 < c1 < c2:
+        score(range(len(points)))
+    else:
+        # Lagrange basis of the probes: a row's probe values times this
+        # matrix are its quadratic at every point of the row.
+        basis = np.array([
+            (c - c1) * (c - c2) / ((c0 - c1) * (c0 - c2)),
+            (c - c0) * (c - c2) / ((c1 - c0) * (c1 - c2)),
+            (c - c0) * (c - c1) / ((c2 - c0) * (c2 - c1)),
+        ])
+        for start in range(0, len(points), resolution):
+            row = np.arange(start, start + resolution)
+            score(row[probes])
+            probed = values[row[probes]]
+            predicted = probed @ basis
+            if np.all(np.isfinite(predicted)):
+                margin = ROW_FIT_MARGIN * float(np.max(probed))
+                row = row[predicted <= predicted.min() + margin]
+            score(row[np.isinf(values[row])])
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])

@@ -609,7 +609,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
         parameters=np.array([1.0]), objective=1.0,
         objective_history=np.array([1.0]),
         status=SolveStatus.STALLED_AT_BOUND, iterations=3,
-        evaluations=2, jacobian_evaluations=4,
+        evaluations=2, jacobian_evaluations=4, criticality=0.5,
     )
     record.optimization_metrics[key] = MetricsReport(
         nmse_db=-10.0, aclr_db=-30.0, psd=None, amam=None
