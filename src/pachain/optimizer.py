@@ -447,19 +447,24 @@ def grid_oracle(
     stage when it is the drive.
 
     When c is the last stage's gain alone (unequal-gains up to K = 2, and
-    every mode that frees a gain at K = 1), it only scales the output and
-    feeds no later stage: along the row the residual is d - c*f_K with d and
-    f_K fixed, so ``r @ r`` is an exact quadratic in c.  Such a row scores
-    three probes exactly (its first, middle and last points), predicts every
-    point from the quadratic through them, and scores exactly every point
-    predicted within ``ROW_FIT_MARGIN`` times the largest probe of the
-    predicted row minimum; the rest cannot win and are skipped.  The
-    rounding of an exact score and of the fit is about 1e-12 of the largest
-    probe, far below that margin, so every point that could be the row's
-    minimum, or tie it, is scored, and the returned point and objective are
-    bit for bit those of scoring every point.  A row whose prediction is not
-    finite is scored whole, as is every row of the other modes (and of a box
-    too narrow for three distinct probes).
+    every mode that frees a gain at K = 1), it only scales the output: along
+    the row the residual is d - c*f_K with d and f_K fixed, so ``r @ r`` is an
+    exact quadratic in c.  When c is the gain of both stages at K = 2
+    (equal-gains, joint-equal), stage 2's input c*f_1 + sigma*w_2 is linear in
+    c, the output c*f(...) quartic, and ``r @ r`` exactly of degree 8.  Such a
+    row scores degree + 1 probes spread over it exactly (its first and last
+    points among them), predicts every point from the polynomial through
+    them, and scores exactly every point predicted within ``ROW_FIT_MARGIN``
+    times the largest probe of the predicted row minimum; the rest cannot
+    win and are skipped.  The rounding of an exact score and of the fit is
+    about 1e-12 of the largest probe, far below that margin, so every point
+    that could be the row's minimum, or tie it, is scored, and the returned
+    point and objective are bit for bit those of scoring every point.  A row
+    whose prediction is not finite is scored whole, as is every row of a box
+    too narrow for distinct probes and of the other modes: the drive moves
+    only along the one row of the power mode, where ``r @ r`` has degree
+    2*3**K in sqrt(p0) and the whole row costs milliseconds, and a gain
+    shared by 3 or more stages gives degree 26, 27 probes of a row of >= 50.
     """
     dim = mode_dimension(mode, config.stage_count)
     if dim > 2:
@@ -467,6 +472,8 @@ def grid_oracle(
             f"grid oracle covers at most 2 parameters; mode {mode.value} over "
             f"{config.stage_count} stages has {dim}"
         )
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 50:
         raise ValueError(f"resolution must be >= 50 per axis, got {resolution}")
 
@@ -482,18 +489,20 @@ def grid_oracle(
             values[i] = r @ r
 
     gain_rows = MODE_LAYOUTS[mode].gain_rows(config.stage_count)
-    probes = np.array([0, (resolution - 1) // 2, resolution - 1])
+    # Degree of r @ r in c when c is the gain of the last 1 or 2 stages.
+    degree = {1: 2, 2: 8}.get(gain_rows.count(dim - 1), 0)
+    probes = np.arange(degree + 1) * (resolution - 1) // max(degree, 1)
     c = axes[-1]
-    c0, c1, c2 = c[probes]
-    if gain_rows.count(dim - 1) != 1 or gain_rows[-1] != dim - 1 or not c0 < c1 < c2:
+    nodes = c[probes]
+    if not degree or gain_rows[-1] != dim - 1 or not np.all(np.diff(nodes) > 0):
         score(range(len(points)))
     else:
         # Lagrange basis of the probes: a row's probe values times this
-        # matrix are its quadratic at every point of the row.
+        # matrix are its polynomial at every point of the row.
         basis = np.array([
-            (c - c1) * (c - c2) / ((c0 - c1) * (c0 - c2)),
-            (c - c0) * (c - c2) / ((c1 - c0) * (c1 - c2)),
-            (c - c0) * (c - c1) / ((c2 - c0) * (c2 - c1)),
+            np.prod(c - np.delete(nodes, i)[:, None], axis=0)
+            / np.prod(node - np.delete(nodes, i))
+            for i, node in enumerate(nodes)
         ])
         for start in range(0, len(points), resolution):
             row = np.arange(start, start + resolution)

@@ -6,6 +6,7 @@ tiny cascades where the grid oracle can exhaustively confirm the result.
 """
 
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -335,12 +336,49 @@ def brute_force_oracle(x, config, noise, mode, resolution):
     return best, best_value
 
 
+def record_calls(monkeypatch):
+    """Patch build_residual so that its residuals log each point scored."""
+    calls = []
+    build = optimizer.build_residual
+
+    def recording(*args):
+        residual = build(*args)
+
+        def wrapped(theta, jacobian=False):
+            calls.append(theta.copy())
+            return residual(theta, jacobian)
+
+        return wrapped
+
+    monkeypatch.setattr(optimizer, "build_residual", recording)
+    return calls
+
+
 def test_grid_oracle_validation():
     x, config, noise = small_problem(3)
     with pytest.raises(UnsupportedModeError):
         grid_oracle(x, config, noise, Mode.UNEQUAL_GAINS, 100)  # 3 parameters
     with pytest.raises(ValueError):
         grid_oracle(x, config, noise, Mode.POWER_ONLY, 49)
+
+
+@pytest.mark.parametrize("resolution", [60.0, 60.5, "60", True], ids=repr)
+def test_grid_oracle_rejects_a_resolution_that_is_not_an_integer(monkeypatch, resolution):
+    """The error names the field, and comes before the residual is built."""
+    built = []
+    monkeypatch.setattr(optimizer, "build_residual", lambda *args: built.append(args))
+    x, config, noise = small_problem(1)
+    with pytest.raises(ValueError, match="resolution"):
+        grid_oracle(x, config, noise, Mode.POWER_ONLY, resolution)
+    assert not built
+
+
+def test_grid_oracle_takes_a_numpy_integer_resolution():
+    x, config, noise = small_problem(1, symbols=32)
+    theta, value = grid_oracle(x, config, noise, Mode.POWER_ONLY, np.int64(60))
+    expected, expected_value = grid_oracle(x, config, noise, Mode.POWER_ONLY, 60)
+    assert theta.tobytes() == expected.tobytes()
+    assert value == expected_value
 
 
 def test_grid_oracle_matches_manual_scan():
@@ -397,27 +435,90 @@ def test_grid_oracle_equals_a_scan_of_every_point(mode, stages, alpha, sigma):
     assert repr(value) == repr(expected_value)
 
 
+EDGE_BOXES = [(0.3, 0.3), (3.0, 0.3), (1.0, 0.9), (1.0, 1e-9), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "reference_gain, epsilon", EDGE_BOXES, ids=[f"G{g}-eps{e}" for g, e in EDGE_BOXES]
+)
+@pytest.mark.parametrize(
+    "mode", [Mode.EQUAL_GAINS, Mode.JOINT_EQUAL_GAINS], ids=lambda mode: f"{mode.value}-K2"
+)
+def test_grid_oracle_equals_a_scan_of_every_point_on_edge_boxes(
+    monkeypatch, mode, reference_gain, epsilon
+):
+    """The degree-8 rows keep the full scan's bits on narrow, wide and
+    shifted gain boxes; at epsilon = 0 the probes coincide and every point is
+    scored."""
+    x, config, noise = small_problem(2, sigma=0.01, symbols=64)
+    config = dataclasses.replace(config, reference_gain=reference_gain, epsilon=epsilon)
+    expected, expected_value = brute_force_oracle(x, config, noise, mode, 51)
+    calls = record_calls(monkeypatch)
+    theta, value = grid_oracle(x, config, noise, mode, 51)
+    assert theta.tobytes() == expected.tobytes()
+    assert repr(value) == repr(expected_value)
+    if epsilon == 0.0:
+        assert len(calls) == 51 ** mode_dimension(mode, 2)
+
+
 def test_grid_oracle_scores_few_points_where_the_last_gain_scales_the_output(monkeypatch):
     """Along a row of unequal-gains K2 the objective is a quadratic in g_2:
     three probes and the points that can win, not all 50, are scored."""
-    scored = []
-    build = optimizer.build_residual
-
-    def counting(*args):
-        residual = build(*args)
-
-        def wrapped(theta, jacobian=False):
-            scored.append(float(theta[0]))
-            return residual(theta, jacobian)
-
-        return wrapped
-
-    monkeypatch.setattr(optimizer, "build_residual", counting)
+    calls = record_calls(monkeypatch)
     x, config, noise = small_problem(2, sigma=0.01, symbols=64)
     grid_oracle(x, config, noise, Mode.UNEQUAL_GAINS, 50)
-    per_row = collections.Counter(scored)
+    per_row = collections.Counter(float(theta[0]) for theta in calls)
     assert len(per_row) == 50
     assert max(per_row.values()) <= 5
+
+
+@pytest.mark.parametrize(
+    "mode, rows", [(Mode.EQUAL_GAINS, 1), (Mode.JOINT_EQUAL_GAINS, 50)],
+    ids=["equal-gains", "joint-equal"],
+)
+def test_grid_oracle_scores_few_points_where_both_stages_share_the_gain(
+    monkeypatch, mode, rows
+):
+    """Along a row of equal-gains or joint-equal K2 the objective is a
+    polynomial of degree 8 in the shared gain: nine probes, the fewest that
+    fix it (see the test below), and the points that can win, not all 50,
+    are scored."""
+    calls = record_calls(monkeypatch)
+    x, config, noise = small_problem(2, sigma=0.01, symbols=64)
+    grid_oracle(x, config, noise, mode, 50)
+    per_row = collections.Counter(tuple(theta[:-1]) for theta in calls)
+    assert len(per_row) == rows
+    assert 9 <= min(per_row.values()) and max(per_row.values()) <= 12
+
+
+def lagrange(nodes, values, at):
+    """The polynomial through (nodes, values), evaluated at each of at."""
+    total = np.zeros(len(at))
+    for i, (node, value) in enumerate(zip(nodes, values)):
+        others = np.delete(nodes, i)
+        total += value * np.prod((at[:, None] - others) / (node - others), axis=1)
+    return total
+
+
+@pytest.mark.parametrize("alpha", [ALPHA, -0.9 + 0.3j], ids=["default", "strong"])
+def test_a_shared_gain_row_at_two_stages_is_a_degree_8_polynomial(alpha):
+    """Along a joint-equal K2 row only g, the gain of both stages, moves:
+    g*f_1 + sigma*w_2 is linear in g, the output cubic times g, and r @ r of
+    degree 8.  The polynomial through 9 probes predicts every point to
+    rounding; through 8 it misses by more than the oracle's margin, so a
+    lower degree could skip the point that wins."""
+    x, config, noise = small_problem(2, sigma=0.01, alpha=alpha)
+    residual = build_residual(x, config, noise, Mode.JOINT_EQUAL_GAINS)
+    gains = np.linspace(*config.gain_bounds, 50)
+    exact = np.array([r @ r for r in (residual(np.array([1.0, g])) for g in gains)])
+
+    def miss(degree):
+        probes = np.arange(degree + 1) * 49 // degree
+        fitted = lagrange(gains[probes], exact[probes], gains)
+        return np.max(np.abs(fitted - exact)) / np.max(exact[probes])
+
+    assert miss(8) <= 1e-12
+    assert miss(7) > optimizer.ROW_FIT_MARGIN
 
 
 def test_residual_normalizes_drive_out_of_the_reference():
@@ -599,7 +700,7 @@ def test_negative_zero_gain_is_not_reused(monkeypatch):
     [
         (Mode.UNEQUAL_GAINS, 2, 2 + 49),
         (Mode.JOINT_EQUAL_GAINS, 1, 50),
-        (Mode.JOINT_EQUAL_GAINS, 2, 50 * (2 + 49)),
+        (Mode.JOINT_EQUAL_GAINS, 2, None),  # scored calls + 50 rows
     ],
     ids=["unequal-gains-K2", "joint-equal-K1", "joint-equal-K2"],
 )
@@ -607,9 +708,11 @@ def test_grid_oracle_reruns_only_the_stages_a_step_changes(monkeypatch, mode, st
     """The row-major walk moves the last parameter fastest.  Along a row of
     unequal gains only g_2 moves, which needs no kernel call, and each new row
     runs stage 2 alone; a row of joint-equal K1 moves only g; along a row of
-    joint-equal K2, f_1 is shared.  The whole chain at every point would run
-    stages x 2,500."""
+    joint-equal K2, f_1 is shared, so the first call of a row runs both
+    stages and every later one stage 2 alone.  The whole chain at every
+    point would run stages x 2,500."""
     runs = count_stages(monkeypatch)
+    calls = record_calls(monkeypatch)
     x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
     grid_oracle(x, config, noise, mode, 50)
-    assert sum(runs) == expected
+    assert sum(runs) == (len(calls) + 50 if expected is None else expected)
