@@ -52,19 +52,15 @@ class Case:
 
     ``scenario`` gives the fixed gains and the start; ``mode`` is what the
     case solves (None for a bracketing scenario, evaluated at full drive on
-    those gains); ``warm_from`` names a case whose optimum, mapped into this
-    mode, is a second start -- the better of the two solves is kept.
+    those gains).
     """
 
     name: str
     scenario: Scenario
     mode: Mode | None = None
-    warm_from: str | None = None
 
 
-# The emitted row order.  joint_unequal also restarts from the joint_equal
-# optimum: that point is feasible for the larger problem, so the restart
-# guards the highest-dimensional search against inferior local valleys.
+# The emitted row order.
 CASES = (
     Case("scenario1", Scenario.ONE),
     Case("scenario2", Scenario.TWO),
@@ -73,7 +69,7 @@ CASES = (
     Case("equal_gains", Scenario.ONE, Mode.EQUAL_GAINS),
     Case("unequal_gains", Scenario.ONE, Mode.UNEQUAL_GAINS),
     Case("joint_equal", Scenario.ONE, Mode.JOINT_EQUAL_GAINS),
-    Case("joint_unequal", Scenario.ONE, Mode.JOINT_UNEQUAL_GAINS, warm_from="joint_equal"),
+    Case("joint_unequal", Scenario.ONE, Mode.JOINT_UNEQUAL_GAINS),
 )
 _CASE_NAMED = {case.name: case for case in CASES}
 
@@ -323,41 +319,23 @@ def _case_point(
     noise: NoiseRealization | None,
     stages: int,
     case: Case,
-    solved: dict[str, tuple[OptimizationResult | None, float, np.ndarray]],
 ) -> tuple[OptimizationResult | None, float, np.ndarray]:
-    """A case's (result, p0, gains) at K = stages; solves are memoized in solved.
+    """A case's (result, p0, gains) at K = stages.
 
     A scenario case has no result: it runs at full drive on its fixed gains.
     """
     gains = scenario_gains(config, case.scenario, stages)
     if case.mode is None:
         return None, 1.0, gains
-    if case.name not in solved:
-        fixed = make_cascade_config(config, gains)
-        starts = [scenario_start(case.scenario, stages, config.alpha, case.mode)]
-        if case.warm_from is not None:
-            _, p0, anchor_gains = _case_point(
-                config, x_unit, noise, stages, _CASE_NAMED[case.warm_from], solved
-            )
-            starts.append(MODE_LAYOUTS[case.mode].reduce(p0, anchor_gains))
-        residual = build_residual(x_unit, fixed, noise, case.mode)
-        bounds = fixed.gain_bounds
-        results = [
-            solve(OptimizationSpec(case.mode, stages, start, gain_bounds=bounds), residual)
-            for start in starts
-        ]
-        # min keeps the first on a tie: the cold start.
-        result = min(results, key=lambda r: r.objective)
-        solved[case.name] = (result, *expand_parameters(result.parameters, case.mode, fixed))
-    return solved[case.name]
+    fixed = make_cascade_config(config, gains)
+    start = scenario_start(case.scenario, stages, config.alpha, case.mode)
+    spec = OptimizationSpec(case.mode, stages, start, gain_bounds=fixed.gain_bounds)
+    result = solve(spec, build_residual(x_unit, fixed, noise, case.mode))
+    return (result, *expand_parameters(result.parameters, case.mode, fixed))
 
 
 def run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
-    """Run the cases at every K and evaluate each on the evaluation noise.
-
-    A case's warm-start anchor is solved when needed, but only the given
-    cases are recorded.
-    """
+    """Run the cases at every K and evaluate each on the evaluation noise."""
     record = RunRecord(config=config)
     if not config.K_range or not cases:
         return record
@@ -370,9 +348,8 @@ def run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
     if any(case.mode is not None for case in cases):
         opt_noise = optimization_noise(config, deepest, len(x_unit))
     for stages in config.K_range:
-        solved: dict = {}
         for case in cases:
-            result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case, solved)
+            result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
             metrics = _evaluate(config, x_unit, make_cascade_config(config, gains), p0, eval_noise)
             key = (stages, case.name)
             if result is None:
@@ -396,9 +373,7 @@ def run_scenarios(config: ExperimentConfig) -> RunRecord:
 def run_optimizations(config: ExperimentConfig) -> RunRecord:
     """Solve the cases of the configured modes for every K and evaluate the optima.
 
-    Each case starts from its scenario's gains at full drive; a case with
-    ``warm_from`` also restarts from that case's optimum, which is solved on
-    demand when its own mode is not configured.
+    Each case starts from its scenario's gains at full drive.
     """
     return run_cases(config, [case for case in CASES if case.mode in config.modes])
 

@@ -7,7 +7,12 @@ dependence of the reference, so the desired side is simply G times the
 unit-drive excitation.
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt) iteration with
-projection of trial points onto the box.  Its Jacobian is exact: the residual
+projection of trial points onto the box.  Each damped step is solved on the
+free set of projected-Newton methods (Bertsekas 1982): a coordinate on a
+bound is held when the gradient or the damped step points out of the box
+there.  The damped-step term can hold a coordinate whose gradient points in,
+so Converged is no certificate (solve names the one such stop of the default
+study).  Its Jacobian is exact: the residual
 carries the derivatives with respect to the at most K+1 parameters through
 the same cascade pass that computes it (forward-mode tangents in
 cascade_samples).  The tangents are paid for only where the solver needs
@@ -338,17 +343,25 @@ def solve(
     (one row per residual entry), as build_residual's closure does; a
     Jacobian is reduced at once to the normal matrix J^T J and the gradient
     J^T r.  The start is moved START_MARGIN of the box width inside the box.
-    Trial steps are clipped to the box and accepted only on strict objective
-    decrease; damping is multiplied by 10 on rejection and divided by 10 on
-    acceptance.  The Jacobian is taken at the start, at every accepted point
-    and at every retry after a rejection; the first trial of an iteration is
-    scored on its residual alone and linearized only if it is accepted.  The
-    result counts both kinds of call, and reports the criticality of its
-    point from the gradient of the last linearization, at no extra call; it
-    does not enter the status.  Terminates when the
-    projected gradient is at most GRADIENT_TOLERANCE times its starting
-    magnitude, when the clipped step is at most STEP_TOLERANCE, or after
-    MAX_ITERATIONS.
+    At each damping, a coordinate on a bound is held (its step is zero) when
+    the gradient or the damped step points out of the box there, and the
+    damped normal equations are solved on the others; with none on a bound,
+    the step is the plain damped step.  Trial steps are clipped to the box
+    and accepted only on strict objective decrease; damping is multiplied by
+    10 on rejection and divided by 10 on acceptance.  The Jacobian is taken
+    at the start, at every accepted point and at every retry after a
+    rejection; the first trial of an iteration is scored on its residual
+    alone and linearized only if it is accepted.  The result counts both
+    kinds of call, and reports the criticality of its point from the
+    gradient of the last linearization, at no extra call; it does not enter
+    the status.  Terminates when the projected gradient is at most
+    GRADIENT_TOLERANCE times its starting magnitude, when the clipped step is
+    at most STEP_TOLERANCE, or after MAX_ITERATIONS.
+
+    Converged does not certify an optimum: the damped-step hold also holds a
+    coordinate whose gradient points into the box, and so the default study's
+    unequal-gains K = 3 reports Converged at g1 = 0.70 with df/dg1 = -511
+    (criticality 0.6).
     """
     lo, hi = spec.bounds()
     if spec.start.size != lo.size:
@@ -390,10 +403,19 @@ def solve(
 
         damping_scale = np.diag(normal).copy()
         damping_scale[damping_scale == 0.0] = 1.0
+        on_bound = (theta <= lo) | (theta >= hi)
         accepted = False
         retry = False
         while lam <= LAMBDA_LIMIT:
-            step = np.linalg.solve(normal + lam * np.diag(damping_scale), -gradient)
+            damped = normal + lam * np.diag(damping_scale)
+            step = np.linalg.solve(damped, -gradient)
+            # Hold what the gradient or this step pushes out at a bound.
+            held = on_bound & ((projected == 0.0) | (np.clip(theta + step, lo, hi) == theta))
+            if held.any():
+                free = np.flatnonzero(~held)
+                step = np.zeros_like(step)
+                if free.size:
+                    step[free] = np.linalg.solve(damped[np.ix_(free, free)], -gradient[free])
             trial = np.clip(theta + step, lo, hi)
             if float(np.max(np.abs(trial - theta))) <= STEP_TOLERANCE:
                 status = SolveStatus.CONVERGED

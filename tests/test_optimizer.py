@@ -247,7 +247,7 @@ def always_with_tangents(residual):
 
 @pytest.mark.parametrize(
     "mode, stages",
-    [(Mode.UNEQUAL_GAINS, 3), (Mode.JOINT_UNEQUAL_GAINS, 2)],
+    [(Mode.UNEQUAL_GAINS, 5), (Mode.JOINT_UNEQUAL_GAINS, 2)],
     ids=lambda value: value.value if isinstance(value, Mode) else f"K{value}",
 )
 def test_tangents_only_where_needed_leave_the_solve_unchanged(mode, stages):
@@ -304,8 +304,10 @@ def test_criticality_is_the_projected_gradient_step_at_the_returned_point(monkey
 
 @pytest.mark.xfail(
     strict=True,
-    reason="FOUND (CHANGES.md): solve reports Converged on a clipped step short "
-    "of a first-order point, e.g. joint_equal K2 at p0 = 0.4321 with df/dp0 = -67.7",
+    reason="FOUND (CHANGES.md): unequal_gains K3 reports Converged at g1 = 0.70 "
+    "with df/dg1 = -511 (criticality 0.6); its damped step points out of the box "
+    "there, so it is held, and freeing it waits on the criterion 6 decision "
+    "(ROADMAP item 0)",
 )
 def test_converged_solves_are_first_order_critical(optimization_record):
     """Every study solve that reports Converged is at a first-order point of
@@ -316,6 +318,71 @@ def test_converged_solves_are_first_order_critical(optimization_record):
         if result.status is SolveStatus.CONVERGED and result.criticality > 1e-3
     }
     assert not uncertified
+
+
+def test_study_solves_end_converged_and_critical_but_one(optimization_record):
+    """No study solve runs out of iterations, and every Converged one is
+    first-order critical to 1e-3, save the one the xfail above names."""
+    results = optimization_record.optimization_results
+    assert not [key for key, r in results.items() if r.status is SolveStatus.MAX_ITERATIONS]
+    uncertified = {
+        key for key, r in results.items()
+        if r.status is SolveStatus.CONVERGED and r.criticality > 1e-3
+    }
+    assert uncertified <= {(3, "unequal_gains")}
+
+
+def test_linear_chain_solves_all_converge():
+    """At alpha = 0, gains with the same product give nearly the same
+    objective; every solve of the study still ends Converged."""
+    record = experiments.run_optimizations(ExperimentConfig(alpha=0.0, symbols=256))
+    statuses = {key: r.status for key, r in record.optimization_results.items()}
+    assert len(statuses) == 30
+    assert set(statuses.values()) == {SolveStatus.CONVERGED}, statuses
+
+
+@pytest.mark.parametrize(
+    "seed", [None, 1, 2, 3, 7], ids=lambda s: "fixture" if s is None else f"seed{s}"
+)
+def test_joint_unequal_never_ends_above_joint_equal(request, seed):
+    """The joint-equal optimum lies in joint-unequal's box, and a cold
+    joint-unequal solve finds a point at least as good, to a 1e-12 relative
+    tie: on the shared study and at 512 symbols on other seeds."""
+    if seed is None:
+        record = request.getfixturevalue("optimization_record")
+    else:
+        record = experiments.run_optimizations(ExperimentConfig(
+            symbols=512, seed=seed,
+            modes=(Mode.JOINT_EQUAL_GAINS, Mode.JOINT_UNEQUAL_GAINS),
+        ))
+    results = record.optimization_results
+    for stages in range(1, 6):
+        equal = results[(stages, "joint_equal")].objective
+        assert results[(stages, "joint_unequal")].objective <= equal * (1 + 1e-12), stages
+
+
+def test_joint_equal_seed_28_reaches_the_grid_optimum():
+    """joint-equal K1 at seed 28 (256 symbols) ends at a first-order point
+    within criterion 8's 1% of the resolution-100 grid.  Its gain sits on its
+    upper bound; solving the drive with the gain free stopped on a clipped
+    step with df/dp0 = -6.8, 2.4% above the grid."""
+    config = ExperimentConfig(symbols=256, seed=28)
+    x = experiments.excitation_for(config)
+    noise = experiments.optimization_noise(config, 1, len(x))
+    chain = experiments.make_cascade_config(
+        config, experiments.scenario_gains(config, Scenario.ONE, 1)
+    )
+    mode = Mode.JOINT_EQUAL_GAINS
+    spec = OptimizationSpec(
+        mode=mode, stage_count=1,
+        start=scenario_start(Scenario.ONE, 1, config.alpha, mode),
+        gain_bounds=chain.gain_bounds,
+    )
+    result = solve(spec, build_residual(x, chain, noise, mode))
+    _, oracle_objective = grid_oracle(x, chain, noise, mode, resolution=100)
+    assert result.status is SolveStatus.CONVERGED
+    assert result.criticality <= 1e-4
+    assert result.objective <= 1.01 * oracle_objective
 
 
 # --------------------------------------------------------------- grid oracle
