@@ -115,23 +115,22 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
     return _apply_flag_overrides(config, args)
 
 
-def _run_simulate(args: argparse.Namespace) -> tuple[RunRecord, ExperimentConfig]:
+def _run_simulate(args: argparse.Namespace) -> RunRecord:
     config = dataclasses.replace(_base_config(args), K_range=(args.K,))
     cases = [c for c in CASES if c.mode is None and c.scenario.value == args.scenario]
-    return run_cases(config, cases), config
+    return run_cases(config, cases)
 
 
-def _run_optimize(args: argparse.Namespace) -> tuple[RunRecord, ExperimentConfig]:
+def _run_optimize(args: argparse.Namespace) -> RunRecord:
     config = dataclasses.replace(
         _base_config(args), K_range=(args.K,), modes=(Mode(args.mode),)
     )
-    return run_optimizations(config), config
+    return run_optimizations(config)
 
 
-def _run_sweep(args: argparse.Namespace) -> tuple[RunRecord, ExperimentConfig]:
+def _run_sweep(args: argparse.Namespace) -> RunRecord:
     config = _base_config(args)
-    record = combine_records(run_scenarios(config), run_optimizations(config))
-    return record, config
+    return combine_records(run_scenarios(config), run_optimizations(config))
 
 
 def _report_lines(record: RunRecord) -> list[str]:
@@ -168,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _run_sweep,
     }
     try:
-        record, _ = runners[args.command](args)
+        record = runners[args.command](args)
     except ValueError as exc:
         print(f"pachain: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,7 +2,7 @@
 
 The study's rows are the cases of ``CASES``, each run at every configured K:
 ``run_scenarios`` runs the two without a mode, ``run_optimizations`` those whose
-mode is configured, and the emitted tables place each by its mode's layout.
+mode is configured, and the emitted tables place each by what its mode frees.
 
 A run is fully determined by its configuration (including the seed).  Three
 derived random streams keep the pieces reproducible yet distinct: the symbol
@@ -27,15 +27,15 @@ import numpy as np
 from .cascade import CascadeConfig, PaStage, cascade_forward
 from .metrics import FLOOR_DB, PSD_SEGMENT_LENGTH, MetricsReport, aclr_span, psd_span, report
 from .optimizer import (
-    MODE_LAYOUTS,
+    FREE_POWER_MODES,
     Mode,
-    ModeLayout,
     OptimizationResult,
     OptimizationSpec,
     Scenario,
     SolveStatus,
     build_residual,
     expand_parameters,
+    gain_rows,
     scenario_start,
     solve,
 )
@@ -427,10 +427,6 @@ def _case_sort_key(item: tuple[int, str]) -> tuple[int, int]:
     return (stages, CASES.index(_CASE_NAMED[case]))
 
 
-def _layout(case: str) -> ModeLayout:
-    return MODE_LAYOUTS[_CASE_NAMED[case].mode]
-
-
 def _build_files(record: RunRecord) -> dict[str, bytes]:
     """The run's files by name, each as the bytes to write.
 
@@ -459,10 +455,10 @@ def _build_files(record: RunRecord) -> dict[str, bytes]:
         add_signal_files(*key, record.scenario_metrics[key])
 
     # Signal files of the optimized cases: those that free both p0 and gains.
-    for key in sorted(record.optimization_metrics, key=_case_sort_key):
-        layout = _layout(key[1])
-        if layout.free_power and layout.gain_count(key[0]):
-            add_signal_files(*key, record.optimization_metrics[key])
+    for (stages, case) in sorted(record.optimization_metrics, key=_case_sort_key):
+        mode = _CASE_NAMED[case].mode
+        if mode in FREE_POWER_MODES and None not in gain_rows(mode, stages):
+            add_signal_files(stages, case, record.optimization_metrics[stages, case])
 
     metric_rows = []
     all_metrics = {**record.scenario_metrics, **record.optimization_metrics}
@@ -476,19 +472,19 @@ def _build_files(record: RunRecord) -> dict[str, bytes]:
         files["metrics_vs_K.csv"] = _csv_bytes("K,scenario_or_mode,nmse_db,aclr_db", metric_rows)
 
     power_rows = []
-    gain_rows = []
+    gain_table_rows = []
     for (stages, case) in sorted(record.optimized_parameters, key=_case_sort_key):
         p0, gains = record.optimized_parameters[(stages, case)]
-        layout = _layout(case)
-        if layout.free_power:
+        mode = _CASE_NAMED[case].mode
+        if mode in FREE_POWER_MODES:
             power_rows.append(f"{case},{stages},{p0:.2f}")
-        if layout.gain_count(stages):
+        if None not in gain_rows(mode, stages):
             for k, gain in enumerate(gains, start=1):
-                gain_rows.append(f"{case},{stages},{k},{gain:.2f}")
+                gain_table_rows.append(f"{case},{stages},{k},{gain:.2f}")
     if power_rows:
         files["table_power.csv"] = _csv_bytes("case,K,p0", power_rows)
-    if gain_rows:
-        files["table_gains.csv"] = _csv_bytes("case,K,k,gain", gain_rows)
+    if gain_table_rows:
+        files["table_gains.csv"] = _csv_bytes("case,K,k,gain", gain_table_rows)
 
     return files
 

@@ -76,73 +76,33 @@ class Scenario(enum.Enum):
     TWO = 2
 
 
-class GainLayout(enum.Enum):
-    FIXED = "fixed"  # taken from the config
-    SHARED = "shared"  # one free gain for every stage
-    PER_STAGE = "per-stage"  # one free gain per stage
+# The modes that free the drive p0, which is then entry 0 of theta.
+FREE_POWER_MODES = frozenset(
+    {Mode.POWER_ONLY, Mode.JOINT_EQUAL_GAINS, Mode.JOINT_UNEQUAL_GAINS}
+)
 
 
-@dataclass(frozen=True)
-class ModeLayout:
-    """Which of (p0, gains) a mode frees; its vector is [p0?, gains...]."""
-
-    free_power: bool
-    gains: GainLayout
-
-    def gain_count(self, stage_count: int) -> int:
-        return {
-            GainLayout.FIXED: 0,
-            GainLayout.SHARED: 1,
-            GainLayout.PER_STAGE: stage_count,
-        }[self.gains]
-
-    def gain_rows(self, stage_count: int) -> list[int | None]:
-        """Per stage, the vector index of the parameter its gain equals."""
-        first = int(self.free_power)
-        return {
-            GainLayout.FIXED: [None] * stage_count,
-            GainLayout.SHARED: [first] * stage_count,
-            GainLayout.PER_STAGE: list(range(first, first + stage_count)),
-        }[self.gains]
-
-    def reduce(self, p0: float, gains: np.ndarray) -> np.ndarray:
-        """The mode's vector taken from a full (p0, per-stage gains) point."""
-        return np.concatenate(
-            [[p0][: int(self.free_power)], gains[: self.gain_count(len(gains))]]
-        )
-
-    def expand(
-        self, theta: np.ndarray, p0: float, gains: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """The full (p0, per-stage gains) point of the mode's vector theta.
-
-        The inverse of reduce: what the mode does not free is the given p0
-        or gains (returned as they are), and theta must have the mode's
-        dimension over len(gains) stages.
-        """
-        if self.free_power:
-            p0 = float(theta[0])
-        free_gains = theta[int(self.free_power):]
-        if self.gains is GainLayout.FIXED:
-            return p0, gains
-        if self.gains is GainLayout.SHARED:
-            return p0, np.full(len(gains), free_gains[0])
-        return p0, free_gains.copy()
-
-
-MODE_LAYOUTS = {
-    Mode.POWER_ONLY: ModeLayout(True, GainLayout.FIXED),
-    Mode.EQUAL_GAINS: ModeLayout(False, GainLayout.SHARED),
-    Mode.UNEQUAL_GAINS: ModeLayout(False, GainLayout.PER_STAGE),
-    Mode.JOINT_EQUAL_GAINS: ModeLayout(True, GainLayout.SHARED),
-    Mode.JOINT_UNEQUAL_GAINS: ModeLayout(True, GainLayout.PER_STAGE),
-}
+def gain_rows(mode: Mode, stage_count: int) -> list[int | None]:
+    """Per stage, the index in theta = [p0?, gains...] of the parameter its
+    gain equals, or None where the gain comes from the config."""
+    first = int(mode in FREE_POWER_MODES)
+    if mode is Mode.POWER_ONLY:
+        return [None] * stage_count
+    if mode in (Mode.EQUAL_GAINS, Mode.JOINT_EQUAL_GAINS):
+        return [first] * stage_count
+    return list(range(first, first + stage_count))
 
 
 def mode_dimension(mode: Mode, stage_count: int) -> int:
     """Number of free parameters for a mode over a K-stage cascade."""
-    layout = MODE_LAYOUTS[mode]
-    return int(layout.free_power) + layout.gain_count(stage_count)
+    return int(mode in FREE_POWER_MODES) + len(set(gain_rows(mode, stage_count)) - {None})
+
+
+def reduce_parameters(mode: Mode, p0: float, gains: np.ndarray) -> np.ndarray:
+    """The mode's vector taken from a full (p0, per-stage gains) point."""
+    free_power = int(mode in FREE_POWER_MODES)
+    free_gains = mode_dimension(mode, len(gains)) - free_power
+    return np.concatenate([[p0][:free_power], gains[:free_gains]])
 
 
 def mode_bounds(
@@ -152,11 +112,18 @@ def mode_bounds(
 
     The drive spans POWER_BOUNDS and every gain spans gain_bounds.
     """
-    layout = MODE_LAYOUTS[mode]
     return (
-        layout.reduce(POWER_BOUNDS[0], np.full(stage_count, gain_bounds[0])),
-        layout.reduce(POWER_BOUNDS[1], np.full(stage_count, gain_bounds[1])),
+        reduce_parameters(mode, POWER_BOUNDS[0], np.full(stage_count, gain_bounds[0])),
+        reduce_parameters(mode, POWER_BOUNDS[1], np.full(stage_count, gain_bounds[1])),
     )
+
+
+def _expand(theta, free_power: bool, rows: list[int | None], p0: float, gains: np.ndarray):
+    """The full (p0, per-stage gains) point of theta, the inverse of
+    reduce_parameters: what the mode does not free is the given p0 or gains."""
+    if free_power:
+        p0 = float(theta[0])
+    return p0, gains if None in rows else theta[rows]
 
 
 def expand_parameters(
@@ -169,7 +136,8 @@ def expand_parameters(
     """
     stage_count = config.stage_count
     theta = _checked(theta, mode, stage_count, mode_dimension(mode, stage_count))
-    return MODE_LAYOUTS[mode].expand(theta, config.input_power, config.gains)
+    rows = gain_rows(mode, stage_count)
+    return _expand(theta, mode in FREE_POWER_MODES, rows, config.input_power, config.gains)
 
 
 def _checked(theta, mode: Mode, stage_count: int, dimension: int) -> np.ndarray:
@@ -206,7 +174,7 @@ def scenario_start(
         gains = np.full(stage_count, scenario2_gain(alpha))
     if mode is None:
         return np.concatenate([[1.0], gains])
-    return MODE_LAYOUTS[mode].reduce(1.0, gains)
+    return reduce_parameters(mode, 1.0, gains)
 
 
 @dataclass(frozen=True)
@@ -272,9 +240,9 @@ def build_residual(
     noise_scale, noise_terms = (0.0, None)
     if config.sigma != 0.0:
         noise_scale, noise_terms = 1.0, config.sigma * noise.stage_noise[:stage_count]
-    layout = MODE_LAYOUTS[mode]
+    free_power = mode in FREE_POWER_MODES
+    rows = gain_rows(mode, stage_count)
     dim = mode_dimension(mode, stage_count)
-    gain_rows = layout.gain_rows(stage_count)
     # What the mode holds fixed, read from the config once.
     input_power = config.input_power
     fixed_gains = config.gains
@@ -289,7 +257,7 @@ def build_residual(
     def residual(theta: np.ndarray, jacobian: bool = False):
         nonlocal filled
         theta = _checked(theta, mode, stage_count, dim)
-        p0, gains = layout.expand(theta, input_power, fixed_gains)
+        p0, gains = _expand(theta, free_power, rows, input_power, fixed_gains)
         inputs = np.concatenate(([p0], gains[:-1])).tobytes()
         depth = 0  # leading stages whose f_k is kept
         if not jacobian:
@@ -309,9 +277,9 @@ def build_residual(
             np.multiply(np.sqrt(p0), x, out=stage_in)
             if jacobian:
                 dy.fill(0.0)
-                if layout.free_power:
+                if free_power:
                     np.divide(stage_in, 2.0 * p0, out=dy[0])
-                tangent = (dy, gain_rows)
+                tangent = (dy, rows)
         if depth < stage_count:
             cascade_samples(
                 stage_in, alphas[depth:], gains[depth:], noise_scale,
@@ -510,13 +478,13 @@ def grid_oracle(
             r = residual(points[i])
             values[i] = r @ r
 
-    gain_rows = MODE_LAYOUTS[mode].gain_rows(config.stage_count)
+    rows = gain_rows(mode, config.stage_count)
     # Degree of r @ r in c when c is the gain of the last 1 or 2 stages.
-    degree = {1: 2, 2: 8}.get(gain_rows.count(dim - 1), 0)
+    degree = {1: 2, 2: 8}.get(rows.count(dim - 1), 0)
     probes = np.arange(degree + 1) * (resolution - 1) // max(degree, 1)
     c = axes[-1]
     nodes = c[probes]
-    if not degree or gain_rows[-1] != dim - 1 or not np.all(np.diff(nodes) > 0):
+    if not degree or rows[-1] != dim - 1 or not np.all(np.diff(nodes) > 0):
         score(range(len(points)))
     else:
         # Lagrange basis of the probes: a row's probe values times this

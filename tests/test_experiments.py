@@ -598,7 +598,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
         nmse_db=-10.0, aclr_db=-30.0, psd=None, amam=None
     )
     record.optimized_parameters[key] = (1.0, np.ones(1))
-    monkeypatch.setattr(cli, "_run_optimize", lambda args: (record, record.config))
+    monkeypatch.setattr(cli, "_run_optimize", lambda args: record)
     assert cli.main(["optimize", "--mode", "power", "--K", "1"]) == 2
     printed = capsys.readouterr()
     assert "pachain: solve ended StalledAtBound: power_s1 K=1" in printed.err

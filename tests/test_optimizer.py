@@ -7,6 +7,7 @@ tiny cascades where the grid oracle can exhaustively confirm the result.
 
 import collections
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -18,7 +19,7 @@ from pachain import cascade, experiments, optimizer
 from pachain.cascade import CascadeConfig, PaStage
 from pachain.experiments import ExperimentConfig
 from pachain.optimizer import (
-    MODE_LAYOUTS,
+    POWER_BOUNDS,
     InvalidStartError,
     Mode,
     OptimizationSpec,
@@ -29,6 +30,7 @@ from pachain.optimizer import (
     expand_parameters,
     grid_oracle,
     mode_dimension,
+    reduce_parameters,
     scenario_start,
     solve,
 )
@@ -60,28 +62,28 @@ def test_mode_dimensions():
 
 
 def test_expand_parameters_each_mode():
-    _, config, _ = small_problem(3, gains=[0.9, 1.0, 1.1])
-    p0, gains = expand_parameters(np.array([0.5]), Mode.POWER_ONLY, config)
-    assert p0 == 0.5
-    np.testing.assert_array_equal(gains, [0.9, 1.0, 1.1])
-
-    p0, gains = expand_parameters(np.array([1.2]), Mode.EQUAL_GAINS, config)
-    assert p0 == config.input_power
-    np.testing.assert_array_equal(gains, [1.2, 1.2, 1.2])
-
-    p0, gains = expand_parameters(np.array([0.8, 1.0, 1.2]), Mode.UNEQUAL_GAINS, config)
-    assert p0 == config.input_power
-    np.testing.assert_array_equal(gains, [0.8, 1.0, 1.2])
-
-    p0, gains = expand_parameters(np.array([0.4, 1.25]), Mode.JOINT_EQUAL_GAINS, config)
-    assert p0 == 0.4
-    np.testing.assert_array_equal(gains, [1.25, 1.25, 1.25])
-
-    p0, gains = expand_parameters(
-        np.array([0.4, 0.8, 1.0, 1.2]), Mode.JOINT_UNEQUAL_GAINS, config
-    )
-    assert p0 == 0.4
-    np.testing.assert_array_equal(gains, [0.8, 1.0, 1.2])
+    for stages in range(1, 6):
+        fixed = np.linspace(0.9, 1.1, stages)
+        free = np.linspace(0.8, 1.2, stages)
+        _, config, _ = small_problem(stages, gains=fixed)
+        # Per mode: a vector, and the (p0, gains) point it expands to.
+        expected = {
+            Mode.POWER_ONLY: ([0.5], 0.5, fixed),
+            Mode.EQUAL_GAINS: ([1.2], config.input_power, np.full(stages, 1.2)),
+            Mode.UNEQUAL_GAINS: (free, config.input_power, free),
+            Mode.JOINT_EQUAL_GAINS: ([0.4, 1.25], 0.4, np.full(stages, 1.25)),
+            Mode.JOINT_UNEQUAL_GAINS: ([0.4, *free], 0.4, free),
+        }
+        for mode, (theta, p0, gains) in expected.items():
+            got_p0, got_gains = expand_parameters(np.array(theta), mode, config)
+            assert got_p0 == p0, (stages, mode)
+            np.testing.assert_array_equal(got_gains, gains)
+            # The point is consistent with the mode, so expanding its
+            # reduced vector gives it back.
+            reduced = reduce_parameters(mode, p0, gains)
+            got_p0, got_gains = expand_parameters(reduced, mode, config)
+            assert got_p0 == p0, (stages, mode)
+            np.testing.assert_array_equal(got_gains, gains)
 
 
 def test_expand_parameters_dimension_mismatch():
@@ -104,21 +106,31 @@ def test_scenario_starts():
 
 
 def test_spec_bounds_each_mode():
-    gain = (0.7, 1.3)
-    expected = {
-        Mode.POWER_ONLY: ([1e-6], [1.0]),
-        Mode.EQUAL_GAINS: ([0.7], [1.3]),
-        Mode.UNEQUAL_GAINS: ([0.7, 0.7, 0.7], [1.3, 1.3, 1.3]),
-        Mode.JOINT_EQUAL_GAINS: ([1e-6, 0.7], [1.0, 1.3]),
-        Mode.JOINT_UNEQUAL_GAINS: ([1e-6, 0.7, 0.7, 0.7], [1.0, 1.3, 1.3, 1.3]),
-    }
-    for mode, (lo, hi) in expected.items():
-        spec = OptimizationSpec(
-            mode=mode, stage_count=3, start=np.zeros(len(lo)), gain_bounds=gain,
-        )
-        got_lo, got_hi = spec.bounds()
-        np.testing.assert_array_equal(got_lo, lo)
-        np.testing.assert_array_equal(got_hi, hi)
+    for stages in range(1, 6):
+        fixed = np.linspace(0.9, 1.1, stages)
+        _, config, _ = small_problem(stages, gains=fixed)
+        low, high = np.full(stages, 0.7), np.full(stages, 1.3)
+        # Per mode: the box corners, and the (p0, gains) point of the low one.
+        expected = {
+            Mode.POWER_ONLY: ([1e-6], [1.0], (1e-6, fixed)),
+            Mode.EQUAL_GAINS: ([0.7], [1.3], (1.0, low)),
+            Mode.UNEQUAL_GAINS: (low, high, (1.0, low)),
+            Mode.JOINT_EQUAL_GAINS: ([1e-6, 0.7], [1.0, 1.3], (1e-6, low)),
+            Mode.JOINT_UNEQUAL_GAINS: ([1e-6, *low], [1.0, *high], (1e-6, low)),
+        }
+        for mode, (lo, hi, (p0, gains)) in expected.items():
+            spec = OptimizationSpec(
+                mode=mode, stage_count=stages, start=np.zeros(len(lo)),
+                gain_bounds=config.gain_bounds,
+            )
+            got_lo, got_hi = spec.bounds()
+            np.testing.assert_array_equal(got_lo, lo)
+            np.testing.assert_array_equal(got_hi, hi)
+            # The low corner is the reduced vector of its point, and
+            # expanding it gives the point back.
+            got_p0, got_gains = expand_parameters(got_lo, mode, config)
+            assert got_p0 == p0, (stages, mode)
+            np.testing.assert_array_equal(got_gains, gains)
 
 
 # -------------------------------------------------------------------- solver
@@ -341,24 +353,76 @@ def test_linear_chain_solves_all_converge():
     assert set(statuses.values()) == {SolveStatus.CONVERGED}, statuses
 
 
+@functools.lru_cache(maxsize=None)
+def seed_study(seed):
+    """The whole optimization study at 512 symbols on one seed."""
+    return experiments.run_optimizations(ExperimentConfig(symbols=512, seed=seed))
+
+
+# (wider, narrower): the wider case's box holds every (p0, gains) point of
+# the narrower case's box.
+NESTED_CASES = [
+    ("joint_unequal", "joint_equal"),
+    ("joint_equal", "equal_gains"),
+    ("joint_equal", "power_s1"),
+    ("unequal_gains", "equal_gains"),
+    ("joint_unequal", "unequal_gains"),
+]
+
+
 @pytest.mark.parametrize(
     "seed", [None, 1, 2, 3, 7], ids=lambda s: "fixture" if s is None else f"seed{s}"
 )
-def test_joint_unequal_never_ends_above_joint_equal(request, seed):
-    """The joint-equal optimum lies in joint-unequal's box, and a cold
-    joint-unequal solve finds a point at least as good, to a 1e-12 relative
-    tie: on the shared study and at 512 symbols on other seeds."""
+@pytest.mark.parametrize(
+    "wider, narrower", NESTED_CASES, ids=[f"{w}-{n}" for w, n in NESTED_CASES]
+)
+def test_wider_mode_never_ends_above_narrower_mode(request, wider, narrower, seed):
+    """The narrower case's optimum lies in the wider case's box, and a cold
+    wider solve finds a point at least as good, to a 1e-12 relative tie: on
+    the shared study and at 512 symbols on other seeds."""
     if seed is None:
         record = request.getfixturevalue("optimization_record")
     else:
-        record = experiments.run_optimizations(ExperimentConfig(
-            symbols=512, seed=seed,
-            modes=(Mode.JOINT_EQUAL_GAINS, Mode.JOINT_UNEQUAL_GAINS),
-        ))
+        record = seed_study(seed)
     results = record.optimization_results
     for stages in range(1, 6):
-        equal = results[(stages, "joint_equal")].objective
-        assert results[(stages, "joint_unequal")].objective <= equal * (1 + 1e-12), stages
+        bound = results[(stages, narrower)].objective
+        assert results[(stages, wider)].objective <= bound * (1 + 1e-12), stages
+
+
+@pytest.mark.parametrize("stages", range(1, 6), ids=lambda k: f"K{k}")
+@pytest.mark.parametrize(
+    "gain_set",
+    [np.ones, lambda k: np.linspace(0.75, 1.25, k), lambda k: np.full(k, 1.3)],
+    ids=["ones", "linspace", "all-1.3"],
+)
+def test_power_solve_matches_the_linear_chain_optimum(gain_set, stages):
+    """At alpha = 0 the output is P*sqrt(p0)*x + n, with P the gain product
+    and n = sum_k sigma*(prod_{q>=k} g_q)*w_k, so the objective is a
+    quadratic in sqrt(p0) and its optimum has a closed form.  Gains of 1.3
+    put p0* inside the box, the linspace gains (product under 1) on its
+    upper bound, and unit gains next to it or on it."""
+    gains = gain_set(stages)
+    x, config, noise = small_problem(
+        stages, sigma=np.sqrt(1e-5), symbols=512, gains=gains, alpha=0.0
+    )
+    product = np.prod(gains)
+    suffix = np.cumprod(gains[::-1])[::-1]  # prod_{q>=k} g_q
+    n = config.sigma * (suffix @ noise.stage_noise[:stages])
+    target = config.reference_gain * x.samples - n
+    px = product * x.samples
+    root = np.vdot(px, target).real / np.vdot(px, px).real
+    p0 = np.clip(root**2, *POWER_BOUNDS)
+    optimum = float(np.sum(np.abs(target - np.sqrt(p0) * px) ** 2))
+
+    mode = Mode.POWER_ONLY
+    spec = OptimizationSpec(
+        mode=mode, stage_count=stages,
+        start=scenario_start(Scenario.ONE, stages, 0.0, mode),
+        gain_bounds=config.gain_bounds,
+    )
+    result = solve(spec, build_residual(x, config, noise, mode))
+    assert abs(result.objective - optimum) <= 1e-9 * optimum
 
 
 def test_joint_equal_seed_28_reaches_the_grid_optimum():
@@ -626,7 +690,7 @@ def residual_points(draw):
     )
     noise = draw_noise(stages, len(x), 43) if sigma else None
     residual = build_residual(x, config, noise, mode)
-    return residual, MODE_LAYOUTS[mode].reduce(p0, gains)
+    return residual, reduce_parameters(mode, p0, gains)
 
 
 @settings(deadline=None)
@@ -670,10 +734,9 @@ def test_residual_closure_reuses_its_arrays_safely(monkeypatch, mode):
     monkeypatch.setattr(cascade, "SAMPLE_BLOCK", 300)
     x, config, noise = small_problem(3, sigma=0.01, gains=[0.9, 1.1, 1.2])
     shared = build_residual(x, config, noise, mode)
-    layout = MODE_LAYOUTS[mode]
     points = [
-        layout.reduce(0.8, np.array([0.9, 1.1, 1.2])),
-        layout.reduce(0.3, np.array([1.25, 0.75, 1.0])),
+        reduce_parameters(mode, 0.8, np.array([0.9, 1.1, 1.2])),
+        reduce_parameters(mode, 0.3, np.array([1.25, 0.75, 1.0])),
     ]
     returned, copies = [], []
     for _ in range(2):
@@ -708,7 +771,7 @@ def reuse_walks(draw):
     for _ in range(draw(st.integers(2, 8))):
         first = draw(st.integers(0, stages + 1))
         full = full[:first] + [draw(entry) for entry in entries[first:]]
-        theta = MODE_LAYOUTS[mode].reduce(full[0], np.array(full[1:]))
+        theta = reduce_parameters(mode, full[0], np.array(full[1:]))
         walk.append((theta, draw(st.booleans())))
     return stages, mode, sigma, fixed, walk
 
