@@ -175,6 +175,7 @@ def cascade_samples(
     workspace: CascadeWorkspace | None = None,
     out: np.ndarray | None = None,
     stage_f: np.ndarray | None = None,
+    input_energy: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bare-array cascade kernel: the one implementation of the stage recursion.
 
@@ -183,10 +184,13 @@ def cascade_samples(
     With sigma = 1 the rows are added as they are, with no multiply, which
     changes no finite nonzero value: a caller that runs the chain many times
     over one noise realization (the optimizer's residual) scales it once and
-    passes it so.  Any other sigma scales the rows once per call.  The
-    optimizer's residual, and through it the grid oracle, call it once per
-    parameter vector; cascade_forward calls it once per stage with the noise
-    already added, so all of them share its arithmetic.
+    passes it so.  Any other sigma scales row k into a work buffer, one
+    block at a time.  The optimizer's residual (and through it the grid
+    oracle) calls it once per parameter vector and cascade_forward once per
+    chain, so all of them share its arithmetic.
+
+    ``input_energy``, a float (K,) array, has sum |y_{k-1} + sigma*w_k|^2,
+    the energy of stage k's input, added into entry k-1.
 
     ``stage_f``, a complex (K, N) array, receives each stage's pre-gain
     output f(y_{k-1} + sigma*w_k) in row k-1: the stage computes it there in
@@ -217,12 +221,6 @@ def cascade_samples(
     """
     if workspace is None:
         workspace = CascadeWorkspace()
-    if sigma == 0.0:
-        noise = None
-    elif sigma == 1.0:
-        noise = stage_noise
-    else:
-        noise = sigma * stage_noise[: len(gains)]
     y = np.empty(len(x0), dtype=complex) if out is None else out
     for start in range(0, len(x0), SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
@@ -230,11 +228,13 @@ def cascade_samples(
             x0[block],
             alphas,
             gains,
-            None if noise is None else noise[:, block],
+            sigma,
+            None if sigma == 0.0 else stage_noise[:, block],
             None if tangent is None else (tangent[0][:, block], tangent[1]),
             workspace,
             y[block],
             None if stage_f is None else stage_f[:, block],
+            input_energy,
         )
     return y
 
@@ -243,15 +243,17 @@ def _cascade_block(
     x0: np.ndarray,
     alphas: np.ndarray,
     gains: np.ndarray,
+    sigma: float,
     noise: np.ndarray | None,
     tangent: tuple[np.ndarray, Sequence[int | None]] | None,
     work: CascadeWorkspace,
     y: np.ndarray,
     stage_f: np.ndarray | None,
+    input_energy: np.ndarray | None,
 ) -> None:
     """cascade_samples over one block of samples, written into y.
 
-    noise[k] is the term sigma*w_k itself, or None for a noise-free chain.
+    noise[k] is the row w_k, or None for a noise-free chain.
     Every product keeps the operand order of the plain expressions in the
     comments (complex multiplication is not bit-commutative under FMA).
     """
@@ -264,14 +266,17 @@ def _cascade_block(
     x = x0
     for k in range(len(gains)):
         if noise is not None:
-            # x = x + sigma * w_k
-            x = np.add(x, noise[k], out=noisy)
+            # x = x + sigma * w_k, with w_k added as it is when sigma is 1
+            w = noise[k] if sigma == 1.0 else np.multiply(sigma, noise[k], out=noisy)
+            x = np.add(x, w, out=noisy)
         # pa_nonlinearity(x, alpha) term by term, keeping |x|^2 and alpha*x
         # for the tangent: fx = x + (alpha * x) * np.abs(x)**2.
         g = gains[k]
         fx = work.fx[:m] if stage_f is None else stage_f[k]
         np.multiply(alphas[k], x, out=ax)
         np.square(np.abs(x, out=x_sq), out=x_sq)
+        if input_energy is not None:
+            input_energy[k] += x_sq.sum()
         np.add(x, np.multiply(ax, x_sq, out=fx), out=fx)
         if tangent is not None:
             if live:
@@ -299,10 +304,9 @@ def cascade_forward(
     """Run the full chain, retaining per-stage outputs for diagnostics.
 
     ``x0`` must already be scaled to the configured drive (input_power).
-    With ``keep_stages=False`` the intermediate outputs are discarded
-    (stage_outputs is empty) and only the output is made a Signal, which
-    matters only for very long signals.  Every stage runs on one kernel
-    workspace.
+    The chain is one kernel call.  With ``keep_stages=False`` the
+    intermediate outputs are discarded (stage_outputs is empty) and only the
+    output is made a Signal, which matters only for very long signals.
 
     Emits ModelValidityWarning if any stage's mean input power exceeds the
     squared saturation input of that stage -- the model still evaluates (the
@@ -319,25 +323,19 @@ def cascade_forward(
             nominal_power=float(np.mean(np.abs(samples) ** 2)),
         )
 
-    overdriven: list[int] = []
-    alphas = config.alphas
     gains = config.gains
-    work = CascadeWorkspace()
-    samples = x0.samples
-    kept: list[Signal] = []
-    for k, stage in enumerate(config.stages):
-        stage_in = samples
-        if config.sigma != 0.0:
-            stage_in = stage_in + config.sigma * noise.stage_noise[k]
-        if stage.alpha != 0:
-            if np.mean(np.abs(stage_in) ** 2) > x_max(stage.alpha) ** 2:
-                overdriven.append(k + 1)
-        samples = cascade_samples(
-            stage_in, alphas[k : k + 1], gains[k : k + 1], 0.0, workspace=work
-        )
-        if keep_stages:
-            kept.append(as_signal(samples))
-
+    stage_f = np.empty((len(gains), len(x0)), dtype=complex) if keep_stages else None
+    energy = np.zeros(len(gains))
+    samples = cascade_samples(
+        x0.samples, config.alphas, gains, config.sigma,
+        None if noise is None else noise.stage_noise,
+        stage_f=stage_f, input_energy=energy,
+    )
+    overdriven = [
+        k + 1
+        for k, stage in enumerate(config.stages)
+        if stage.alpha != 0 and energy[k] / len(x0) > x_max(stage.alpha) ** 2
+    ]
     if overdriven:
         warnings.warn(
             f"stage(s) {overdriven} driven past the saturation input; the "
@@ -345,8 +343,10 @@ def cascade_forward(
             ModelValidityWarning,
             stacklevel=2,
         )
-    output = kept[-1] if keep_stages else as_signal(samples)
-    return CascadeRun(output=output, stage_outputs=tuple(kept))
+    if not keep_stages:
+        return CascadeRun(output=as_signal(samples), stage_outputs=())
+    kept = tuple(as_signal(np.multiply(g, f, out=f)) for g, f in zip(gains, stage_f))
+    return CascadeRun(output=kept[-1], stage_outputs=kept)
 
 
 def equivalent_gain(gains: Sequence[float]) -> float:

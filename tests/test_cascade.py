@@ -1,5 +1,8 @@
 """Chain model, equivalent single-stage closed forms, and their accuracy."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,84 @@ def test_stage_outputs_retention():
         assert lean.stage_outputs == ()
         assert lean.output.samples.tobytes() == run.output.samples.tobytes()
         assert lean.output.nominal_power == run.output.nominal_power
+
+
+def per_stage_forward(x, config, noise):
+    """The forward pass run stage by stage: the noise added outside the
+    kernel, then one sigma = 0 kernel call per stage.  Returns every stage
+    output and the stages whose mean input power passes x_max^2."""
+    samples, outputs, overdriven = x.samples, [], []
+    for k, stage in enumerate(config.stages):
+        stage_in = samples
+        if config.sigma != 0.0:
+            stage_in = stage_in + config.sigma * noise.stage_noise[k]
+        if stage.alpha != 0 and np.mean(np.abs(stage_in) ** 2) > x_max(stage.alpha) ** 2:
+            overdriven.append(k + 1)
+        samples = cascade_samples(
+            stage_in, config.alphas[k : k + 1], config.gains[k : k + 1], 0.0
+        )
+        outputs.append(samples)
+    return outputs, overdriven
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5])
+def test_single_pass_matches_the_per_stage_forward(monkeypatch, stages, sigma):
+    """cascade_forward runs the chain in one kernel call, and every kept
+    stage output, the lean output and the overdriven stages it names are
+    those of the stage-by-stage pass.  Stage 2 alone is driven past its
+    saturation input (mean input power 2.1 against x_max^2 = 1.005)."""
+    x = unit_excitation(1100, 8, 0.22, 16, 5)  # 8,800 samples: two blocks
+    noise = draw_noise(stages, len(x), 17) if sigma else None
+    alphas = [ALPHA, ALPHA, 0.5 * ALPHA, ALPHA, 0.0][:stages]
+    config = make_config(alphas, [3.0, 0.4, 1.0, 1.0, 1.0][:stages], sigma=sigma)
+    expected, overdriven = per_stage_forward(x, config, noise)
+    assert overdriven == ([2] if stages > 1 else [])
+
+    calls = []
+    kernel = cascade.cascade_samples
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cascade, "cascade_samples", counted)
+    for keep_stages in (True, False):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = cascade_forward(x, config, noise, keep_stages=keep_stages)
+        named = [(w.category, str(w.message).split(" driven")[0]) for w in caught]
+        assert named == (
+            [(ModelValidityWarning, f"stage(s) {overdriven}")] if overdriven else []
+        )
+        assert run.output.samples.tobytes() == expected[-1].tobytes()
+        kept = [stage.samples.tobytes() for stage in run.stage_outputs]
+        assert kept == ([y.tobytes() for y in expected] if keep_stages else [])
+    assert calls == [stages, stages]
+
+
+def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():
+    """At 2^16 samples and five stages, neither a general-sigma kernel call
+    nor a lean cascade_forward allocates more than its output, one
+    CascadeWorkspace and a small slack: no (K, N) noise array is made.  The
+    slack covers numpy's casting buffer (np.getbufsize() complex values)
+    where the real |x|^2 multiplies a complex array."""
+    x = unit_excitation(8192, 8, 0.22, 16, 5)
+    noise = draw_noise(5, len(x), 3)
+    config = make_config([ALPHA] * 5, [1.0] * 5, sigma=0.05)
+    workspace = 6 * cascade.SAMPLE_BLOCK * 16 + cascade.SAMPLE_BLOCK * 8
+    bound = len(x) * 16 + workspace + 256 * 1024
+    for run in (
+        lambda: cascade_samples(x.samples, config.alphas, config.gains, 0.05, noise.stage_noise),
+        lambda: cascade_forward(x, config, noise, keep_stages=False),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 @pytest.mark.parametrize(
@@ -304,8 +385,6 @@ def test_overdrive_warning():
 def test_no_warning_at_normal_drive():
     x = unit_excitation(128, 8, 0.22, 16, 21)
     config = make_config([ALPHA] * 2, [1.0, 1.0])
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", ModelValidityWarning)
         cascade_forward(x, config, None)
