@@ -299,14 +299,14 @@ def cascade_forward(
     x0: Signal,
     config: CascadeConfig,
     noise: NoiseRealization | None = None,
-    keep_stages: bool = True,
+    keep_stages: bool = False,
 ) -> CascadeRun:
-    """Run the full chain, retaining per-stage outputs for diagnostics.
+    """Run the full chain and return its output.
 
     ``x0`` must already be scaled to the configured drive (input_power).
-    The chain is one kernel call.  With ``keep_stages=False`` the
-    intermediate outputs are discarded (stage_outputs is empty) and only the
-    output is made a Signal, which matters only for very long signals.
+    The chain is one kernel call.  By default only the output is made a
+    Signal and stage_outputs is empty; ``keep_stages=True`` also keeps every
+    stage's output, for diagnostics, at one signal's memory per stage.
 
     Emits ModelValidityWarning if any stage's mean input power exceeds the
     squared saturation input of that stage -- the model still evaluates (the

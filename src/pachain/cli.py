@@ -1,5 +1,8 @@
 """Command-line entry points.
 
+Each command is one ``run_cases`` pass over its cases; ``--K`` and ``--mode``
+set K_range and modes as the other flags set their fields.
+
 Exit codes: 0 success, 1 bad arguments or configuration, 2 solver failure
 (a solve stalled at the feasible-set boundary), 3 output I/O failure.  Every
 solve that did not end Converged is named on stderr; one that ran out of
@@ -16,15 +19,13 @@ from pathlib import Path
 
 from .experiments import (
     CASES,
+    Case,
     ExperimentConfig,
     RunRecord,
     _case_sort_key,
-    combine_records,
     config_from_json,
     emit_outputs,
     run_cases,
-    run_optimizations,
-    run_scenarios,
 )
 from .optimizer import Mode, SolveStatus
 
@@ -104,6 +105,10 @@ def _apply_flag_overrides(config: ExperimentConfig, args: argparse.Namespace) ->
             updates[name] = value
     if args.out is not None:
         updates["output_dir"] = args.out
+    if getattr(args, "K", None) is not None:
+        updates["K_range"] = (args.K,)
+    if getattr(args, "mode", None) is not None:
+        updates["modes"] = (Mode(args.mode),)
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -115,22 +120,13 @@ def _base_config(args: argparse.Namespace) -> ExperimentConfig:
     return _apply_flag_overrides(config, args)
 
 
-def _run_simulate(args: argparse.Namespace) -> RunRecord:
-    config = dataclasses.replace(_base_config(args), K_range=(args.K,))
-    cases = [c for c in CASES if c.mode is None and c.scenario.value == args.scenario]
-    return run_cases(config, cases)
-
-
-def _run_optimize(args: argparse.Namespace) -> RunRecord:
-    config = dataclasses.replace(
-        _base_config(args), K_range=(args.K,), modes=(Mode(args.mode),)
-    )
-    return run_optimizations(config)
-
-
-def _run_sweep(args: argparse.Namespace) -> RunRecord:
-    config = _base_config(args)
-    return combine_records(run_scenarios(config), run_optimizations(config))
+def _command_cases(args: argparse.Namespace) -> list[Case]:
+    """The rows a command runs; run_cases drops those of unconfigured modes."""
+    if args.command == "simulate":
+        return [c for c in CASES if c.mode is None and c.scenario.value == args.scenario]
+    if args.command == "optimize":
+        return [c for c in CASES if c.mode is not None]
+    return list(CASES)
 
 
 def _report_lines(record: RunRecord) -> list[str]:
@@ -161,13 +157,8 @@ def _report_lines(record: RunRecord) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    runners = {
-        "simulate": _run_simulate,
-        "optimize": _run_optimize,
-        "sweep": _run_sweep,
-    }
     try:
-        record = runners[args.command](args)
+        record = run_cases(_base_config(args), _command_cases(args))
     except ValueError as exc:
         print(f"pachain: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Experiment harness: scenario sweeps, the optimization study, and file export.
 
 The study's rows are the cases of ``CASES``, each run at every configured K:
-``run_scenarios`` runs the two without a mode, ``run_optimizations`` those whose
-mode is configured, and the emitted tables place each by what its mode frees.
+``run_cases`` runs, in one pass, those without a mode and those whose mode is
+configured, and the emitted tables place each by what its mode frees.
 
 A run is fully determined by its configuration (including the seed).  Three
 derived random streams keep the pieces reproducible yet distinct: the symbol
@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if any(k < 1 for k in self.K_range):
             raise ConfigError(f"K_range entries must be >= 1, got {self.K_range}")
+        if len(set(self.K_range)) < len(self.K_range):
+            raise ConfigError(f"K_range entries must be distinct, got {self.K_range}")
         if self.symbols < 1:
             raise ConfigError(f"symbols must be >= 1, got {self.symbols}")
         if self.oversampling < 2:
@@ -118,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if not all(isinstance(m, Mode) for m in self.modes):
             raise ConfigError(f"modes must be Mode values, got {self.modes}")
+        if len(set(self.modes)) < len(self.modes):
+            raise ConfigError(f"modes entries must be distinct, got {self.modes}")
         # What report() would reject after the simulation, rejected up front.
         span, needed = psd_span(self.oversampling), aclr_span(1.0 + self.rolloff)
         if span < needed:
@@ -155,6 +159,7 @@ class RunRecord:
 
 
 def combine_records(first: RunRecord, second: RunRecord) -> RunRecord:
+    """The union of two records of one config (``run_cases`` makes one in one pass)."""
     if first.config != second.config:
         raise ValueError("cannot combine records from different configurations")
     merged = RunRecord(config=first.config)
@@ -298,7 +303,7 @@ def _evaluate(
 ) -> MetricsReport:
     """Metrics of the configured chain at drive p0 on the given realization."""
     x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
-    run = cascade_forward(x0, cascade_cfg, noise, keep_stages=False)
+    run = cascade_forward(x0, cascade_cfg, noise)
     desired = scale_amplitude(x_unit, config.G)
     return report(
         desired,
@@ -334,9 +339,14 @@ def _case_point(
     return (result, *expand_parameters(result.parameters, case.mode, fixed))
 
 
-def run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
-    """Run the cases at every K and evaluate each on the evaluation noise."""
+def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRecord:
+    """Run the cases at every K and evaluate each on the evaluation noise.
+
+    A case runs if it has no mode or its mode is in ``config.modes``.  The
+    excitation and each noise stream are drawn once for the whole pass.
+    """
     record = RunRecord(config=config)
+    cases = [case for case in cases if case.mode is None or case.mode in config.modes]
     if not config.K_range or not cases:
         return record
     x_unit = excitation_for(config)
@@ -362,20 +372,13 @@ def run_cases(config: ExperimentConfig, cases: list[Case]) -> RunRecord:
 
 
 def run_scenarios(config: ExperimentConfig) -> RunRecord:
-    """Both bracketing scenarios at full drive, for every configured K.
-
-    Metrics are computed on the evaluation-noise realization so the rows are
-    directly comparable with post-optimization metrics from the same config.
-    """
+    """Both bracketing scenarios at full drive, for every configured K."""
     return run_cases(config, [case for case in CASES if case.mode is None])
 
 
 def run_optimizations(config: ExperimentConfig) -> RunRecord:
-    """Solve the cases of the configured modes for every K and evaluate the optima.
-
-    Each case starts from its scenario's gains at full drive.
-    """
-    return run_cases(config, [case for case in CASES if case.mode in config.modes])
+    """The cases of the configured modes, solved and evaluated at every K."""
+    return run_cases(config, [case for case in CASES if case.mode is not None])
 
 
 # --------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_gains_feasible_predicate():
     outside = make_config([ALPHA] * 2, [0.75, 1.45])
     # the box is advisory: a chain outside it still runs
     x = unit_excitation(64, 8, 0.22, 16, 3)
-    cascade_forward(x, outside, None, keep_stages=False)
+    cascade_forward(x, outside, None)
 
 
 def test_single_stage_matches_direct_evaluation():
@@ -129,10 +129,10 @@ def test_stage_outputs_retention():
     x = unit_excitation(64, 8, 0.22, 16, 5)
     for sigma, noise in [(0.0, None), (0.05, draw_noise(3, len(x), 7))]:
         config = make_config([ALPHA] * 3, [1.0, 1.0, 1.0], sigma=sigma)
-        run = cascade_forward(x, config, noise)
+        run = cascade_forward(x, config, noise, keep_stages=True)
         assert len(run.stage_outputs) == 3
         np.testing.assert_array_equal(run.stage_outputs[-1].samples, run.output.samples)
-        lean = cascade_forward(x, config, noise, keep_stages=False)
+        lean = cascade_forward(x, config, noise)
         assert lean.stage_outputs == ()
         assert lean.output.samples.tobytes() == run.output.samples.tobytes()
         assert lean.output.nominal_power == run.output.nominal_power
@@ -205,7 +205,7 @@ def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():
     bound = len(x) * 16 + workspace + 256 * 1024
     for run in (
         lambda: cascade_samples(x.samples, config.alphas, config.gains, 0.05, noise.stage_noise),
-        lambda: cascade_forward(x, config, noise, keep_stages=False),
+        lambda: cascade_forward(x, config, noise),
     ):
         tracemalloc.start()
         try:
@@ -353,7 +353,7 @@ def test_equivalent_pa_bundles_closed_forms():
 def test_approx_accurate_for_weak_nonlinearity():
     x = unit_excitation(1024, 8, 0.22, 16, 42)
     config = make_config([-0.033 + 0.0033j] * 2, [1.0, 1.0])
-    exact = cascade_forward(x, config, None, keep_stages=False).output
+    exact = cascade_forward(x, config, None).output
     approx = approx_cascade_forward(x, config)
     assert nmse(exact, approx) < -40.0
 
@@ -366,7 +366,7 @@ def test_approx_error_fades_at_forty_db_per_decade():
     errors = []
     for scale in (1.0, 0.1, 0.01):
         config = make_config([ALPHA * scale] * 3, [1.0] * 3)
-        exact = cascade_forward(x, config, None, keep_stages=False).output
+        exact = cascade_forward(x, config, None).output
         errors.append(nmse(exact, approx_cascade_forward(x, config)))
     first_decade = errors[0] - errors[1]
     second_decade = errors[1] - errors[2]

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from pachain.experiments import (
     emit_outputs,
     evaluation_noise,
     optimization_noise,
+    run_cases,
     run_optimizations,
     run_scenarios,
     scenario_gains,
@@ -76,6 +77,9 @@ def test_config_validation_errors():
         dict(symbols=0),
         dict(K_range=(0,)),
         dict(seed=-1),
+        # a repeated entry would run and list its rows twice
+        dict(K_range=(2, 2)),
+        dict(modes=(Mode.POWER_ONLY, Mode.POWER_ONLY)),
         # the range checks alone would let these through
         dict(G=float("nan")),
         dict(sigma_sq=float("inf")),
@@ -181,13 +185,33 @@ def test_each_noise_stream_is_drawn_once(monkeypatch):
     assert calls == []
 
 
+def _result_fields(result):
+    """Every field of an OptimizationResult, arrays as their bytes."""
+    values = (getattr(result, f.name) for f in fields(result))
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in values]
+
+
 def test_combine_records():
-    config = ExperimentConfig(modes=(Mode.EQUAL_GAINS,), **SMALL)
+    """The one pass and the two halves combined give the same files and the
+    same fields in every result, on every mode at K = 1..3."""
+    config = ExperimentConfig(symbols=256, K_range=(1, 2, 3))
+    one_pass = run_cases(config)
     merged = combine_records(run_scenarios(config), run_optimizations(config))
-    assert merged.scenario_metrics and merged.optimization_metrics
+    assert experiments._build_files(one_pass) == experiments._build_files(merged)
+    assert one_pass.optimization_results.keys() == merged.optimization_results.keys()
+    assert len(one_pass.optimization_results) == 18
+    for key, result in one_pass.optimization_results.items():
+        assert _result_fields(result) == _result_fields(merged.optimization_results[key]), key
     other = ExperimentConfig(symbols=512)
     with pytest.raises(ValueError):
         combine_records(run_scenarios(config), RunRecord(config=other))
+
+
+def test_run_cases_keeps_the_configured_modes():
+    config = ExperimentConfig(modes=(Mode.EQUAL_GAINS,), **SMALL)
+    record = run_cases(config)
+    assert set(record.scenario_metrics) == {(1, "scenario1"), (1, "scenario2")}
+    assert set(record.optimization_results) == {(1, "equal_gains")}
 
 
 def test_empty_run_is_allowed():
@@ -206,7 +230,7 @@ def emitted(tmp_path_factory):
         modes=(Mode.POWER_ONLY, Mode.JOINT_EQUAL_GAINS),
         output_dir=out,
     )
-    record = combine_records(run_scenarios(config), run_optimizations(config))
+    record = run_cases(config)
     paths = emit_outputs(record)
     return out, record, paths
 
@@ -275,7 +299,7 @@ def test_signal_files_match_per_value_formatting(emitted):
     record whose scenario rows share one input column and whose joint rows
     each have their own drive; every field reads back as its exact value."""
     config = replace(emitted[1].config, K_range=(1, 2))
-    record = combine_records(run_scenarios(config), run_optimizations(config))
+    record = run_cases(config)
     inputs = {key: m.amam[:, 0] for key, m in record.scenario_metrics.items()}
     assert len(inputs) == 4
     assert all(np.array_equal(column, inputs[(1, "scenario1")]) for column in inputs.values())
@@ -544,6 +568,8 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         pytest.param({"seed": -1}, "seed", id="seed-negative"),
         pytest.param({"G": float("nan")}, "G", id="G-nan"),
         pytest.param({"sigma_sq": 10**400}, "sigma_sq", id="sigma_sq-overflow"),
+        pytest.param({"K_range": [2, 2]}, "K_range", id="K_range-repeated"),
+        pytest.param({"modes": ["power", "power"]}, "modes", id="modes-repeated"),
     ],
 )
 def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
@@ -574,6 +600,30 @@ def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):
     assert not (out / "amam_K1_scenario1.csv").exists()
 
 
+def test_cli_sweep_draws_each_stream_once(monkeypatch, tmp_path):
+    """One sweep draws the excitation, the seed + 2 evaluation noise and the
+    seed + 1 optimization noise once each, at the deepest K."""
+    calls = []
+    excitation, noise = experiments.unit_excitation, experiments.draw_noise
+
+    def counting_excitation(*args):
+        calls.append("x")
+        return excitation(*args)
+
+    def counting_noise(stages, length, seed):
+        calls.append((stages, seed))
+        return noise(stages, length, seed)
+
+    monkeypatch.setattr(experiments, "unit_excitation", counting_excitation)
+    monkeypatch.setattr(experiments, "draw_noise", counting_noise)
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps({"K_range": [1, 2], "seed": 5}))
+    code = cli.main(["sweep", "--config", str(path), "--symbols", "256",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == ["x", (2, 7), (2, 6)]
+
+
 def test_cli_output_collision_exits_three(tmp_path, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
@@ -598,7 +648,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
         nmse_db=-10.0, aclr_db=-30.0, psd=None, amam=None
     )
     record.optimized_parameters[key] = (1.0, np.ones(1))
-    monkeypatch.setattr(cli, "_run_optimize", lambda args: record)
+    monkeypatch.setattr(cli, "run_cases", lambda config, cases: record)
     assert cli.main(["optimize", "--mode", "power", "--K", "1"]) == 2
     printed = capsys.readouterr()
     assert "pachain: solve ended StalledAtBound: power_s1 K=1" in printed.err
