@@ -47,8 +47,10 @@ class PaStage:
     gain: float
 
     def __post_init__(self) -> None:
-        if self.gain <= 0:
-            raise ValueError(f"gain must be > 0, got {self.gain}")
+        if not 0 < self.gain < np.inf:
+            raise ValueError(f"gain must be finite and > 0, got {self.gain}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
             raise ValueError(
                 f"|alpha| = {abs(self.alpha):.3g} exceeds the model validity "
@@ -70,12 +72,14 @@ class CascadeConfig:
         object.__setattr__(self, "stages", tuple(self.stages))
         if len(self.stages) < 1:
             raise ValueError("cascade needs at least one stage")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0 < self.input_power <= 1:
             raise ValueError(f"input_power must be in (0, 1], got {self.input_power}")
-        if self.reference_gain <= 0:
-            raise ValueError(f"reference_gain must be > 0, got {self.reference_gain}")
+        if not 0 < self.reference_gain < np.inf:
+            raise ValueError(
+                f"reference_gain must be finite and > 0, got {self.reference_gain}"
+            )
         if not 0 <= self.epsilon < 1:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
 
@@ -213,86 +217,59 @@ def cascade_samples(
     is skipped until that stage.  The update runs row by row, so the only
     work buffer is one row.
 
-    The samples are independent, so the chain runs over blocks of
-    SAMPLE_BLOCK samples, each through every stage; every output bit is the
-    same as in one pass over all of them.  The temporaries of a block live
-    in ``workspace`` (a fresh CascadeWorkspace when None), and y is written
-    into ``out`` (a fresh array when None), which must not overlap x0.
-    """
-    if workspace is None:
-        workspace = CascadeWorkspace()
-    y = np.empty(len(x0), dtype=complex) if out is None else out
-    for start in range(0, len(x0), SAMPLE_BLOCK):
-        block = slice(start, start + SAMPLE_BLOCK)
-        _cascade_block(
-            x0[block],
-            alphas,
-            gains,
-            sigma,
-            None if sigma == 0.0 else stage_noise[:, block],
-            None if tangent is None else (tangent[0][:, block], tangent[1]),
-            workspace,
-            y[block],
-            None if stage_f is None else stage_f[:, block],
-            input_energy,
-        )
-    return y
-
-
-def _cascade_block(
-    x0: np.ndarray,
-    alphas: np.ndarray,
-    gains: np.ndarray,
-    sigma: float,
-    noise: np.ndarray | None,
-    tangent: tuple[np.ndarray, Sequence[int | None]] | None,
-    work: CascadeWorkspace,
-    y: np.ndarray,
-    stage_f: np.ndarray | None,
-    input_energy: np.ndarray | None,
-) -> None:
-    """cascade_samples over one block of samples, written into y.
-
-    noise[k] is the row w_k, or None for a noise-free chain.
-    Every product keeps the operand order of the plain expressions in the
+    The samples are independent, so the outer loop runs over blocks of
+    SAMPLE_BLOCK samples and the inner one takes a block through every
+    stage; every output bit is the same as in one pass over all of them.
+    The temporaries of a block live in ``workspace`` (a fresh
+    CascadeWorkspace when None), and y is written into ``out`` (a fresh
+    array when None), which must not overlap x0.  Every product keeps the operand order of the plain expressions in the
     comments (complex multiplication is not bit-commutative under FMA).
     """
-    m = len(x0)
-    noisy, ax = work.noisy[:m], work.ax[:m]
-    ga, gb, conj_row, x_sq = work.ga[:m], work.gb[:m], work.conj_row[:m], work.x_sq[:m]
+    work = CascadeWorkspace() if workspace is None else workspace
+    y_all = np.empty(len(x0), dtype=complex) if out is None else out
     if tangent is not None:
-        dy, gain_rows = tangent
-        live = min((row for row in gain_rows if row is not None), default=len(dy))
-    x = x0
-    for k in range(len(gains)):
-        if noise is not None:
-            # x = x + sigma * w_k, with w_k added as it is when sigma is 1
-            w = noise[k] if sigma == 1.0 else np.multiply(sigma, noise[k], out=noisy)
-            x = np.add(x, w, out=noisy)
-        # pa_nonlinearity(x, alpha) term by term, keeping |x|^2 and alpha*x
-        # for the tangent: fx = x + (alpha * x) * np.abs(x)**2.
-        g = gains[k]
-        fx = work.fx[:m] if stage_f is None else stage_f[k]
-        np.multiply(alphas[k], x, out=ax)
-        np.square(np.abs(x, out=x_sq), out=x_sq)
-        if input_energy is not None:
-            input_energy[k] += x_sq.sum()
-        np.add(x, np.multiply(ax, x_sq, out=fx), out=fx)
+        dy_all, gain_rows = tangent
+        seeded = min((row for row in gain_rows if row is not None), default=len(dy_all))
+    for start in range(0, len(x0), SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        x, y = x0[block], y_all[block]
+        m = len(y)
+        noisy, ax = work.noisy[:m], work.ax[:m]
+        ga, gb, conj_row, x_sq = work.ga[:m], work.gb[:m], work.conj_row[:m], work.x_sq[:m]
         if tangent is not None:
-            if live:
-                # ga = g + (2*g*alpha) * |x|^2,  gb = (g * ax) * x
-                np.add(g, np.multiply(2.0 * g * alphas[k], x_sq, out=ga), out=ga)
-                np.multiply(np.multiply(g, ax, out=gb), x, out=gb)
-                for row in dy[:live]:
-                    np.multiply(gb, np.conjugate(row, out=conj_row), out=conj_row)
-                    row *= ga
-                    row += conj_row
-            if gain_rows[k] is not None:
-                dy[gain_rows[k]] += fx
-                live = max(live, gain_rows[k] + 1)
-        # y = g * fx, last: x may be y itself.
-        np.multiply(g, fx, out=y)
-        x = y
+            dy, live = dy_all[:, block], seeded
+        for k in range(len(gains)):
+            if sigma != 0.0:
+                # x = x + sigma * w_k, with w_k added as it is when sigma is 1
+                w = stage_noise[k, block]
+                if sigma != 1.0:
+                    w = np.multiply(sigma, w, out=noisy)
+                x = np.add(x, w, out=noisy)
+            # pa_nonlinearity(x, alpha) term by term, keeping |x|^2 and alpha*x
+            # for the tangent: fx = x + (alpha * x) * np.abs(x)**2.
+            g = gains[k]
+            fx = work.fx[:m] if stage_f is None else stage_f[k, block]
+            np.multiply(alphas[k], x, out=ax)
+            np.square(np.abs(x, out=x_sq), out=x_sq)
+            if input_energy is not None:
+                input_energy[k] += x_sq.sum()
+            np.add(x, np.multiply(ax, x_sq, out=fx), out=fx)
+            if tangent is not None:
+                if live:
+                    # ga = g + (2*g*alpha) * |x|^2,  gb = (g * ax) * x
+                    np.add(g, np.multiply(2.0 * g * alphas[k], x_sq, out=ga), out=ga)
+                    np.multiply(np.multiply(g, ax, out=gb), x, out=gb)
+                    for row in dy[:live]:
+                        np.multiply(gb, np.conjugate(row, out=conj_row), out=conj_row)
+                        row *= ga
+                        row += conj_row
+                if gain_rows[k] is not None:
+                    dy[gain_rows[k]] += fx
+                    live = max(live, gain_rows[k] + 1)
+            # y = g * fx, last: x may be y itself.
+            np.multiply(g, fx, out=y)
+            x = y
+    return y_all
 
 
 def cascade_forward(
@@ -349,54 +326,35 @@ def cascade_forward(
     return CascadeRun(output=kept[-1], stage_outputs=kept)
 
 
-def equivalent_gain(gains: Sequence[float]) -> float:
-    """Product of the stage gains."""
-    gains = np.asarray(gains, dtype=float)
-    if np.any(gains <= 0):
-        raise ValueError("all gains must be > 0")
-    return float(np.prod(gains))
-
-
-def equivalent_alpha(gains: Sequence[float], alphas: Sequence[complex]) -> complex:
-    """alpha_1 + sum_{k=2..K} alpha_k * prod_{q=1..k-1} g_q^2."""
-    gains = np.asarray(gains, dtype=float)
-    alphas = np.asarray(alphas, dtype=complex)
-    if len(gains) != len(alphas):
-        raise ValueError(f"got {len(gains)} gains but {len(alphas)} alphas")
-    if len(alphas) == 0:
-        raise ValueError("need at least one stage")
-    total = alphas[0]
-    prefix = 1.0
-    for k in range(1, len(alphas)):
-        prefix *= gains[k - 1] ** 2
-        total = total + alphas[k] * prefix
-    return complex(total)
-
-
 def equivalent_sigma(gains: Sequence[float], sigma: float) -> float:
     """sigma * sqrt( sum_{k=1..K} prod_{q=k..K} g_q^2 )."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    gains = np.asarray(gains, dtype=float)
-    if len(gains) == 1:
-        # Single stage: the closed form collapses to sigma*g; return it
-        # without a sqrt round trip.
-        return sigma * float(gains[0])
     total = 0.0
     suffix = 1.0
-    for g in gains[::-1]:
+    for g in np.asarray(gains, dtype=float)[::-1]:
         suffix *= g**2
         total += suffix
     return sigma * float(np.sqrt(total))
 
 
 def equivalent_pa(config: CascadeConfig) -> EquivalentPa:
-    """Closed-form equivalent of the whole configured chain."""
-    gains = config.gains
+    """Closed-form equivalent of the whole configured chain.
+
+    g_tilde and alpha_tilde come from one pass over the stages.  The prefix
+    prod_{q<k} g_q^2 is multiplied up one g_q**2 at a time: squaring the
+    running gain product instead would round differently.
+    """
+    first = config.stages[0]
+    g_tilde, alpha_tilde, prefix = first.gain, first.alpha, first.gain**2
+    for stage in config.stages[1:]:
+        g_tilde *= stage.gain
+        alpha_tilde += stage.alpha * prefix
+        prefix *= stage.gain**2
     return EquivalentPa(
-        g_tilde=equivalent_gain(gains),
-        alpha_tilde=equivalent_alpha(gains, config.alphas),
-        sigma_tilde=equivalent_sigma(gains, config.sigma),
+        g_tilde=float(g_tilde),
+        alpha_tilde=complex(alpha_tilde),
+        sigma_tilde=equivalent_sigma(config.gains, config.sigma),
     )
 
 

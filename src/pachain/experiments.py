@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cascade import CascadeConfig, PaStage, cascade_forward
+from .cascade import ALPHA_VALIDITY_LIMIT, CascadeConfig, PaStage, cascade_forward
 from .metrics import FLOOR_DB, PSD_SEGMENT_LENGTH, MetricsReport, aclr_span, psd_span, report
 from .optimizer import (
     FREE_POWER_MODES,
@@ -100,6 +100,10 @@ class ExperimentConfig:
         for name in ("alpha", "sigma_sq", "G", "epsilon", "rolloff"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
+            raise ConfigError(
+                f"|alpha| must be <= {ALPHA_VALIDITY_LIMIT}, got {abs(self.alpha):.3g}"
+            )
         if self.sigma_sq < 0:
             raise ConfigError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.G <= 0:

@@ -18,8 +18,6 @@ from pachain.cascade import (
     approx_cascade_forward,
     cascade_forward,
     cascade_samples,
-    equivalent_alpha,
-    equivalent_gain,
     equivalent_pa,
     equivalent_sigma,
     pa_nonlinearity,
@@ -84,6 +82,15 @@ def test_pa_stage_validation():
         PaStage(alpha=1.5, gain=1.0)
     with pytest.raises(ValueError):
         PaStage(alpha=ALPHA, gain=0.0)
+    # the range checks alone would let the non-finite values through
+    for bad in (
+        dict(alpha=float("nan")),
+        dict(alpha=complex(0.1, float("nan"))),
+        dict(gain=float("nan")),
+        dict(gain=float("inf")),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PaStage(**{"alpha": ALPHA, "gain": 0.5, **bad})
     PaStage(alpha=ALPHA, gain=0.5)  # fine
 
 
@@ -95,6 +102,16 @@ def test_cascade_config_validation():
     with pytest.raises(ValueError):
         CascadeConfig(stages=(), sigma=0.0, input_power=1.0,
                       reference_gain=1.0, epsilon=0.3)
+    good = dict(stages=(PaStage(ALPHA, 1.0),), sigma=0.0, input_power=1.0,
+                reference_gain=1.0, epsilon=0.3)
+    for bad in (
+        dict(sigma=float("nan")),
+        dict(sigma=float("inf")),
+        dict(reference_gain=float("nan")),
+        dict(reference_gain=float("inf")),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            CascadeConfig(**{**good, **bad})
 
 
 def test_gains_feasible_predicate():
@@ -313,7 +330,8 @@ def test_cascade_samples_matches_cascade_forward():
 
 
 def test_equivalent_gain_is_product():
-    assert equivalent_gain([0.8, 1.2, 0.9]) == pytest.approx(0.8 * 1.2 * 0.9, rel=1e-12)
+    config = make_config([ALPHA] * 3, [0.8, 1.2, 0.9])
+    assert equivalent_pa(config).g_tilde == pytest.approx(0.8 * 1.2 * 0.9, rel=1e-12)
 
 
 def test_equivalent_alpha_hand_formula():
@@ -321,11 +339,14 @@ def test_equivalent_alpha_hand_formula():
     gains = [0.8, 1.2, 0.9]
     alphas = [ALPHA, 0.5 * ALPHA, 0.25j * ALPHA]
     expected = alphas[0] + alphas[1] * 0.8**2 + alphas[2] * (0.8 * 1.2) ** 2
-    assert equivalent_alpha(gains, alphas) == pytest.approx(expected, rel=1e-12)
+    alpha_tilde = equivalent_pa(make_config(alphas, gains)).alpha_tilde
+    assert alpha_tilde == pytest.approx(expected, rel=1e-12)
 
 
 def test_equivalent_sigma_single_stage_exact():
-    assert equivalent_sigma([1.3], 0.25) == 0.25 * 1.3
+    # sqrt(g**2) rounds back to g exactly, so the closed form is sigma*g
+    for gain in (0.01, 0.7, 1.3, 100.0):
+        assert equivalent_sigma([gain], 0.25) == 0.25 * gain
 
 
 def test_equivalent_sigma_two_stage_hand_formula():

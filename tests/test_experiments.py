@@ -84,6 +84,8 @@ def test_config_validation_errors():
         dict(G=float("nan")),
         dict(sigma_sq=float("inf")),
         dict(alpha=complex(float("nan"), 0.0)),
+        # PaStage would reject it only after the excitation was drawn
+        dict(alpha=2.0),
         # metrics would reject these only after the simulation had run
         dict(oversampling=3),
         dict(oversampling=6, rolloff=1.0),
@@ -561,6 +563,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         pytest.param({"symbols": None}, "symbols", id="symbols-null"),
         pytest.param({"K_range": 3}, "K_range", id="K_range-scalar"),
         pytest.param({"alpha": [1, None]}, "alpha", id="alpha-null-part"),
+        pytest.param({"alpha": [2, 0]}, "alpha", id="alpha-above-limit"),
         pytest.param({"output_dir": 5}, "output_dir", id="output_dir-number"),
         pytest.param({"modes": "power"}, "modes", id="modes-string"),
         pytest.param({"symbols": 1.7}, "symbols", id="symbols-fraction"),

@@ -390,6 +390,33 @@ def test_wider_mode_never_ends_above_narrower_mode(request, wider, narrower, see
         assert results[(stages, wider)].objective <= bound * (1 + 1e-12), stages
 
 
+@pytest.mark.parametrize(
+    "seed", [None, 1, 2, 3, 7], ids=lambda s: "fixture" if s is None else f"seed{s}"
+)
+def test_scenario1_solves_never_end_above_scenario1(request, seed):
+    """Scenario 1's point (p0 = 1, unit gains) lies in the box of every case
+    that starts from it, so each of those solves ends at or below r @ r
+    there: on the shared study and at 512 symbols on other seeds.  The
+    solves start START_MARGIN inside the box, not at the point.  Compared
+    with no tolerance: power_s1 ends on the point itself."""
+    if seed is None:
+        record = request.getfixturevalue("optimization_record")
+    else:
+        record = seed_study(seed)
+    config = record.config
+    x = experiments.excitation_for(config)
+    noise = experiments.optimization_noise(config, max(config.K_range), len(x))
+    cases = [c for c in experiments.CASES if c.scenario is Scenario.ONE and c.mode]
+    assert len(cases) == 5
+    for stages in config.K_range:
+        fixed = experiments.make_cascade_config(config, np.ones(stages))
+        for case in cases:
+            point = scenario_start(Scenario.ONE, stages, config.alpha, case.mode)
+            r = build_residual(x, fixed, noise, case.mode)(point)
+            objective = record.optimization_results[(stages, case.name)].objective
+            assert objective <= float(r @ r), (stages, case.name)
+
+
 @pytest.mark.parametrize("stages", range(1, 6), ids=lambda k: f"K{k}")
 @pytest.mark.parametrize(
     "gain_set",
