@@ -185,13 +185,11 @@ def cascade_samples(
 
     Applies y <- g_k * f(y + sigma*w_k) for k = 1..K, with K = len(gains)
     and w_k = stage_noise[k] (unused, and may be None, when sigma is 0).
-    With sigma = 1 the rows are added as they are, with no multiply, which
-    changes no finite nonzero value: a caller that runs the chain many times
-    over one noise realization (the optimizer's residual) scales it once and
-    passes it so.  Any other sigma scales row k into a work buffer, one
-    block at a time.  The optimizer's residual (and through it the grid
-    oracle) calls it once per parameter vector and cascade_forward once per
-    chain, so all of them share its arithmetic.
+    It alone scales the noise: any sigma != 0 multiplies row k into a work
+    buffer, one block at a time, so its callers pass sigma and the unit
+    rows of a realization.  The optimizer's residual (and through it the
+    grid oracle) calls it once per parameter vector and cascade_forward once
+    per chain, so all of them share its arithmetic.
 
     ``input_energy``, a float (K,) array, has sum |y_{k-1} + sigma*w_k|^2,
     the energy of stage k's input, added into entry k-1.
@@ -222,8 +220,9 @@ def cascade_samples(
     stage; every output bit is the same as in one pass over all of them.
     The temporaries of a block live in ``workspace`` (a fresh
     CascadeWorkspace when None), and y is written into ``out`` (a fresh
-    array when None), which must not overlap x0.  Every product keeps the operand order of the plain expressions in the
-    comments (complex multiplication is not bit-commutative under FMA).
+    array when None), which must not overlap x0.  Every product keeps the
+    operand order of the plain expressions in the comments (complex
+    multiplication is not bit-commutative under FMA).
     """
     work = CascadeWorkspace() if workspace is None else workspace
     y_all = np.empty(len(x0), dtype=complex) if out is None else out
@@ -240,11 +239,9 @@ def cascade_samples(
             dy, live = dy_all[:, block], seeded
         for k in range(len(gains)):
             if sigma != 0.0:
-                # x = x + sigma * w_k, with w_k added as it is when sigma is 1
-                w = stage_noise[k, block]
-                if sigma != 1.0:
-                    w = np.multiply(sigma, w, out=noisy)
-                x = np.add(x, w, out=noisy)
+                # x = x + sigma * w_k
+                np.multiply(sigma, stage_noise[k, block], out=noisy)
+                x = np.add(x, noisy, out=noisy)
             # pa_nonlinearity(x, alpha) term by term, keeping |x|^2 and alpha*x
             # for the tangent: fx = x + (alpha * x) * np.abs(x)**2.
             g = gains[k]

@@ -19,6 +19,7 @@ import os
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from numbers import Complex, Integral, Real
 from pathlib import Path
 from typing import Iterable
 
@@ -78,6 +79,18 @@ class ConfigError(ValueError):
     """Bad experiment configuration (file or field level)."""
 
 
+# The kind of number each numeric field of ExperimentConfig takes, and per
+# kind its name and the Python type a value is stored as; numpy numbers count
+# as the Python kind they stand for.
+_NUMBER_FIELDS = dict(
+    alpha=Complex, sigma_sq=Real, G=Real, epsilon=Real, rolloff=Real,
+    symbols=Integral, oversampling=Integral, seed=Integral,
+)
+_NUMBER_KINDS = {
+    Complex: ("a number", complex), Real: ("a real number", float), Integral: ("an integer", int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alpha: complex = -0.33 * (1 - 0.1j)
@@ -93,13 +106,24 @@ class ExperimentConfig:
     output_dir: Path = Path("runs")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        # A bool is not a number here, although Python counts it as an int.
+        for name, kind in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            what, stored = _NUMBER_KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            try:
+                value = stored(value)
+            except OverflowError:  # an integer too large for a float
+                value = np.inf
+            if kind is not Integral and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if any(isinstance(k, bool) or not isinstance(k, Integral) for k in self.K_range):
+            raise ConfigError(f"K_range entries must be integers, got {self.K_range}")
         object.__setattr__(self, "K_range", tuple(int(k) for k in self.K_range))
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-        for name in ("alpha", "sigma_sq", "G", "epsilon", "rolloff"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
             raise ConfigError(
                 f"|alpha| must be <= {ALPHA_VALIDITY_LIMIT}, got {abs(self.alpha):.3g}"

@@ -216,8 +216,9 @@ def build_residual(
     the float view of the complex residual (real and imaginary parts
     interleaved).  Called with ``jacobian=True`` it returns the pair
     (residual, J), with J the exact (2N, dim) Jacobian in the same layout,
-    from the same cascade pass.  The noise realization is frozen into the
-    closure, scaled by sigma once, so the objective is deterministic.
+    from the same cascade pass.  The closure holds the noise realization and
+    passes sigma and its unit rows to the kernel, which alone scales them, so
+    the objective is deterministic while the realization is left unchanged.
 
     The closure keeps, across calls, every stage's pre-gain output
     f_k = f(y_{k-1} + sigma*w_k) of its last call, with the bytes of the p0
@@ -236,10 +237,6 @@ def build_residual(
     desired = config.reference_gain * x
     alphas = config.alphas
     stage_count = config.stage_count
-    # The noise term sigma*w_k of every stage, added by the kernel as it is.
-    noise_scale, noise_terms = (0.0, None)
-    if config.sigma != 0.0:
-        noise_scale, noise_terms = 1.0, config.sigma * noise.stage_noise[:stage_count]
     free_power = mode in FREE_POWER_MODES
     rows = gain_rows(mode, stage_count)
     dim = mode_dimension(mode, stage_count)
@@ -282,8 +279,8 @@ def build_residual(
                 tangent = (dy, rows)
         if depth < stage_count:
             cascade_samples(
-                stage_in, alphas[depth:], gains[depth:], noise_scale,
-                None if noise_terms is None else noise_terms[depth:],
+                stage_in, alphas[depth:], gains[depth:], config.sigma,
+                None if noise is None else noise.stage_noise[depth:],
                 tangent, work, y, stage_f[depth:],
             )
         filled = inputs

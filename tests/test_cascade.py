@@ -233,6 +233,29 @@ def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():
         assert peak < bound
 
 
+def test_residual_holds_only_its_documented_buffers():
+    """At 2^16 samples and five stages, making a joint-unequal residual
+    closure and calling it once allocates no more than its documented
+    buffers (desired, stage input, y, the six tangent rows, stage_f and one
+    CascadeWorkspace), the residual it returns and 256 KiB of slack (numpy's
+    casting buffer, as above): the closure keeps no scaled copy of the
+    (K, N) noise, which would add K*N*16 bytes (5 MiB)."""
+    x = unit_excitation(8192, 8, 0.22, 16, 5)
+    noise = draw_noise(5, len(x), 3)
+    config = make_config([ALPHA] * 5, [1.0] * 5, sigma=0.05)
+    workspace = 6 * cascade.SAMPLE_BLOCK * 16 + cascade.SAMPLE_BLOCK * 8
+    rows = 3 + 6 + 5 + 1  # desired, stage input, y; tangents; stage_f; returned
+    bound = rows * len(x) * 16 + workspace + 256 * 1024
+    tracemalloc.start()
+    try:
+        residual = build_residual(x, config, noise, Mode.JOINT_UNEQUAL_GAINS)
+        residual(np.array([0.5, 0.9, 1.1, 1.2, 0.8, 1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -314,7 +337,7 @@ def test_cascade_samples_matches_scalar_loop(chain):
 
 def test_cascade_samples_matches_cascade_forward():
     """Bit for bit, whether the kernel scales the noise or is handed it
-    scaled, with sigma = 1, as the optimizer's residual does."""
+    scaled, with sigma = 1."""
     x = unit_excitation(64, 8, 0.22, 16, 9)
     noise = draw_noise(2, len(x), 13)
     config = make_config([ALPHA, ALPHA * 0.5], [0.9, 1.2], sigma=0.05)

@@ -90,12 +90,39 @@ def test_config_validation_errors():
         dict(oversampling=3),
         dict(oversampling=6, rolloff=1.0),
         dict(symbols=100),
+        # numpy would truncate these or fail on them without naming the field
+        dict(K_range=(2.7,)),
+        dict(K_range=(True,)),
+        dict(symbols=512.5),
+        dict(symbols=True),
+        dict(oversampling=8.5),
+        dict(seed=1.5),
+        dict(seed=False),
+        dict(alpha="x"),
+        dict(sigma_sq="1e-5"),
     ):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ExperimentConfig(**bad)
     # the tightest accepted shapes run through every metric
     run_scenarios(ExperimentConfig(oversampling=7, rolloff=1.0, symbols=147, K_range=(1,)))
     run_scenarios(ExperimentConfig(symbols=128, K_range=(1,)))
+
+
+def test_config_takes_numpy_numbers_as_python_ones():
+    config = ExperimentConfig(
+        alpha=np.complex128(-0.2 + 0.05j), sigma_sq=np.float32(0.25),
+        K_range=(np.int32(2), np.int64(3)), symbols=np.int64(512),
+        oversampling=np.uint8(8), seed=np.int16(7),
+    )
+    assert config == ExperimentConfig(
+        alpha=-0.2 + 0.05j, sigma_sq=0.25, K_range=(2, 3), symbols=512, seed=7
+    )
+    assert all(
+        type(k) is int
+        for k in (*config.K_range, config.symbols, config.oversampling, config.seed)
+    )
+    assert type(config.sigma_sq) is float
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_config_from_json_reports_bad_files(tmp_path):
@@ -457,6 +484,17 @@ def test_readme_sketch_imports_from_the_package():
     names = re.findall(r"\w+", statement.split("(", 1)[1])
     assert names and set(names) <= set(pachain.__all__)
     exec(statement, {})
+
+
+def test_readme_json_defaults_match_the_config():
+    """The README's defaults block has the keys and values of the default
+    config; alpha, written in short decimals there, agrees to 1e-12."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    shown, defaults = json.loads(block), config_to_dict(ExperimentConfig())
+    assert shown.keys() == defaults.keys()
+    np.testing.assert_allclose(shown.pop("alpha"), defaults.pop("alpha"), rtol=1e-12)
+    assert shown == defaults
 
 
 # ---------------------------------------------------------------------- CLI

@@ -839,6 +839,31 @@ def count_stages(monkeypatch):
     return runs
 
 
+def test_residual_hands_the_kernel_sigma_and_the_realization_rows(monkeypatch):
+    """The kernel alone scales the noise: a plain call, a call resumed from
+    the kept stages and a call with tangents each pass it config.sigma and
+    the rows of the realization itself from the first stage they run, not a
+    scaled copy."""
+    seen = []
+    kernel = optimizer.cascade_samples
+
+    def spy(x0, alphas, gains, sigma, stage_noise, *args, **kwargs):
+        seen.append((len(gains), sigma, stage_noise))
+        return kernel(x0, alphas, gains, sigma, stage_noise, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "cascade_samples", spy)
+    x, config, noise = small_problem(3, sigma=0.01, symbols=32)
+    residual = build_residual(x, config, noise, Mode.UNEQUAL_GAINS)
+    residual(np.array([0.9, 1.1, 1.2]))
+    residual(np.array([0.9, 1.0, 1.2]))  # g_2 moved: stage 3 alone
+    residual(np.array([0.9, 1.0, 1.2]), jacobian=True)
+    assert [runs for runs, _, _ in seen] == [3, 1, 3]
+    for runs, sigma, rows in seen:
+        assert sigma == config.sigma
+        assert np.shares_memory(rows, noise.stage_noise)
+        assert np.shares_memory(rows[0], noise.stage_noise[3 - runs])
+
+
 def test_negative_zero_gain_is_not_reused(monkeypatch):
     """-0.0 == 0.0, but the two have different bits: a point that differs
     from the last only in the sign of a zero g_1 runs stages 2 and 3 again."""
