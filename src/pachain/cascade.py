@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Complex, Real
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,19 @@ class ModelValidityWarning(UserWarning):
     """A stage is being driven past the cubic model's monotone region."""
 
 
+def _require_numbers(owner, kind: type, *names: str) -> None:
+    """Raise a ValueError naming the first field whose value is not of kind.
+
+    A bool is not a number here, although Python counts it as an int; numpy
+    numbers count as the Python kind they stand for.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "a real number" if kind is Real else "a number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PaStage:
     """One amplifier: third-order coefficient and real linear gain.
@@ -47,13 +61,16 @@ class PaStage:
     gain: float
 
     def __post_init__(self) -> None:
+        _require_numbers(self, Complex, "alpha")
+        _require_numbers(self, Real, "gain")
         if not 0 < self.gain < np.inf:
             raise ValueError(f"gain must be finite and > 0, got {self.gain}")
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
+        # np.abs gives inf where abs would raise OverflowError (|alpha| > 1e308).
+        if np.abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
             raise ValueError(
-                f"|alpha| = {abs(self.alpha):.3g} exceeds the model validity "
+                f"|alpha| = {np.abs(self.alpha):.3g} exceeds the model validity "
                 f"limit {ALPHA_VALIDITY_LIMIT}"
             )
 
@@ -69,7 +86,12 @@ class CascadeConfig:
     epsilon: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.stages, (list, tuple)) or not all(
+            isinstance(stage, PaStage) for stage in self.stages
+        ):
+            raise ValueError(f"stages must be a list or tuple of PaStage, got {self.stages!r}")
         object.__setattr__(self, "stages", tuple(self.stages))
+        _require_numbers(self, Real, "sigma", "input_power", "reference_gain", "epsilon")
         if len(self.stages) < 1:
             raise ValueError("cascade needs at least one stage")
         if not 0 <= self.sigma < np.inf:

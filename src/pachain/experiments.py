@@ -93,6 +93,37 @@ _NUMBER_KINDS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Everything a run depends on, each field checked here before any compute.
+
+    This is the one place that types a field: a JSON file reaches it through
+    ``config_from_dict``, CLI flags through ``dataclasses.replace``.  A bad
+    value raises a ConfigError that names its field.  A number may be a
+    Python or numpy number, but not a bool, and is stored as a Python one.
+    Powers and amplitudes are relative to the unit-drive excitation, whose
+    peak amplitude is 1.
+
+    alpha: each stage's cubic coefficient in f(x) = x + alpha*x*|x|^2, per
+        unit amplitude squared; a number with |alpha| <= ALPHA_VALIDITY_LIMIT.
+    sigma_sq: variance of the complex Gaussian noise added before each
+        stage, per sample, in unit-drive power; a real number >= 0.
+    G: reference gain, a linear amplitude ratio; a real number > 0.
+    epsilon: half-width of the per-stage gain box [(1-epsilon)*G,
+        (1+epsilon)*G], as a fraction of G; a real number in [0, 1).
+    K_range: the numbers of stages studied; a list or tuple of distinct
+        integers >= 1.
+    symbols: 16-QAM symbols in the excitation; an integer >= 1.
+    oversampling: samples per symbol; an integer >= 2.
+    rolloff: roll-off factor of the root-raised-cosine pulse; a real number
+        in (0, 1].  With oversampling it must let the PSD reach the adjacent
+        channels, and symbols * oversampling must hold one PSD segment.
+    seed: seed of the symbols; seed + 1 and seed + 2 seed the optimization
+        and evaluation noise.  An integer >= 0.
+    modes: the optimization modes run; a list or tuple of distinct Mode
+        values.
+    output_dir: directory the emitted files are written to; a str or
+        os.PathLike.
+    """
+
     alpha: complex = -0.33 * (1 - 0.1j)
     sigma_sq: float = 1e-5
     G: float = 1.0
@@ -106,6 +137,15 @@ class ExperimentConfig:
     output_dir: Path = Path("runs")
 
     def __post_init__(self) -> None:
+        # Tuples first, so that the entry checks cannot use up a one-shot iterable.
+        for name in ("K_range", "modes"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list or tuple, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
         # A bool is not a number here, although Python counts it as an int.
         for name, kind in _NUMBER_FIELDS.items():
             value = getattr(self, name)
@@ -122,11 +162,10 @@ class ExperimentConfig:
         if any(isinstance(k, bool) or not isinstance(k, Integral) for k in self.K_range):
             raise ConfigError(f"K_range entries must be integers, got {self.K_range}")
         object.__setattr__(self, "K_range", tuple(int(k) for k in self.K_range))
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
-        if abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
+        # np.abs gives inf where abs would raise OverflowError (|alpha| > 1e308).
+        if np.abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
             raise ConfigError(
-                f"|alpha| must be <= {ALPHA_VALIDITY_LIMIT}, got {abs(self.alpha):.3g}"
+                f"|alpha| must be <= {ALPHA_VALIDITY_LIMIT}, got {np.abs(self.alpha):.3g}"
             )
         if self.sigma_sq < 0:
             raise ConfigError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
@@ -206,59 +245,35 @@ def combine_records(first: RunRecord, second: RunRecord) -> RunRecord:
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-# The JSON types each field type accepts; a boolean is not a number here,
-# although Python counts it as an int.
-_JSON_TYPES = {
-    float: ((int, float), "a finite number"),
-    int: ((int,), "an integer"),
-    list: ((list, tuple), "a list"),
-    str: ((str,), "a string"),
-}
-
-
-def _read(key: str, value, kind: type):
-    """value as a kind (float, int, list or str), or a ConfigError naming key."""
-    accepted, what = _JSON_TYPES[kind]
-    if isinstance(value, accepted) and not isinstance(value, bool):
-        try:
-            return kind(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ConfigError(f"{key} must be {what}, got {value!r}")
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from JSON-style data.
 
-    Unknown keys and values of the wrong JSON type are rejected with a
-    ConfigError that names the key; ExperimentConfig checks the ranges.
+    Unknown keys are rejected, and only what JSON cannot hold is decoded:
+    ``alpha`` from its ``[real, imaginary]`` pair and a list of ``modes``
+    from their names.  Every other value reaches ExperimentConfig as it is,
+    which types and checks every field, so a bad value gets the same
+    ConfigError, naming its key, as in a config built in Python.
     """
     unknown = set(data) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs: dict = {}
+    kwargs = dict(data)
     if "alpha" in data:
-        alpha = _read("alpha", data["alpha"], list)
-        if len(alpha) != 2:
-            raise ConfigError("alpha must be a [real, imaginary] pair")
-        kwargs["alpha"] = complex(*(_read("alpha", part, float) for part in alpha))
-    if "modes" in data:
-        slugs = _read("modes", data["modes"], list)
+        pair = data["alpha"]
+        if (
+            not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(isinstance(part, bool) or not isinstance(part, Real) for part in pair)
+        ):
+            raise ConfigError(f"alpha must be a [real, imaginary] pair, got {pair!r}")
         try:
-            kwargs["modes"] = tuple(Mode(slug) for slug in slugs)
+            kwargs["alpha"] = complex(*pair)
+        except OverflowError:  # an integer too large for a float
+            raise ConfigError(f"alpha must be finite, got {pair!r}") from None
+    if isinstance(data.get("modes"), (list, tuple)):
+        try:
+            kwargs["modes"] = tuple(Mode(name) for name in data["modes"])
         except ValueError as exc:
             raise ConfigError(f"bad mode name in modes: {exc}") from None
-    for key in ("sigma_sq", "G", "epsilon", "rolloff"):
-        if key in data:
-            kwargs[key] = _read(key, data[key], float)
-    for key in ("symbols", "oversampling", "seed"):
-        if key in data:
-            kwargs[key] = _read(key, data[key], int)
-    if "K_range" in data:
-        stage_counts = _read("K_range", data["K_range"], list)
-        kwargs["K_range"] = tuple(_read("K_range", k, int) for k in stage_counts)
-    if "output_dir" in data:
-        kwargs["output_dir"] = Path(_read("output_dir", data["output_dir"], str))
     return ExperimentConfig(**kwargs)
 
 

@@ -88,10 +88,20 @@ def test_pa_stage_validation():
         dict(alpha=complex(0.1, float("nan"))),
         dict(gain=float("nan")),
         dict(gain=float("inf")),
+        # these would raise a TypeError that does not name the field
+        dict(alpha="x"),
+        dict(alpha=None),
+        dict(gain="1"),
+        # a bool is not a number here
+        dict(alpha=True),
+        dict(gain=True),
+        # abs() would raise OverflowError for this alpha
+        dict(alpha=complex(1.7e308, 1.7e308)),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             PaStage(**{"alpha": ALPHA, "gain": 0.5, **bad})
     PaStage(alpha=ALPHA, gain=0.5)  # fine
+    PaStage(alpha=np.complex64(ALPHA), gain=np.float32(0.5))  # numpy numbers too
 
 
 def test_cascade_config_validation():
@@ -109,9 +119,19 @@ def test_cascade_config_validation():
         dict(sigma=float("inf")),
         dict(reference_gain=float("nan")),
         dict(reference_gain=float("inf")),
+        # these would raise a TypeError that does not name the field
+        dict(sigma="0.1"),
+        dict(input_power=None),
+        dict(epsilon="0.3"),
+        dict(reference_gain=True),
+        dict(stages=PaStage(ALPHA, 1.0)),
+        # accepted before, and failed later in config.gains
+        dict(stages=((0.1, 1.0),)),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             CascadeConfig(**{**good, **bad})
+    CascadeConfig(**{**good, "stages": [PaStage(ALPHA, np.float64(1.0))],
+                     "sigma": np.float32(0.1), "reference_gain": np.int64(1)})
 
 
 def test_gains_feasible_predicate():

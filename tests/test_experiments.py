@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pachain
 import pachain.cli as cli
@@ -100,12 +102,65 @@ def test_config_validation_errors():
         dict(seed=False),
         dict(alpha="x"),
         dict(sigma_sq="1e-5"),
+        # abs() would raise OverflowError for this alpha
+        dict(alpha=complex(1.7e308, 1.7e308)),
+        # containers and paths of the wrong type would raise a bare TypeError,
+        # and a generator would be used up by the entry check and run as ()
+        dict(K_range=3),
+        dict(K_range=None),
+        dict(K_range=(k for k in (1, 2))),
+        dict(modes=Mode.POWER_ONLY),
+        dict(modes=None),
+        dict(output_dir=5),
+        dict(output_dir=None),
     ):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ExperimentConfig(**bad)
     # the tightest accepted shapes run through every metric
     run_scenarios(ExperimentConfig(oversampling=7, rolloff=1.0, symbols=147, K_range=(1,)))
     run_scenarios(ExperimentConfig(symbols=128, K_range=(1,)))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sigma_sq", "1e-5"),
+        ("G", None),
+        ("epsilon", True),
+        ("rolloff", [0.2]),
+        ("symbols", 1.5),
+        ("oversampling", "8"),
+        ("seed", -1),
+        ("K_range", 3),
+        ("output_dir", 5),
+    ],
+)
+def test_config_doors_give_one_message(key, value):
+    """A JSON value and the same value in Python get the same ConfigError."""
+    with pytest.raises(ConfigError, match=key) as from_json:
+        config_from_dict({key: value})
+    with pytest.raises(ConfigError) as from_python:
+        ExperimentConfig(**{key: value})
+    assert str(from_json.value) == str(from_python.value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+
+
+@settings(deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(ExperimentConfig)]), value=_JSON_VALUES)
+def test_config_doors_return_a_config_or_name_the_key(key, value):
+    """Any JSON value for any key gives a config or a ConfigError naming the
+    key, through either door; any other exception fails the test."""
+    for door in (config_from_dict, lambda data: ExperimentConfig(**data)):
+        try:
+            door({key: value})
+        except ConfigError as exc:
+            assert key in str(exc)
 
 
 def test_config_takes_numpy_numbers_as_python_ones():
@@ -611,6 +666,14 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         pytest.param({"sigma_sq": 10**400}, "sigma_sq", id="sigma_sq-overflow"),
         pytest.param({"K_range": [2, 2]}, "K_range", id="K_range-repeated"),
         pytest.param({"modes": ["power", "power"]}, "modes", id="modes-repeated"),
+        pytest.param({"alpha": [True, 0]}, "alpha", id="alpha-boolean-part"),
+        pytest.param({"alpha": ["x", 0]}, "alpha", id="alpha-string-part"),
+        pytest.param({"alpha": [10**400, 0]}, "alpha", id="alpha-overflow"),
+        pytest.param({"alpha": [1]}, "alpha", id="alpha-one-part"),
+        pytest.param({"modes": [["power"]]}, "modes", id="modes-nested-list"),
+        pytest.param({"modes": None}, "modes", id="modes-null"),
+        pytest.param({"K_range": None}, "K_range", id="K_range-null"),
+        pytest.param({"output_dir": None}, "output_dir", id="output_dir-null"),
     ],
 )
 def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
