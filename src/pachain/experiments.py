@@ -115,7 +115,8 @@ class ExperimentConfig:
     oversampling: samples per symbol; an integer >= 2.
     rolloff: roll-off factor of the root-raised-cosine pulse; a real number
         in (0, 1].  With oversampling it must let the PSD reach the adjacent
-        channels, and symbols * oversampling must hold one PSD segment.
+        channels.  symbols * oversampling must hold one PSD segment and fit
+        an array.
     seed: seed of the symbols; seed + 1 and seed + 2 seed the optimization
         and evaluation noise.  An integer >= 0.
     modes: the optimization modes run; a list or tuple of distinct Mode
@@ -189,17 +190,17 @@ class ExperimentConfig:
             raise ConfigError(f"modes must be Mode values, got {self.modes}")
         if len(set(self.modes)) < len(self.modes):
             raise ConfigError(f"modes entries must be distinct, got {self.modes}")
-        # What report() would reject after the simulation, rejected up front.
+        # What numpy or report() rejects later; the count first, or psd_span overflows.
+        if not PSD_SEGMENT_LENGTH <= self.symbols * self.oversampling <= np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"symbols * oversampling must be >= the PSD segment of {PSD_SEGMENT_LENGTH} "
+                f"samples and fit an array, got {self.symbols * self.oversampling}"
+            )
         span, needed = psd_span(self.oversampling), aclr_span(1.0 + self.rolloff)
         if span < needed:
             raise ConfigError(
                 f"oversampling {self.oversampling} at rolloff {self.rolloff}: PSD "
                 f"spans only |f| <= {span:.3g} symbol rates; ACLR needs {needed:.3g}"
-            )
-        if self.symbols * self.oversampling < PSD_SEGMENT_LENGTH:
-            raise ConfigError(
-                f"symbols * oversampling must be >= the PSD segment of "
-                f"{PSD_SEGMENT_LENGTH} samples, got {self.symbols * self.oversampling}"
             )
 
     @property

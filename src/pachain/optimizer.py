@@ -19,7 +19,8 @@ cascade_samples).  The tangents are paid for only where the solver needs
 them: the first trial of each iteration, which the damping schedule rejects
 about half the time, is scored on its residual alone, and its tangents are
 computed only if it is accepted; a retry after a rejection carries them from
-the start.
+the start.  The residual is reduced only by sum_of_squares and
+normal_equations, in einsum's fixed order, never BLAS's thread-dependent one.
 """
 
 from __future__ import annotations
@@ -292,6 +293,16 @@ def build_residual(
     return residual
 
 
+def sum_of_squares(r: np.ndarray) -> float:
+    """The objective r^T r of a residual vector, in einsum's fixed order."""
+    return float(np.einsum("i,i->", r, r))
+
+
+def normal_equations(jac: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J^T J, J^T r) of a Jacobian and its residual, in einsum's fixed order."""
+    return np.einsum("ij,ik->jk", jac, jac), np.einsum("ij,i->j", jac, r)
+
+
 def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     margin = START_MARGIN * (hi - lo)
     return np.clip(np.asarray(start, dtype=float), lo + margin, hi - margin)
@@ -305,9 +316,9 @@ def solve(
 
     ``residual(theta)`` must return the residual vector, and
     ``residual(theta, jacobian=True)`` the same vector and its exact Jacobian
-    (one row per residual entry), as build_residual's closure does; a
-    Jacobian is reduced at once to the normal matrix J^T J and the gradient
-    J^T r.  The start is moved START_MARGIN of the box width inside the box.
+    (one row per residual entry), as build_residual's closure does; these
+    are reduced by sum_of_squares and normal_equations to r^T r, J^T J, J^T r.
+    The start is moved START_MARGIN of the box width inside the box.
     At each damping, a coordinate on a bound is held (its step is zero) when
     the gradient or the damped step points out of the box there, and the
     damped normal equations are solved on the others; with none on a bound,
@@ -340,10 +351,9 @@ def solve(
         """(objective, J^T J, J^T r), the last two None without the Jacobian."""
         calls[jacobian] += 1
         if not jacobian:
-            r = residual(point)
-            return float(r @ r), None, None
+            return sum_of_squares(residual(point)), None, None
         r, jac = residual(point, jacobian=True)
-        return float(r @ r), jac.T @ jac, jac.T @ r
+        return (sum_of_squares(r), *normal_equations(jac, r))
 
     theta = _project_start(spec.start, lo, hi)
     objective, normal, gradient = evaluate(theta, True)
@@ -427,7 +437,7 @@ def grid_oracle(
 
     Returns the first minimum in row-major order of a uniform grid over the
     mode's box (drive in POWER_BOUNDS, gains in the config's gain window),
-    scored with the solver's own objective ``r @ r`` from build_residual,
+    scored with the solver's own sum_of_squares of build_residual's residual,
     together with its objective.  The walk is row-major, so along a row only
     the last parameter c moves, and the residual re-runs only the stages
     that parameter feeds: none when it is the last stage's gain alone, every
@@ -435,10 +445,10 @@ def grid_oracle(
 
     When c is the last stage's gain alone (unequal-gains up to K = 2, and
     every mode that frees a gain at K = 1), it only scales the output: along
-    the row the residual is d - c*f_K with d and f_K fixed, so ``r @ r`` is an
+    the row the residual is d - c*f_K with d and f_K fixed, so r^T r is an
     exact quadratic in c.  When c is the gain of both stages at K = 2
     (equal-gains, joint-equal), stage 2's input c*f_1 + sigma*w_2 is linear in
-    c, the output c*f(...) quartic, and ``r @ r`` exactly of degree 8.  Such a
+    c, the output c*f(...) quartic, and r^T r exactly of degree 8.  Such a
     row scores degree + 1 probes spread over it exactly (its first and last
     points among them), predicts every point from the polynomial through
     them, and scores exactly every point predicted within ``ROW_FIT_MARGIN``
@@ -449,7 +459,7 @@ def grid_oracle(
     point and objective are bit for bit those of scoring every point.  A row
     whose prediction is not finite is scored whole, as is every row of a box
     too narrow for distinct probes and of the other modes: the drive moves
-    only along the one row of the power mode, where ``r @ r`` has degree
+    only along the one row of the power mode, where r^T r has degree
     2*3**K in sqrt(p0) and the whole row costs milliseconds, and a gain
     shared by 3 or more stages gives degree 26, 27 probes of a row of >= 50.
     """
@@ -472,11 +482,10 @@ def grid_oracle(
 
     def score(indices) -> None:
         for i in indices:
-            r = residual(points[i])
-            values[i] = r @ r
+            values[i] = sum_of_squares(residual(points[i]))
 
     rows = gain_rows(mode, config.stage_count)
-    # Degree of r @ r in c when c is the gain of the last 1 or 2 stages.
+    # Degree of r^T r in c when c is the gain of the last 1 or 2 stages.
     degree = {1: 2, 2: 8}.get(rows.count(dim - 1), 0)
     probes = np.arange(degree + 1) * (resolution - 1) // max(degree, 1)
     c = axes[-1]

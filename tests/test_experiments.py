@@ -104,6 +104,9 @@ def test_config_validation_errors():
         dict(sigma_sq="1e-5"),
         # abs() would raise OverflowError for this alpha
         dict(alpha=complex(1.7e308, 1.7e308)),
+        # psd_span would raise OverflowError, and numpy cannot allocate the samples
+        dict(oversampling=10**400),
+        dict(symbols=10**400),
         # containers and paths of the wrong type would raise a bare TypeError,
         # and a generator would be used up by the entry check and run as ()
         dict(K_range=3),
@@ -664,6 +667,8 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         pytest.param({"seed": -1}, "seed", id="seed-negative"),
         pytest.param({"G": float("nan")}, "G", id="G-nan"),
         pytest.param({"sigma_sq": 10**400}, "sigma_sq", id="sigma_sq-overflow"),
+        pytest.param({"oversampling": 10**400}, "oversampling", id="oversampling-overflow"),
+        pytest.param({"symbols": 10**400}, "symbols", id="symbols-overflow"),
         pytest.param({"K_range": [2, 2]}, "K_range", id="K_range-repeated"),
         pytest.param({"modes": ["power", "power"]}, "modes", id="modes-repeated"),
         pytest.param({"alpha": [True, 0]}, "alpha", id="alpha-boolean-part"),

@@ -9,12 +9,17 @@ import collections
 import dataclasses
 import functools
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pachain
 from pachain import cascade, experiments, optimizer
 from pachain.cascade import CascadeConfig, PaStage
 from pachain.experiments import ExperimentConfig
@@ -30,9 +35,11 @@ from pachain.optimizer import (
     expand_parameters,
     grid_oracle,
     mode_dimension,
+    normal_equations,
     reduce_parameters,
     scenario_start,
     solve,
+    sum_of_squares,
 )
 from pachain.signals import draw_noise, unit_excitation
 
@@ -251,7 +258,7 @@ def always_with_tangents(residual):
         seen["last_plain"] = None if jacobian else key
         r, jac = residual(theta, jacobian=True)
         if jacobian:
-            seen["linearized"].add(float(r @ r))
+            seen["linearized"].add(sum_of_squares(r))
         return (r, jac) if jacobian else r
 
     return wrapped, seen
@@ -309,7 +316,8 @@ def test_criticality_is_the_projected_gradient_step_at_the_returned_point(monkey
     theta = result.parameters
     r, jac = build_residual(x, config, noise, mode)(theta, jacobian=True)
     lo, hi = spec.bounds()
-    expected = float(np.max(np.abs(np.clip(theta - 2.0 * (jac.T @ r), lo, hi) - theta)))
+    _, gradient = normal_equations(jac, r)
+    expected = float(np.max(np.abs(np.clip(theta - 2.0 * gradient, lo, hi) - theta)))
     assert result.criticality == expected
     assert result.criticality > 1e-3
 
@@ -395,10 +403,10 @@ def test_wider_mode_never_ends_above_narrower_mode(request, wider, narrower, see
 )
 def test_scenario1_solves_never_end_above_scenario1(request, seed):
     """Scenario 1's point (p0 = 1, unit gains) lies in the box of every case
-    that starts from it, so each of those solves ends at or below r @ r
-    there: on the shared study and at 512 symbols on other seeds.  The
-    solves start START_MARGIN inside the box, not at the point.  Compared
-    with no tolerance: power_s1 ends on the point itself."""
+    that starts from it, so each of those solves ends at or below the
+    objective there: on the shared study and at 512 symbols on other
+    seeds.  The solves start START_MARGIN inside the box, not at the point.
+    Compared with no tolerance: power_s1 ends on the point itself."""
     if seed is None:
         record = request.getfixturevalue("optimization_record")
     else:
@@ -414,7 +422,7 @@ def test_scenario1_solves_never_end_above_scenario1(request, seed):
             point = scenario_start(Scenario.ONE, stages, config.alpha, case.mode)
             r = build_residual(x, fixed, noise, case.mode)(point)
             objective = record.optimization_results[(stages, case.name)].objective
-            assert objective <= float(r @ r), (stages, case.name)
+            assert objective <= sum_of_squares(r), (stages, case.name)
 
 
 @pytest.mark.parametrize("stages", range(1, 6), ids=lambda k: f"K{k}")
@@ -476,19 +484,80 @@ def test_joint_equal_seed_28_reaches_the_grid_optimum():
     assert result.objective <= 1.01 * oracle_objective
 
 
+def test_study_does_not_depend_on_the_blas_thread_count():
+    """Every sum over a residual is sum_of_squares or normal_equations, in one
+    fixed order, so a small study gives the same bytes with OpenBLAS on one
+    thread and on two.  With BLAS products (r @ r, J^T J, J^T r) the two
+    differ in the last bits at 1,024 symbols on a 2-core host."""
+    code = (
+        "from pachain.experiments import ExperimentConfig, run_optimizations\n"
+        "from pachain.optimizer import Mode\n"
+        "modes = (Mode.POWER_ONLY, Mode.EQUAL_GAINS, Mode.UNEQUAL_GAINS)\n"
+        "config = ExperimentConfig(symbols=1024, K_range=(1, 2, 3), modes=modes)\n"
+        "results = run_optimizations(config).optimization_results\n"
+        "for key, result in sorted(results.items()):\n"
+        "    print(key, result.parameters.tobytes().hex(), repr(result.objective))\n"
+    )
+    src = str(Path(pachain.__file__).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0].splitlines()) == 12
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+def test_study_commutes_with_conjugation_and_rotation(mode):
+    """f(x) = x + alpha*x*|x|^2 commutes with a phase rotation, and with
+    conjugation when alpha is conjugated too, and the objective reads |r|
+    alone.  Conjugating the excitation, the noise and alpha only flips the
+    sign of the residual's imaginary parts, which every reduction squares
+    away, so each of the mode's study solves at K = 1..5 keeps every bit.
+    Rotating the excitation and the noise by 0.7 rad moves each solve by
+    rounding alone."""
+    config = ExperimentConfig(symbols=512)
+    x = experiments.excitation_for(config)
+    noise = experiments.optimization_noise(config, max(config.K_range), len(x))
+    cases = [case for case in experiments.CASES if case.mode is mode]
+
+    def study(config, transform):
+        x_t = dataclasses.replace(x, samples=transform(x.samples))
+        noise_t = dataclasses.replace(noise, stage_noise=transform(noise.stage_noise))
+        return {
+            (stages, case.name): experiments._case_point(config, x_t, noise_t, stages, case)[0]
+            for stages in config.K_range
+            for case in cases
+        }
+
+    reference = study(config, np.copy)
+    conjugated = study(dataclasses.replace(config, alpha=config.alpha.conjugate()), np.conj)
+    rotated = study(config, lambda z: z * np.exp(0.7j))
+    assert len(reference) == 5 * len(cases)
+    for key, result in reference.items():
+        assert conjugated[key].parameters.tobytes() == result.parameters.tobytes(), key
+        assert conjugated[key].objective == result.objective, key
+        assert np.max(np.abs(rotated[key].parameters - result.parameters)) <= 1e-8, key
+        assert abs(rotated[key].objective - result.objective) <= 1e-12 * result.objective, key
+
+
 # --------------------------------------------------------------- grid oracle
 
 
 def brute_force_oracle(x, config, noise, mode, resolution):
-    """Every grid point scored with r @ r; the first minimum in row-major order."""
+    """Every grid point scored with sum_of_squares; the first minimum in
+    row-major order."""
     residual = build_residual(x, config, noise, mode)
     lo, hi = optimizer.mode_bounds(mode, config.stage_count, config.gain_bounds)
     axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
     best, best_value = None, np.inf
     for point in itertools.product(*axes):
         theta = np.array(point)
-        r = residual(theta)
-        value = float(r @ r)
+        value = sum_of_squares(residual(theta))
         if value < best_value:
             best, best_value = theta, value
     return best, best_value
@@ -661,14 +730,14 @@ def lagrange(nodes, values, at):
 @pytest.mark.parametrize("alpha", [ALPHA, -0.9 + 0.3j], ids=["default", "strong"])
 def test_a_shared_gain_row_at_two_stages_is_a_degree_8_polynomial(alpha):
     """Along a joint-equal K2 row only g, the gain of both stages, moves:
-    g*f_1 + sigma*w_2 is linear in g, the output cubic times g, and r @ r of
-    degree 8.  The polynomial through 9 probes predicts every point to
+    g*f_1 + sigma*w_2 is linear in g, the output cubic times g, and the
+    objective of degree 8.  The polynomial through 9 probes predicts every point to
     rounding; through 8 it misses by more than the oracle's margin, so a
     lower degree could skip the point that wins."""
     x, config, noise = small_problem(2, sigma=0.01, alpha=alpha)
     residual = build_residual(x, config, noise, Mode.JOINT_EQUAL_GAINS)
     gains = np.linspace(*config.gain_bounds, 50)
-    exact = np.array([r @ r for r in (residual(np.array([1.0, g])) for g in gains)])
+    exact = np.array([sum_of_squares(residual(np.array([1.0, g]))) for g in gains])
 
     def miss(degree):
         probes = np.arange(degree + 1) * 49 // degree
