@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -43,6 +44,8 @@ from .optimizer import (
 from .signals import NoiseRealization, Signal, draw_noise, scale_amplitude, unit_excitation
 
 RRC_SPAN_SYMBOLS = 16
+# The most complex samples one numpy array can hold: its byte count must fit an intp.
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 ALL_MODES = tuple(Mode)
 
@@ -98,7 +101,9 @@ class ExperimentConfig:
     This is the one place that types a field: a JSON file reaches it through
     ``config_from_dict``, CLI flags through ``dataclasses.replace``.  A bad
     value raises a ConfigError that names its field.  A number may be a
-    Python or numpy number, but not a bool, and is stored as a Python one.
+    Python or numpy number, but not a bool, and is stored as a Python one;
+    no field may hold an integer of more digits than Python prints
+    (sys.get_int_max_str_digits()), since the manifest writes every field.
     Powers and amplitudes are relative to the unit-drive excitation, whose
     peak amplitude is 1.
 
@@ -110,7 +115,8 @@ class ExperimentConfig:
     epsilon: half-width of the per-stage gain box [(1-epsilon)*G,
         (1+epsilon)*G], as a fraction of G; a real number in [0, 1).
     K_range: the numbers of stages studied; a list or tuple of distinct
-        integers >= 1.
+        integers >= 1.  max(K_range) * symbols * oversampling must fit an
+        array: the noise of the longest chain.
     symbols: 16-QAM symbols in the excitation; an integer >= 1.
     oversampling: samples per symbol; an integer >= 2.
     rolloff: roll-off factor of the root-raised-cosine pulse; a real number
@@ -138,6 +144,16 @@ class ExperimentConfig:
     output_dir: Path = Path("runs")
 
     def __post_init__(self) -> None:
+        # Python prints no int of more than sys.get_int_max_str_digits() digits,
+        # so neither a message nor the manifest could hold one.
+        for name in (f.name for f in fields(self)):
+            try:
+                repr(getattr(self, name))
+            except ValueError:
+                raise ConfigError(
+                    f"{name} holds an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits, which Python cannot print"
+                ) from None
         # Tuples first, so that the entry checks cannot use up a one-shot iterable.
         for name in ("K_range", "modes"):
             value = getattr(self, name)
@@ -191,10 +207,16 @@ class ExperimentConfig:
         if len(set(self.modes)) < len(self.modes):
             raise ConfigError(f"modes entries must be distinct, got {self.modes}")
         # What numpy or report() rejects later; the count first, or psd_span overflows.
-        if not PSD_SEGMENT_LENGTH <= self.symbols * self.oversampling <= np.iinfo(np.intp).max:
+        if not PSD_SEGMENT_LENGTH <= self.symbols * self.oversampling <= _MAX_SAMPLES:
             raise ConfigError(
                 f"symbols * oversampling must be >= the PSD segment of {PSD_SEGMENT_LENGTH} "
                 f"samples and fit an array, got {self.symbols * self.oversampling}"
+            )
+        # The noise of the longest chain, one row of samples per stage.
+        if max(self.K_range, default=0) * self.symbols * self.oversampling > _MAX_SAMPLES:
+            raise ConfigError(
+                f"max(K_range) * symbols * oversampling must fit an array, got "
+                f"{max(self.K_range)} * {self.symbols} * {self.oversampling}"
             )
         span, needed = psd_span(self.oversampling), aclr_span(1.0 + self.rolloff)
         if span < needed:
@@ -282,7 +304,7 @@ def config_from_json(path: Path | str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long for int()
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"configuration root must be an object, got {type(data).__name__}")

@@ -15,11 +15,9 @@ so Converged is no certificate (solve names the one such stop of the default
 study).  Its Jacobian is exact: the residual
 carries the derivatives with respect to the at most K+1 parameters through
 the same cascade pass that computes it (forward-mode tangents in
-cascade_samples).  The tangents are paid for only where the solver needs
-them: the first trial of each iteration, which the damping schedule rejects
-about half the time, is scored on its residual alone, and its tangents are
-computed only if it is accepted; a retry after a rejection carries them from
-the start.  The residual is reduced only by sum_of_squares and
+cascade_samples), and every trial point is scored with its tangents, since
+the damping follows the gain ratio (Nielsen 1999) and most first trials are
+accepted.  The residual is reduced only by sum_of_squares and
 normal_equations, in einsum's fixed order, never BLAS's thread-dependent one.
 """
 
@@ -198,7 +196,7 @@ class OptimizationResult:
     objective_history: np.ndarray
     status: SolveStatus
     iterations: int
-    evaluations: int  # residual calls without tangents
+    evaluations: int  # residual calls without tangents (solve makes none)
     jacobian_evaluations: int  # residual calls with tangents
     # ||clip(theta - grad f, lo, hi) - theta||_inf at the returned point, from
     # its last linearization: 0 exactly at a first-order (KKT) point of the box.
@@ -314,25 +312,33 @@ def solve(
 ) -> OptimizationResult:
     """Projected Levenberg-Marquardt descent over the spec's box.
 
-    ``residual(theta)`` must return the residual vector, and
-    ``residual(theta, jacobian=True)`` the same vector and its exact Jacobian
-    (one row per residual entry), as build_residual's closure does; these
-    are reduced by sum_of_squares and normal_equations to r^T r, J^T J, J^T r.
+    ``residual(theta, jacobian=True)`` must return the residual vector and
+    its exact Jacobian (one row per residual entry), as build_residual's
+    closure does; these are reduced by sum_of_squares and normal_equations
+    to r^T r, J^T J, J^T r.
     The start is moved START_MARGIN of the box width inside the box.
     At each damping, a coordinate on a bound is held (its step is zero) when
     the gradient or the damped step points out of the box there, and the
     damped normal equations are solved on the others; with none on a bound,
     the step is the plain damped step.  Trial steps are clipped to the box
-    and accepted only on strict objective decrease; damping is multiplied by
-    10 on rejection and divided by 10 on acceptance.  The Jacobian is taken
-    at the start, at every accepted point and at every retry after a
-    rejection; the first trial of an iteration is scored on its residual
-    alone and linearized only if it is accepted.  The result counts both
-    kinds of call, and reports the criticality of its point from the
-    gradient of the last linearization, at no extra call; it does not enter
-    the status.  Terminates when the projected gradient is at most
-    GRADIENT_TOLERANCE times its starting magnitude, when the clipped step is
-    at most STEP_TOLERANCE, or after MAX_ITERATIONS.
+    and accepted only on strict objective decrease.  The damping lambda
+    starts at 1e-3 and follows the gain ratio rho of the actual to the
+    predicted decrease, the latter from the linear model at theta (Nielsen
+    1999, IMM-REP-1999-05; Madsen, Nielsen & Tingleff 2004, Methods for
+    Non-Linear Least Squares Problems, 3.2): on acceptance lambda is
+    multiplied by max(1/3, 1 - (2 rho - 1)^3), with rho = 0 when no decrease
+    is predicted, and floored at 1e-12; on rejection it is multiplied by nu,
+    which starts at 2 in each iteration and doubles with every rejection.
+    Every trial is scored with its Jacobian, so an accepted one is
+    linearized at no further call; ``evaluations`` (calls without tangents)
+    reads 0 and ``jacobian_evaluations`` counts every call.  The result
+    reports the criticality of its point from the gradient of the last
+    linearization, at no extra call; it does not enter the status.
+    Terminates when the projected gradient is at most GRADIENT_TOLERANCE
+    times its starting magnitude, when the clipped step is at most
+    STEP_TOLERANCE, or after MAX_ITERATIONS.  At the default study the step
+    tolerance decides 3 of the 30 stops: unequal-gains K = 3 at a zero step,
+    and power_s2 and joint_unequal at K = 5.
 
     Converged does not certify an optimum: the damped-step hold also holds a
     coordinate whose gradient points into the box, and so the default study's
@@ -345,18 +351,17 @@ def solve(
             f"start has {spec.start.size} parameters, mode {spec.mode.value} "
             f"over {spec.stage_count} stages needs {lo.size}"
         )
-    calls = [0, 0]  # without, with tangents
+    calls = 0
 
-    def evaluate(point: np.ndarray, jacobian: bool):
-        """(objective, J^T J, J^T r), the last two None without the Jacobian."""
-        calls[jacobian] += 1
-        if not jacobian:
-            return sum_of_squares(residual(point)), None, None
+    def evaluate(point: np.ndarray):
+        """(objective, J^T J, J^T r) at point, from one call with tangents."""
+        nonlocal calls
+        calls += 1
         r, jac = residual(point, jacobian=True)
         return (sum_of_squares(r), *normal_equations(jac, r))
 
     theta = _project_start(spec.start, lo, hi)
-    objective, normal, gradient = evaluate(theta, True)
+    objective, normal, gradient = evaluate(theta)
     if not np.isfinite(objective):
         raise InvalidStartError(f"objective is {objective} at start {theta}")
     history = [objective]
@@ -380,7 +385,7 @@ def solve(
         damping_scale[damping_scale == 0.0] = 1.0
         on_bound = (theta <= lo) | (theta >= hi)
         accepted = False
-        retry = False
+        nu = 2.0  # growth of lam on the next rejection
         while lam <= LAMBDA_LIMIT:
             damped = normal + lam * np.diag(damping_scale)
             step = np.linalg.solve(damped, -gradient)
@@ -392,21 +397,23 @@ def solve(
                 if free.size:
                     step[free] = np.linalg.solve(damped[np.ix_(free, free)], -gradient[free])
             trial = np.clip(theta + step, lo, hi)
-            if float(np.max(np.abs(trial - theta))) <= STEP_TOLERANCE:
+            step = trial - theta
+            if float(np.max(np.abs(step))) <= STEP_TOLERANCE:
                 status = SolveStatus.CONVERGED
                 break
-            trial_objective, trial_normal, trial_gradient = evaluate(trial, retry)
+            trial_objective, trial_normal, trial_gradient = evaluate(trial)
             if trial_objective < objective:
-                if trial_normal is None:
-                    _, trial_normal, trial_gradient = evaluate(trial, True)
+                # Decrease of the linear model ||r + J h||^2 over the step h.
+                predicted = -2.0 * float(step @ gradient) - float(step @ normal @ step)
+                ratio = (objective - trial_objective) / predicted if predicted > 0.0 else 0.0
                 theta, objective = trial, trial_objective
                 normal, gradient = trial_normal, trial_gradient
                 history.append(objective)
-                lam = max(lam / 10.0, 1e-12)
+                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
                 accepted = True
                 break
-            lam *= 10.0
-            retry = True
+            lam *= nu
+            nu *= 2.0
         if not accepted:
             if status is not SolveStatus.CONVERGED:
                 status = SolveStatus.STALLED_AT_BOUND
@@ -420,8 +427,8 @@ def solve(
         objective_history=np.array(history),
         status=status,
         iterations=iterations,
-        evaluations=calls[False],
-        jacobian_evaluations=calls[True],
+        evaluations=0,
+        jacobian_evaluations=calls,
         criticality=criticality,
     )
 

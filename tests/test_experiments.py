@@ -116,6 +116,16 @@ def test_config_validation_errors():
         dict(modes=None),
         dict(output_dir=5),
         dict(output_dir=None),
+        # Python cannot print these, so neither a message nor the manifest can
+        dict(seed=-10**5000),
+        dict(seed=10**5000),
+        dict(symbols=-10**5000),
+        dict(oversampling=-10**5000),
+        # numpy would fail on the noise of the longest chain without naming K_range
+        dict(K_range=(10**5000,)),
+        dict(K_range=(2**62,)),
+        # as many samples as an intp counts, but 16 times as many bytes
+        dict(K_range=(2**44,)),
     ):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ExperimentConfig(**bad)
@@ -679,11 +689,15 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         pytest.param({"modes": None}, "modes", id="modes-null"),
         pytest.param({"K_range": None}, "K_range", id="K_range-null"),
         pytest.param({"output_dir": None}, "output_dir", id="output_dir-null"),
+        pytest.param({"K_range": [2**62]}, "K_range", id="K_range-too-large"),
+        pytest.param({"seed": -10**4000}, "seed", id="seed-4001-digits-negative"),
+        # json cannot read an integer of more than 4,300 digits: the file is named
+        pytest.param('{"seed": ' + "9" * 5000 + "}", "bad.json", id="seed-5000-digits"),
     ],
 )
 def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("pachain: error:")
