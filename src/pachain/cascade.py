@@ -16,7 +16,7 @@ shrink.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Complex, Real
 from typing import Sequence
 
@@ -136,10 +136,9 @@ class EquivalentPa:
 
 @dataclass(frozen=True)
 class CascadeRun:
-    """Final output plus (optionally) every intermediate stage output."""
+    """The chain's output; each stage's comes from cascade_samples' stage_f."""
 
     output: Signal
-    stage_outputs: tuple[Signal, ...]
 
 
 def pa_nonlinearity(x, alpha):
@@ -300,32 +299,23 @@ def cascade_forward(
     """Run the full chain and return its output.
 
     ``x0`` must already be scaled to the configured drive (input_power).
-    The chain is one kernel call.  By default only the output is made a
-    Signal and stage_outputs is empty; ``keep_stages=True`` also keeps every
-    stage's output, for diagnostics, at one signal's memory per stage.
+    The chain is one kernel call, and only its output is kept.  A caller
+    that needs each stage's output passes a (K, N) array to
+    cascade_samples(..., stage_f=...), whose row k-1 times g_k is stage k's
+    output; ``keep_stages`` is accepted only as False.
 
     Emits ModelValidityWarning if any stage's mean input power exceeds the
     squared saturation input of that stage -- the model still evaluates (the
     cubic folds over exactly as written), but it no longer resembles an
     amplifier there.
     """
+    if keep_stages:
+        raise ValueError("no stage outputs are kept; use cascade_samples(..., stage_f=...)")
     check_noise(config, noise, len(x0))
-
-    def as_signal(samples: np.ndarray) -> Signal:
-        return Signal(
-            samples=samples,
-            oversampling=x0.oversampling,
-            symbol_count=x0.symbol_count,
-            nominal_power=float(np.mean(np.abs(samples) ** 2)),
-        )
-
-    gains = config.gains
-    stage_f = np.empty((len(gains), len(x0)), dtype=complex) if keep_stages else None
-    energy = np.zeros(len(gains))
+    energy = np.zeros(config.stage_count)
     samples = cascade_samples(
-        x0.samples, config.alphas, gains, config.sigma,
-        None if noise is None else noise.stage_noise,
-        stage_f=stage_f, input_energy=energy,
+        x0.samples, config.alphas, config.gains, config.sigma,
+        None if noise is None else noise.stage_noise, input_energy=energy,
     )
     overdriven = [
         k + 1
@@ -339,10 +329,8 @@ def cascade_forward(
             ModelValidityWarning,
             stacklevel=2,
         )
-    if not keep_stages:
-        return CascadeRun(output=as_signal(samples), stage_outputs=())
-    kept = tuple(as_signal(np.multiply(g, f, out=f)) for g, f in zip(gains, stage_f))
-    return CascadeRun(output=kept[-1], stage_outputs=kept)
+    nominal_power = float(np.mean(np.abs(samples) ** 2))
+    return CascadeRun(output=replace(x0, samples=samples, nominal_power=nominal_power))
 
 
 def equivalent_sigma(gains: Sequence[float], sigma: float) -> float:
@@ -396,12 +384,7 @@ def approx_cascade_forward(
                 f"noise length {len(noise_equiv)} != signal length {len(x0)}"
             )
         out = out + eq.sigma_tilde * noise_equiv
-    return Signal(
-        samples=out,
-        oversampling=x0.oversampling,
-        symbol_count=x0.symbol_count,
-        nominal_power=float(np.mean(np.abs(out) ** 2)),
-    )
+    return replace(x0, samples=out, nominal_power=float(np.mean(np.abs(out) ** 2)))
 
 
 def x_max(alpha: complex) -> float:

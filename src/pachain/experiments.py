@@ -410,6 +410,9 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
 
     A case runs if it has no mode or its mode is in ``config.modes``.  The
     excitation and each noise stream are drawn once for the whole pass.
+    Each distinct problem (K, scenario, free drive, gain rows) is solved and
+    evaluated once; a later case that poses it again, as unequal_gains and
+    joint_unequal do at K = 1, takes the first one's result, point and metrics.
     """
     record = RunRecord(config=config)
     cases = [case for case in cases if case.mode is None or case.mode in config.modes]
@@ -423,10 +426,17 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
     opt_noise = None
     if any(case.mode is not None for case in cases):
         opt_noise = optimization_noise(config, deepest, len(x_unit))
+    solved = {}  # problem -> (result, p0, gains, metrics) of its first case
     for stages in config.K_range:
         for case in cases:
-            result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
-            metrics = _evaluate(config, x_unit, make_cascade_config(config, gains), p0, eval_noise)
+            rows = None if case.mode is None else tuple(gain_rows(case.mode, stages))
+            problem = (stages, case.scenario, case.mode in FREE_POWER_MODES, rows)
+            if problem not in solved:
+                result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
+                chain_config = make_cascade_config(config, gains)
+                metrics = _evaluate(config, x_unit, chain_config, p0, eval_noise)
+                solved[problem] = (result, p0, gains, metrics)
+            result, p0, gains, metrics = solved[problem]
             key = (stages, case.name)
             if result is None:
                 record.scenario_metrics[key] = metrics

@@ -330,8 +330,10 @@ def solve(
     is predicted, and floored at 1e-12; on rejection it is multiplied by nu,
     which starts at 2 in each iteration and doubles with every rejection.
     Every trial is scored with its Jacobian, so an accepted one is
-    linearized at no further call; ``evaluations`` (calls without tangents)
-    reads 0 and ``jacobian_evaluations`` counts every call.  The result
+    linearized at no further call; a trial that the clip puts on the
+    iteration's last rejected one again is rejected without a call.
+    ``evaluations`` (calls without tangents) reads 0 and
+    ``jacobian_evaluations`` counts every call.  The result
     reports the criticality of its point from the gradient of the last
     linearization, at no extra call; it does not enter the status.
     Terminates when the projected gradient is at most GRADIENT_TOLERANCE
@@ -386,6 +388,7 @@ def solve(
         on_bound = (theta <= lo) | (theta >= hi)
         accepted = False
         nu = 2.0  # growth of lam on the next rejection
+        rejected = None  # bytes of this iteration's last rejected trial
         while lam <= LAMBDA_LIMIT:
             damped = normal + lam * np.diag(damping_scale)
             step = np.linalg.solve(damped, -gradient)
@@ -401,7 +404,9 @@ def solve(
             if float(np.max(np.abs(step))) <= STEP_TOLERANCE:
                 status = SolveStatus.CONVERGED
                 break
-            trial_objective, trial_normal, trial_gradient = evaluate(trial)
+            # A repeat of the last rejected trial keeps its values, which did not decrease.
+            if trial.tobytes() != rejected:
+                trial_objective, trial_normal, trial_gradient = evaluate(trial)
             if trial_objective < objective:
                 # Decrease of the linear model ||r + J h||^2 over the step h.
                 predicted = -2.0 * float(step @ gradient) - float(step @ normal @ step)
@@ -412,6 +417,7 @@ def solve(
                 lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
                 accepted = True
                 break
+            rejected = trial.tobytes()
             lam *= nu
             nu *= 2.0
         if not accepted:

@@ -48,6 +48,20 @@ def test_every_workload_builds(monkeypatch, tmp_path):
         assert callable(workloads.build(name, 42, tmp_path).run_round)
 
 
+def test_one_round_of_study_and_oracle_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    """One round each of the study and oracle workloads, written under
+    tmp_path, passes the benchmark's own correctness checks (run.check_round),
+    so a change that the benchmark would call incorrect fails here first.
+    The simulate round is left out: its round and checks take about 3 s."""
+    run = load("run", monkeypatch)
+    # check_round imports these by their plain names.
+    for name in ("checks", "workloads"):
+        monkeypatch.setitem(sys.modules, name, load(name, monkeypatch))
+    for name in ("study", "oracle"):
+        workload = sys.modules["workloads"].build(name, 42, tmp_path)
+        assert run.check_round(workload, workload.run_round()) == [], name
+
+
 def test_pachain_names_used_by_the_benchmark_exist():
     """Every `from pachain... import name` and every `module.name` on an
     imported pachain module, in each benchmark file."""

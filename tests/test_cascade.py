@@ -160,21 +160,6 @@ def test_linear_chain_is_pure_gain():
     )
 
 
-def test_stage_outputs_retention():
-    """The lean run's output equals the full run's bit for bit, samples and
-    nominal power, without noise and with it."""
-    x = unit_excitation(64, 8, 0.22, 16, 5)
-    for sigma, noise in [(0.0, None), (0.05, draw_noise(3, len(x), 7))]:
-        config = make_config([ALPHA] * 3, [1.0, 1.0, 1.0], sigma=sigma)
-        run = cascade_forward(x, config, noise, keep_stages=True)
-        assert len(run.stage_outputs) == 3
-        np.testing.assert_array_equal(run.stage_outputs[-1].samples, run.output.samples)
-        lean = cascade_forward(x, config, noise)
-        assert lean.stage_outputs == ()
-        assert lean.output.samples.tobytes() == run.output.samples.tobytes()
-        assert lean.output.nominal_power == run.output.nominal_power
-
-
 def per_stage_forward(x, config, noise):
     """The forward pass run stage by stage: the noise added outside the
     kernel, then one sigma = 0 kernel call per stage.  Returns every stage
@@ -196,9 +181,11 @@ def per_stage_forward(x, config, noise):
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 @pytest.mark.parametrize("stages", [1, 2, 3, 4, 5])
 def test_single_pass_matches_the_per_stage_forward(monkeypatch, stages, sigma):
-    """cascade_forward runs the chain in one kernel call, and every kept
-    stage output, the lean output and the overdriven stages it names are
-    those of the stage-by-stage pass.  Stage 2 alone is driven past its
+    """cascade_forward runs the chain in one kernel call, and its output and
+    the overdriven stages it names are those of the stage-by-stage pass, as
+    is each stage output g_k * f_k from the kernel's stage_f rows, the rows
+    the residual resumes from.  It keeps no stage outputs: keep_stages=True
+    raises before any kernel call.  Stage 2 alone is driven past its
     saturation input (mean input power 2.1 against x_max^2 = 1.005)."""
     x = unit_excitation(1100, 8, 0.22, 16, 5)  # 8,800 samples: two blocks
     noise = draw_noise(stages, len(x), 17) if sigma else None
@@ -215,18 +202,25 @@ def test_single_pass_matches_the_per_stage_forward(monkeypatch, stages, sigma):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(cascade, "cascade_samples", counted)
-    for keep_stages in (True, False):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run = cascade_forward(x, config, noise, keep_stages=keep_stages)
-        named = [(w.category, str(w.message).split(" driven")[0]) for w in caught]
-        assert named == (
-            [(ModelValidityWarning, f"stage(s) {overdriven}")] if overdriven else []
-        )
-        assert run.output.samples.tobytes() == expected[-1].tobytes()
-        kept = [stage.samples.tobytes() for stage in run.stage_outputs]
-        assert kept == ([y.tobytes() for y in expected] if keep_stages else [])
-    assert calls == [stages, stages]
+    with pytest.raises(ValueError, match=r"cascade_samples\(\.\.\., stage_f=\.\.\.\)"):
+        cascade_forward(x, config, noise, keep_stages=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = cascade_forward(x, config, noise, keep_stages=False)
+    named = [(w.category, str(w.message).split(" driven")[0]) for w in caught]
+    assert named == (
+        [(ModelValidityWarning, f"stage(s) {overdriven}")] if overdriven else []
+    )
+    assert run.output.samples.tobytes() == expected[-1].tobytes()
+    assert run.output.nominal_power == float(np.mean(np.abs(expected[-1]) ** 2))
+    assert calls == [stages]
+
+    stage_f = np.empty((stages, len(x)), dtype=complex)
+    rows = None if noise is None else noise.stage_noise
+    y = kernel(x.samples, config.alphas, config.gains, sigma, rows, stage_f=stage_f)
+    assert y.tobytes() == expected[-1].tobytes()
+    outputs = [np.multiply(g, f).tobytes() for g, f in zip(config.gains, stage_f)]
+    assert outputs == [out.tobytes() for out in expected]
 
 
 def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():

@@ -311,6 +311,43 @@ def test_run_cases_keeps_the_configured_modes():
     assert set(record.optimization_results) == {(1, "equal_gains")}
 
 
+def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
+    """The 40 rows of a default-K_range sweep take 28 solves and 38
+    evaluations: at K = 1, unequal_gains poses the problem of equal_gains
+    and joint_unequal that of joint_equal (a solve of its own keeps every
+    field), and each takes that row's result, point and metrics."""
+    calls = []
+    solve, evaluate = experiments.solve, experiments._evaluate
+
+    def counting_solve(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    def counting_evaluate(*args):
+        calls.append("evaluate")
+        return evaluate(*args)
+
+    monkeypatch.setattr(experiments, "solve", counting_solve)
+    monkeypatch.setattr(experiments, "_evaluate", counting_evaluate)
+    config = ExperimentConfig(symbols=128)
+    record = run_cases(config)
+    assert (calls.count("solve"), calls.count("evaluate")) == (28, 38)
+    assert len(record.scenario_metrics) + len(record.optimization_results) == 40
+
+    x = experiments.excitation_for(config)
+    noise = optimization_noise(config, 1, len(x))
+    for case, first in [("unequal_gains", "equal_gains"), ("joint_unequal", "joint_equal")]:
+        key = (1, case)
+        assert record.optimization_results[key] is record.optimization_results[1, first]
+        assert record.optimization_metrics[key] is record.optimization_metrics[1, first]
+        (p0, gains), (first_p0, first_gains) = (
+            record.optimized_parameters[key], record.optimized_parameters[1, first]
+        )
+        assert (p0, gains.tobytes()) == (first_p0, first_gains.tobytes())
+        own = experiments._case_point(config, x, noise, 1, experiments._CASE_NAMED[case])[0]
+        assert _result_fields(own) == _result_fields(record.optimization_results[key])
+
+
 def test_empty_run_is_allowed():
     record = run_scenarios(ExperimentConfig(K_range=()))
     assert record.scenario_metrics == {}
