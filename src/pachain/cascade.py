@@ -16,8 +16,8 @@ shrink.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from numbers import Complex, Real
+from dataclasses import dataclass, fields, replace
+from numbers import Complex, Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -37,17 +37,50 @@ class ModelValidityWarning(UserWarning):
     """A stage is being driven past the cubic model's monotone region."""
 
 
-def _require_numbers(owner, kind: type, *names: str) -> None:
-    """Raise a ValueError naming the first field whose value is not of kind.
+# Per kind of number a field may be annotated with, the type its values may
+# have and how a message names the kind.
+_NUMBER_TYPES = {
+    complex: (Complex, "a number"), float: (Real, "a real number"), int: (Integral, "an integer"),
+}
+
+
+def is_number(value, kind: type) -> bool:
+    """Whether value is a number of kind: complex, float or int.
 
     A bool is not a number here, although Python counts it as an int; numpy
     numbers count as the Python kind they stand for.
     """
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "a real number" if kind is Real else "a number"
-            raise ValueError(f"{name} must be {what}, got {value!r}")
+    return not isinstance(value, bool) and isinstance(value, _NUMBER_TYPES[kind][0])
+
+
+def as_number(value, kind: type, name: str, error: type[ValueError] = ValueError):
+    """value as a Python number of kind, or an error of class error naming name.
+
+    A number too large for a float becomes inf, for the caller's range checks.
+    """
+    if not is_number(value, kind):
+        raise error(f"{name} must be {_NUMBER_TYPES[kind][1]}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float
+        return np.inf
+
+
+def store_numbers(owner, error: type[ValueError] = ValueError) -> None:
+    """Store each field of a frozen dataclass annotated complex, float or int
+    as that Python kind, in field order, by as_number."""
+    for item in fields(owner):
+        kind = next((kind for kind in _NUMBER_TYPES if kind.__name__ == item.type), None)
+        if kind is not None:
+            value = as_number(getattr(owner, item.name), kind, item.name, error)
+            object.__setattr__(owner, item.name, value)
+
+
+def check_alpha(alpha: complex, error: type[ValueError] = ValueError) -> None:
+    """Reject a cubic coefficient beyond ALPHA_VALIDITY_LIMIT in magnitude."""
+    # np.abs gives inf where abs would raise OverflowError (|alpha| > 1e308).
+    if np.abs(alpha) > ALPHA_VALIDITY_LIMIT:
+        raise error(f"|alpha| must be <= {ALPHA_VALIDITY_LIMIT}, got {np.abs(alpha):.3g}")
 
 
 @dataclass(frozen=True)
@@ -61,18 +94,12 @@ class PaStage:
     gain: float
 
     def __post_init__(self) -> None:
-        _require_numbers(self, Complex, "alpha")
-        _require_numbers(self, Real, "gain")
+        store_numbers(self)
         if not 0 < self.gain < np.inf:
             raise ValueError(f"gain must be finite and > 0, got {self.gain}")
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        # np.abs gives inf where abs would raise OverflowError (|alpha| > 1e308).
-        if np.abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
-            raise ValueError(
-                f"|alpha| = {np.abs(self.alpha):.3g} exceeds the model validity "
-                f"limit {ALPHA_VALIDITY_LIMIT}"
-            )
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -91,7 +118,7 @@ class CascadeConfig:
         ):
             raise ValueError(f"stages must be a list or tuple of PaStage, got {self.stages!r}")
         object.__setattr__(self, "stages", tuple(self.stages))
-        _require_numbers(self, Real, "sigma", "input_power", "reference_gain", "epsilon")
+        store_numbers(self)
         if len(self.stages) < 1:
             raise ValueError("cascade needs at least one stage")
         if not 0 <= self.sigma < np.inf:
@@ -388,7 +415,12 @@ def approx_cascade_forward(
 
 
 def x_max(alpha: complex) -> float:
-    """Input magnitude where the stage's output magnitude peaks: sqrt(1/(3|alpha|))."""
+    """sqrt(1/(3|alpha|)), the input magnitude where |f| peaks for real alpha < 0.
+
+    For complex alpha the peak moves or goes: at the default alpha =
+    -0.33(1 - 0.1j), |f(r)| peaks at r = 1.00758, 0.50% above x_max = 1.00254,
+    and at alpha = 0.33 or -0.33j |f| rises without a peak.
+    """
     if alpha == 0:
         raise SaturationUndefinedError("a linear stage has no saturation point")
     return float(np.sqrt(1.0 / (3.0 * abs(alpha))))
@@ -398,8 +430,8 @@ def scenario2_gain(alpha: complex) -> float:
     """Gain restoring a stage's peak output to the saturation input level.
 
     g = x_max / |f(x_max)|.  A chain of such stages keeps the signal peak at
-    the saturation input of every stage, i.e. each PA runs at its maximum
-    usable drive.  The magnitude is used because gains are real while
+    x_max at every stage's input, which is where |f| peaks only for real
+    alpha < 0 (see x_max).  The magnitude is used because gains are real while
     f(x_max) is complex for complex alpha.
     """
     xm = x_max(alpha)

@@ -91,7 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates: dict = {}
+    # Every flag but --alpha-re/-im, --out, --K and --mode parses to its field's name.
+    updates = {
+        item.name: getattr(args, item.name)
+        for item in dataclasses.fields(config)
+        if getattr(args, item.name, None) is not None
+    }
     alpha = config.alpha
     if args.alpha_re is not None:
         alpha = complex(args.alpha_re, alpha.imag)
@@ -99,10 +104,6 @@ def _apply_flag_overrides(config: ExperimentConfig, args: argparse.Namespace) ->
         alpha = complex(alpha.real, args.alpha_im)
     if alpha != config.alpha:
         updates["alpha"] = alpha
-    for name in ("sigma_sq", "G", "epsilon", "symbols", "oversampling", "rolloff", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
     if args.out is not None:
         updates["output_dir"] = args.out
     if getattr(args, "K", None) is not None:

@@ -20,13 +20,14 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from numbers import Complex, Integral, Real
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .cascade import ALPHA_VALIDITY_LIMIT, CascadeConfig, PaStage, cascade_forward
+from .cascade import (
+    CascadeConfig, PaStage, cascade_forward, check_alpha, is_number, store_numbers,
+)
 from .metrics import FLOOR_DB, PSD_SEGMENT_LENGTH, MetricsReport, aclr_span, psd_span, report
 from .optimizer import (
     FREE_POWER_MODES,
@@ -82,18 +83,6 @@ class ConfigError(ValueError):
     """Bad experiment configuration (file or field level)."""
 
 
-# The kind of number each numeric field of ExperimentConfig takes, and per
-# kind its name and the Python type a value is stored as; numpy numbers count
-# as the Python kind they stand for.
-_NUMBER_FIELDS = dict(
-    alpha=Complex, sigma_sq=Real, G=Real, epsilon=Real, rolloff=Real,
-    symbols=Integral, oversampling=Integral, seed=Integral,
-)
-_NUMBER_KINDS = {
-    Complex: ("a number", complex), Real: ("a real number", float), Integral: ("an integer", int),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run depends on, each field checked here before any compute.
@@ -101,8 +90,8 @@ class ExperimentConfig:
     This is the one place that types a field: a JSON file reaches it through
     ``config_from_dict``, CLI flags through ``dataclasses.replace``.  A bad
     value raises a ConfigError that names its field.  A number may be a
-    Python or numpy number, but not a bool, and is stored as a Python one;
-    no field may hold an integer of more digits than Python prints
+    Python or numpy number, but not a bool, and is stored as the Python kind
+    of its annotation (cascade.store_numbers); no field may hold an integer of more digits than Python prints
     (sys.get_int_max_str_digits()), since the manifest writes every field.
     Powers and amplitudes are relative to the unit-drive excitation, whose
     peak amplitude is 1.
@@ -163,27 +152,14 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-        # A bool is not a number here, although Python counts it as an int.
-        for name, kind in _NUMBER_FIELDS.items():
-            value = getattr(self, name)
-            what, stored = _NUMBER_KINDS[kind]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
-            try:
-                value = stored(value)
-            except OverflowError:  # an integer too large for a float
-                value = np.inf
-            if kind is not Integral and not np.isfinite(value):
+        store_numbers(self, ConfigError)
+        for name, value in vars(self).items():
+            if isinstance(value, (float, complex)) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if any(isinstance(k, bool) or not isinstance(k, Integral) for k in self.K_range):
+        if not all(is_number(k, int) for k in self.K_range):
             raise ConfigError(f"K_range entries must be integers, got {self.K_range}")
         object.__setattr__(self, "K_range", tuple(int(k) for k in self.K_range))
-        # np.abs gives inf where abs would raise OverflowError (|alpha| > 1e308).
-        if np.abs(self.alpha) > ALPHA_VALIDITY_LIMIT:
-            raise ConfigError(
-                f"|alpha| must be <= {ALPHA_VALIDITY_LIMIT}, got {np.abs(self.alpha):.3g}"
-            )
+        check_alpha(self.alpha, ConfigError)
         if self.sigma_sq < 0:
             raise ConfigError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.G <= 0:
@@ -285,7 +261,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         pair = data["alpha"]
         if (
             not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or any(isinstance(part, bool) or not isinstance(part, Real) for part in pair)
+            or not all(is_number(part, float) for part in pair)
         ):
             raise ConfigError(f"alpha must be a [real, imaginary] pair, got {pair!r}")
         try:
@@ -461,16 +437,13 @@ def run_optimizations(config: ExperimentConfig) -> RunRecord:
 # File emission
 
 
-def _finite_db(value: float) -> float:
-    return FLOOR_DB if value == float("-inf") else float(value)
+def _db_text(value: float) -> str:
+    """repr of a dB value, with -inf written as FLOOR_DB."""
+    return repr(FLOOR_DB if value == float("-inf") else float(value))
 
 
 def _csv_bytes(header: str, rows: Iterable[str]) -> bytes:
     return "\n".join(chain([header], rows, [""])).encode("utf-8")
-
-
-def _full(value: float) -> str:
-    return repr(float(value))
 
 
 def _column_text(column: np.ndarray) -> list[str]:
@@ -497,74 +470,65 @@ class _ColumnText:
         return self._text
 
 
-def _pairs_csv(header: str, first: list[str], second: list[str]) -> bytes:
-    return _csv_bytes(header, map(",".join, zip(first, second)))
-
-
 def _case_sort_key(item: tuple[int, str]) -> tuple[int, int]:
     stages, case = item
     return (stages, CASES.index(_CASE_NAMED[case]))
 
 
+def _frees(stages: int, case: str) -> tuple[bool, bool]:
+    """Whether a row frees the drive, and whether it frees every stage's gain;
+    a scenario row frees neither."""
+    mode = _CASE_NAMED[case].mode
+    return mode in FREE_POWER_MODES, mode is not None and None not in gain_rows(mode, stages)
+
+
 def _build_files(record: RunRecord) -> dict[str, bytes]:
     """The run's files by name, each as the bytes to write.
 
-    AM/AM and PSD values are written as repr, whole columns at a time.  A
-    column that repeats from one file to the next (the AM/AM input at one
-    drive, the PSD frequency axis) is formatted once per call; the reuse
-    keeps only the last column of each of those two roles, so it is bounded
-    by two columns' text whatever the record holds.
+    The metric rows are walked once, in row order, and the optimized
+    parameters once.  AM/AM and PSD values are written as repr, whole
+    columns at a time.  A column that repeats from one file to the next (the
+    AM/AM input at one drive, the PSD frequency axis) is formatted once per
+    run of repeats; the reuse keeps only the last column of each of those two
+    roles, so it is bounded by two columns' text whatever the record holds.
     """
     files: dict[str, bytes] = {}
     amam_inputs, psd_axes = _ColumnText(), _ColumnText()
-
-    def add_signal_files(stages: int, case: str, metrics: MetricsReport) -> None:
-        files[f"amam_K{stages}_{case}.csv"] = _pairs_csv(
-            "input_mag,output_mag",
-            amam_inputs(metrics.amam[:, 0]),
-            _column_text(metrics.amam[:, 1]),
-        )
-        files[f"psd_K{stages}_{case}.csv"] = _pairs_csv(
-            "freq_symrate,psd_db",
-            psd_axes(metrics.psd.frequencies),
-            _column_text(metrics.psd.power_density),
-        )
-
-    for key in sorted(record.scenario_metrics, key=_case_sort_key):
-        add_signal_files(*key, record.scenario_metrics[key])
-
-    # Signal files of the optimized cases: those that free both p0 and gains.
-    for (stages, case) in sorted(record.optimization_metrics, key=_case_sort_key):
-        mode = _CASE_NAMED[case].mode
-        if mode in FREE_POWER_MODES and None not in gain_rows(mode, stages):
-            add_signal_files(stages, case, record.optimization_metrics[stages, case])
-
     metric_rows = []
     all_metrics = {**record.scenario_metrics, **record.optimization_metrics}
-    for (stages, case) in sorted(all_metrics, key=_case_sort_key):
-        metrics = all_metrics[(stages, case)]
+    for stages, case in sorted(all_metrics, key=_case_sort_key):
+        metrics = all_metrics[stages, case]
+        free_power, free_gains = _frees(stages, case)
+        # Signal files of the rows that free both p0 and every gain, or neither.
+        if free_power == free_gains:
+            for kind, header, shared, first, second in (
+                ("amam", "input_mag,output_mag", amam_inputs, *metrics.amam.T),
+                ("psd", "freq_symrate,psd_db", psd_axes, metrics.psd.frequencies,
+                 metrics.psd.power_density),
+            ):
+                files[f"{kind}_K{stages}_{case}.csv"] = _csv_bytes(
+                    header, map(",".join, zip(shared(first), _column_text(second)))
+                )
         metric_rows.append(
-            f"{stages},{case},{_full(_finite_db(metrics.nmse_db))},"
-            f"{_full(_finite_db(metrics.aclr_db))}"
+            f"{stages},{case},{_db_text(metrics.nmse_db)},{_db_text(metrics.aclr_db)}"
         )
     if metric_rows:
         files["metrics_vs_K.csv"] = _csv_bytes("K,scenario_or_mode,nmse_db,aclr_db", metric_rows)
 
-    power_rows = []
-    gain_table_rows = []
-    for (stages, case) in sorted(record.optimized_parameters, key=_case_sort_key):
-        p0, gains = record.optimized_parameters[(stages, case)]
-        mode = _CASE_NAMED[case].mode
-        if mode in FREE_POWER_MODES:
+    power_rows, gain_table_rows = [], []
+    for stages, case in sorted(record.optimized_parameters, key=_case_sort_key):
+        p0, gains = record.optimized_parameters[stages, case]
+        free_power, free_gains = _frees(stages, case)
+        if free_power:
             power_rows.append(f"{case},{stages},{p0:.2f}")
-        if None not in gain_rows(mode, stages):
-            for k, gain in enumerate(gains, start=1):
-                gain_table_rows.append(f"{case},{stages},{k},{gain:.2f}")
+        if free_gains:
+            gain_table_rows.extend(
+                f"{case},{stages},{k},{gain:.2f}" for k, gain in enumerate(gains, start=1)
+            )
     if power_rows:
         files["table_power.csv"] = _csv_bytes("case,K,p0", power_rows)
     if gain_table_rows:
         files["table_gains.csv"] = _csv_bytes("case,K,k,gain", gain_table_rows)
-
     return files
 
 

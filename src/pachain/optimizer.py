@@ -31,6 +31,7 @@ import numpy as np
 
 from .cascade import (
     CascadeConfig,
+    as_number,
     CascadeWorkspace,
     cascade_samples,
     check_noise,
@@ -338,9 +339,10 @@ def solve(
     linearization, at no extra call; it does not enter the status.
     Terminates when the projected gradient is at most GRADIENT_TOLERANCE
     times its starting magnitude, when the clipped step is at most
-    STEP_TOLERANCE, or after MAX_ITERATIONS.  At the default study the step
-    tolerance decides 3 of the 30 stops: unequal-gains K = 3 at a zero step,
-    and power_s2 and joint_unequal at K = 5.
+    STEP_TOLERANCE, or after MAX_ITERATIONS.  Per row of the default study
+    (30 rows from 28 solves), the step tolerance ends 3: unequal-gains K = 3
+    at a zero step, and power_s2 and joint_unequal at K = 5;
+    test_step_tolerance_ends_only_the_documented_stops tells the two tests apart.
 
     Converged does not certify an optimum: the damped-step hold also holds a
     coordinate whose gradient points into the box, and so the default study's
@@ -482,8 +484,7 @@ def grid_oracle(
             f"grid oracle covers at most 2 parameters; mode {mode.value} over "
             f"{config.stage_count} stages has {dim}"
         )
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+    resolution = as_number(resolution, int, "resolution")
     if resolution < 50:
         raise ValueError(f"resolution must be >= 50 per axis, got {resolution}")
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pachain
 import pachain.cli as cli
 import pachain.experiments as experiments
-from pachain.cascade import cascade_forward
+from pachain.cascade import CascadeConfig, PaStage, cascade_forward
 from pachain.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -191,6 +191,35 @@ def test_config_takes_numpy_numbers_as_python_ones():
     )
     assert type(config.sigma_sq) is float
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+_VALID = {
+    PaStage: PaStage(-0.33 + 0.033j, 1.0),
+    CascadeConfig: CascadeConfig((PaStage(-0.33 + 0.033j, 1.0),), 0.0, 1.0, 1.0, 0.3),
+    ExperimentConfig: ExperimentConfig(),
+}
+
+
+# How the type message names each kind of number field.
+_KIND_TEXT = {"complex": "a number", "float": "a real number", "int": "an integer"}
+
+
+@pytest.mark.parametrize(
+    "owner, item",
+    [(type(valid), item) for valid in _VALID.values() for item in fields(valid)
+     if item.type in _KIND_TEXT],
+    ids=lambda value: getattr(value, "__name__", None) or value.name,
+)
+@pytest.mark.parametrize("bad", [True, "1"], ids=repr)
+def test_a_number_field_takes_no_bool_and_no_text(owner, item, bad):
+    """Every field annotated complex, float or int rejects a bool and a
+    string with its class's error (ConfigError for ExperimentConfig, a plain
+    ValueError for the cascade's classes), naming the field and its kind."""
+    error = ConfigError if owner is ExperimentConfig else ValueError
+    with pytest.raises(ValueError) as exc:
+        replace(_VALID[owner], **{item.name: bad})
+    assert exc.type is error
+    assert str(exc.value) == f"{item.name} must be {_KIND_TEXT[item.type]}, got {bad!r}"
 
 
 def test_config_from_json_reports_bad_files(tmp_path):
@@ -667,6 +696,34 @@ def test_cli_flag_overrides_change_the_run(tmp_path):
     b = json.loads((out_b / "manifest.json").read_text())
     assert a["seed"] == 1 and b["seed"] == 2
     assert a["files"] != b["files"]
+
+
+_FLAG_VALUES = {
+    "--sigma-sq": ("sigma_sq", "0.002", 0.002),
+    "--G": ("G", "1.2", 1.2),
+    "--epsilon": ("epsilon", "0.1", 0.1),
+    "--symbols": ("symbols", "300", 300),
+    "--oversampling": ("oversampling", "6", 6),
+    "--rolloff": ("rolloff", "0.25", 0.25),
+    "--seed": ("seed", "9", 9),
+    "--out": ("output_dir", "elsewhere", Path("elsewhere")),
+    "--alpha-re": ("alpha", "-0.2", complex(-0.2, 0.05)),
+    "--alpha-im": ("alpha", "0.01", complex(-0.25, 0.01)),
+}
+
+
+@pytest.mark.parametrize("flag", list(_FLAG_VALUES))
+def test_each_flag_sets_only_its_own_field(flag):
+    """Each shared flag, parsed and applied to a config, sets its own field
+    and leaves every other field at the config's value."""
+    base = ExperimentConfig(
+        alpha=-0.25 + 0.05j, sigma_sq=1e-4, G=0.9, epsilon=0.2, symbols=256,
+        oversampling=4, rolloff=0.3, seed=5, output_dir=Path("base"),
+    )
+    name, text, value = _FLAG_VALUES[flag]
+    args = cli.build_parser().parse_args(["sweep", flag, text])
+    assert cli._apply_flag_overrides(base, args) == replace(base, **{name: value})
+    assert cli._apply_flag_overrides(base, cli.build_parser().parse_args(["sweep"])) == base
 
 
 def test_cli_bad_usage_exits_one():

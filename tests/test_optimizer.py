@@ -435,6 +435,57 @@ def test_last_gain_is_the_closed_form_best_gain():
         assert theta[-1] == pytest.approx(best, rel=1e-10, abs=0.0), (stages, case)
 
 
+def step_stops(record):
+    """The Converged rows of a study record that the step test ended.
+
+    Decided from outside solve: a fresh residual gives J^T r at the
+    margin-projected start, which sets the floor GRADIENT_TOLERANCE *
+    max(||J^T r||_inf, 1), and at the returned point, where a gradient stop
+    has its projected gradient at or under that floor and a step stop above
+    it (solve tries the gradient test first in every iteration)."""
+    config = record.config
+    x = experiments.excitation_for(config)
+    noise = experiments.optimization_noise(config, max(config.K_range), len(x))
+    stops = set()
+    for (stages, case), result in record.optimization_results.items():
+        assert result.status is SolveStatus.CONVERGED, (stages, case)
+        row = experiments._CASE_NAMED[case]
+        scenario, mode = row.scenario, row.mode
+        fixed = experiments.make_cascade_config(
+            config, experiments.scenario_gains(config, scenario, stages)
+        )
+        lo, hi = optimizer.mode_bounds(mode, stages, fixed.gain_bounds)
+        start = optimizer._project_start(
+            scenario_start(scenario, stages, config.alpha, mode), lo, hi
+        )
+        residual = build_residual(x, fixed, noise, mode)
+
+        def jtr(point):
+            r, jac = residual(point, jacobian=True)
+            return normal_equations(jac, r)[1]
+
+        floor = optimizer.GRADIENT_TOLERANCE * max(np.max(np.abs(jtr(start))), 1.0)
+        theta, gradient = result.parameters, jtr(result.parameters)
+        projected = np.where(
+            theta <= lo, np.minimum(gradient, 0.0),
+            np.where(theta >= hi, np.maximum(gradient, 0.0), gradient),
+        )
+        if np.max(np.abs(projected)) > floor:
+            stops.add((stages, case))
+    return stops
+
+
+def test_step_tolerance_ends_only_the_documented_stops(optimization_record):
+    """The stops that solve's docstring and the README give to STEP_TOLERANCE,
+    per row: three at the default config and two at 512 symbols.  Which test
+    ends a solve can turn on last-bit rounding, so a change of arithmetic
+    that moves a stop fails here and its docs must follow."""
+    assert step_stops(optimization_record) == {
+        (3, "unequal_gains"), (5, "power_s2"), (5, "joint_unequal"),
+    }
+    assert step_stops(seed_study(42)) == {(3, "unequal_gains"), (5, "power_s2")}
+
+
 # (wider, narrower): the wider case's box holds every (p0, gains) point of
 # the narrower case's box.
 NESTED_CASES = [
@@ -659,12 +710,14 @@ def test_grid_oracle_validation():
 
 @pytest.mark.parametrize("resolution", [60.0, 60.5, "60", True], ids=repr)
 def test_grid_oracle_rejects_a_resolution_that_is_not_an_integer(monkeypatch, resolution):
-    """The error names the field, and comes before the residual is built."""
+    """The error names the field and its kind, and comes before the residual
+    is built."""
     built = []
     monkeypatch.setattr(optimizer, "build_residual", lambda *args: built.append(args))
     x, config, noise = small_problem(1)
-    with pytest.raises(ValueError, match="resolution"):
+    with pytest.raises(ValueError) as exc:
         grid_oracle(x, config, noise, Mode.POWER_ONLY, resolution)
+    assert str(exc.value) == f"resolution must be an integer, got {resolution!r}"
     assert not built
 
 
