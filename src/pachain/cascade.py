@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import NoiseRealization, Signal
+from .signals import NoiseRealization, Signal, mean_power_of
 
 # |alpha| beyond this is outside the cubic model's sensible range: saturation
 # would sit below typical drive levels and the fit to a real PA is meaningless.
@@ -356,8 +356,9 @@ def cascade_forward(
             ModelValidityWarning,
             stacklevel=2,
         )
-    nominal_power = float(np.mean(np.abs(samples) ** 2))
-    return CascadeRun(output=replace(x0, samples=samples, nominal_power=nominal_power))
+    return CascadeRun(
+        output=replace(x0, samples=samples, nominal_power=mean_power_of(samples))
+    )
 
 
 def equivalent_sigma(gains: Sequence[float], sigma: float) -> float:
@@ -411,7 +412,7 @@ def approx_cascade_forward(
                 f"noise length {len(noise_equiv)} != signal length {len(x0)}"
             )
         out = out + eq.sigma_tilde * noise_equiv
-    return replace(x0, samples=out, nominal_power=float(np.mean(np.abs(out) ** 2)))
+    return replace(x0, samples=out, nominal_power=mean_power_of(out))
 
 
 def x_max(alpha: complex) -> float:
@@ -419,7 +420,8 @@ def x_max(alpha: complex) -> float:
 
     For complex alpha the peak moves or goes: at the default alpha =
     -0.33(1 - 0.1j), |f(r)| peaks at r = 1.00758, 0.50% above x_max = 1.00254,
-    and at alpha = 0.33 or -0.33j |f| rises without a peak.
+    and at alpha = 0.33 or -0.33j |f| rises without a peak (ExperimentConfig
+    rejects such an alpha; PaStage does not).
     """
     if alpha == 0:
         raise SaturationUndefinedError("a linear stage has no saturation point")

@@ -97,7 +97,10 @@ class ExperimentConfig:
     peak amplitude is 1.
 
     alpha: each stage's cubic coefficient in f(x) = x + alpha*x*|x|^2, per
-        unit amplitude squared; a number with |alpha| <= ALPHA_VALIDITY_LIMIT.
+        unit amplitude squared; a number with |alpha| <= ALPHA_VALIDITY_LIMIT,
+        either 0 (a linear chain) or compressive: Re(alpha) < 0 and
+        4 Re(alpha)^2 >= 3 |alpha|^2, so that |f| has a peak and scenario 2
+        has a saturation input to drive each stage to.
     sigma_sq: variance of the complex Gaussian noise added before each
         stage, per sample, in unit-drive power; a real number >= 0.
     G: reference gain, a linear amplitude ratio; a real number > 0.
@@ -160,6 +163,14 @@ class ExperimentConfig:
             raise ConfigError(f"K_range entries must be integers, got {self.K_range}")
         object.__setattr__(self, "K_range", tuple(int(k) for k in self.K_range))
         check_alpha(self.alpha, ConfigError)
+        # |f(r)|^2 = r^2 (1 + 2 Re(alpha) r^2 + |alpha|^2 r^4) has a peak in
+        # r > 0 only when Re(alpha) < 0 and 4 Re(alpha)^2 >= 3 |alpha|^2.
+        a = self.alpha
+        if a != 0 and not (a.real < 0 and 4 * a.real**2 >= 3 * abs(a) ** 2):
+            raise ConfigError(
+                f"alpha must be 0 or compressive (Re(alpha) < 0 and "
+                f"4 Re(alpha)^2 >= 3|alpha|^2), got {a}"
+            )
         if self.sigma_sq < 0:
             raise ConfigError(f"sigma_sq must be >= 0, got {self.sigma_sq}")
         if self.G <= 0:

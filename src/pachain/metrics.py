@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cascade import SAMPLE_BLOCK
 from .signals import DegenerateSignalError, Signal
 
 # Finite stand-in for -inf dB in serialized output.
@@ -62,15 +63,27 @@ class MetricsReport:
 
 
 def nmse(desired: Signal, actual: Signal) -> float:
-    """10*log10( sum|d - a|^2 / sum|d|^2 ); -inf when the residual is zero."""
+    """10*log10( sum|d - a|^2 / sum|d|^2 ); -inf when the residual is zero.
+
+    Each sum squares one real buffer in place and adds it in one np.sum, so
+    it has the bits of np.sum(np.abs(...) ** 2).  d - a is formed
+    SAMPLE_BLOCK samples at a time and only its |.| is kept, in that
+    buffer, so no full-length complex temporary is made.
+    """
     d = desired.samples
     a = actual.samples
     if len(d) != len(a):
         raise ValueError(f"length mismatch: {len(d)} vs {len(a)}")
-    denom = float(np.sum(np.abs(d) ** 2))
+    power = np.abs(d)
+    denom = float(np.sum(np.square(power, out=power)))
     if denom == 0.0:
         raise DegenerateSignalError("desired signal has zero energy")
-    num = float(np.sum(np.abs(d - a) ** 2))
+    difference = np.empty(min(len(d), SAMPLE_BLOCK), dtype=complex)
+    for start in range(0, len(d), SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        work = difference[: len(power[block])]
+        np.abs(np.subtract(d[block], a[block], out=work), out=power[block])
+    num = float(np.sum(np.square(power, out=power)))
     if num == 0.0:
         return float("-inf")
     return 10.0 * np.log10(num / denom)

@@ -32,6 +32,10 @@ class Signal:
 
     ``nominal_power`` is the mean of |sample|^2 and is kept consistent by the
     operations in this module.
+
+    No code writes a signal's samples in place: every operation returns new
+    samples or the same Signal, so two signals may share one array (see
+    scale_amplitude).
     """
 
     samples: np.ndarray
@@ -55,7 +59,14 @@ class Signal:
 
     @property
     def mean_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
+        return mean_power_of(self.samples)
+
+
+def mean_power_of(samples: np.ndarray) -> float:
+    """np.mean(np.abs(samples) ** 2) with the same bits, from one real buffer
+    squared in place."""
+    power = np.abs(samples)
+    return float(np.mean(np.square(power, out=power)))
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,19 @@ def pulse_shape(
         samples=shaped,
         oversampling=oversampling,
         symbol_count=len(symbols),
-        nominal_power=float(np.mean(np.abs(shaped) ** 2)),
+        nominal_power=mean_power_of(shaped),
     )
 
 
 def scale_amplitude(signal: Signal, factor: float) -> Signal:
-    """Multiply every sample by a real factor, updating nominal_power."""
+    """Multiply every sample by a real factor, updating nominal_power.
+
+    A factor of exactly 1.0 returns ``signal`` itself: multiplying by 1.0
+    changes no bit, and no code writes a signal's samples in place, so a
+    unit drive or a unit gain costs no full-length copy.
+    """
+    if factor == 1.0:
+        return signal
     return replace(
         signal,
         samples=signal.samples * factor,
@@ -175,7 +193,10 @@ def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
 
     Returns one independent sequence per stage; deterministic per seed, and
     the first k rows of a (stages >= k) draw equal the rows of a k-stage draw
-    with the same seed.
+    with the same seed.  Row k is (re + 1j*im) * sqrt(0.5) for the k-th pair
+    of standard-normal draws of length ``length``; its real and imaginary
+    parts are written in place, one draw at a time, which gives the same
+    bits with one real draw as the only temporary.
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
@@ -185,8 +206,7 @@ def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
     # One interleaved draw per stage keeps row k identical for any total
     # stage count, so a K=2 realization is a prefix of the K=5 one.
     noise = np.empty((stages, length), dtype=complex)
-    for k in range(stages):
-        re = rng.standard_normal(length)
-        im = rng.standard_normal(length)
-        noise[k] = (re + 1j * im) * np.sqrt(0.5)
+    for row in noise:
+        np.multiply(rng.standard_normal(length), np.sqrt(0.5), out=row.real)
+        np.multiply(rng.standard_normal(length), np.sqrt(0.5), out=row.imag)
     return NoiseRealization(stage_noise=noise, seed=seed)

@@ -88,6 +88,9 @@ def test_config_validation_errors():
         dict(alpha=complex(float("nan"), 0.0)),
         # PaStage would reject it only after the excitation was drawn
         dict(alpha=2.0),
+        # |f| has no peak, so scenario 2 would attenuate instead of saturating
+        dict(alpha=0.33),
+        dict(alpha=-0.33j),
         # metrics would reject these only after the simulation had run
         dict(oversampling=3),
         dict(oversampling=6, rolloff=1.0),
@@ -375,6 +378,25 @@ def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
         assert (p0, gains.tobytes()) == (first_p0, first_gains.tobytes())
         own = experiments._case_point(config, x, noise, 1, experiments._CASE_NAMED[case])[0]
         assert _result_fields(own) == _result_fields(record.optimization_results[key])
+
+
+def test_an_evaluation_holds_few_signal_lengths():
+    """At unit drive and unit gain an evaluation holds, beyond its inputs,
+    the chain output and one real buffer for the NMSE sums (or the PSD's
+    bounded chunks): a traced peak of 1.78 lengths of N complex samples at
+    N = 262,144.  Scaled copies of the input and the desired signal and
+    full-length d - a temporaries took 4.53 lengths."""
+    config = ExperimentConfig(symbols=32768, K_range=(3,), modes=())
+    x = experiments.excitation_for(config)
+    noise = evaluation_noise(config, 3, len(x))
+    chain = experiments.make_cascade_config(config, scenario_gains(config, Scenario.ONE, 3))
+    tracemalloc.start()  # traces what is allocated from here on
+    try:
+        experiments._evaluate(config, x, chain, 1.0, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * len(x)) < 3.0
 
 
 def test_empty_run_is_allowed():
@@ -764,6 +786,8 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         pytest.param({"K_range": 3}, "K_range", id="K_range-scalar"),
         pytest.param({"alpha": [1, None]}, "alpha", id="alpha-null-part"),
         pytest.param({"alpha": [2, 0]}, "alpha", id="alpha-above-limit"),
+        pytest.param({"alpha": [0.33, 0]}, "alpha", id="alpha-expansive"),
+        pytest.param({"alpha": [0, -0.33]}, "alpha", id="alpha-imaginary"),
         pytest.param({"output_dir": 5}, "output_dir", id="output_dir-number"),
         pytest.param({"modes": "power"}, "modes", id="modes-string"),
         pytest.param({"symbols": 1.7}, "symbols", id="symbols-fraction"),

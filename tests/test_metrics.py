@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pachain import metrics
+from pachain.cascade import SAMPLE_BLOCK
 from pachain.metrics import (
     DEFAULT_CHANNEL_BANDWIDTH,
     FLOOR_DB,
@@ -45,6 +46,16 @@ def test_nmse_known_offset():
     actual = make_signal(d + offset)
     expected = 10 * np.log10(len(d) * abs(offset) ** 2 / np.sum(np.abs(d) ** 2))
     assert nmse(desired, actual) == pytest.approx(expected, abs=1e-12)
+
+
+def test_nmse_has_the_bits_of_the_plain_expression():
+    """Blockwise differences and in-place squares add the same values in the
+    same order as the full-length expression, also over a partial block."""
+    length = 3 * SAMPLE_BLOCK + 120
+    d, a = white_noise(length, 10).samples, white_noise(length, 11).samples
+    a = d + 0.01 * a
+    expected = 10 * np.log10(np.sum(np.abs(d - a) ** 2) / np.sum(np.abs(d) ** 2))
+    assert nmse(make_signal(d), make_signal(a)) == expected
 
 
 def test_nmse_zero_reference_raises():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,14 @@ def test_scale_amplitude_scales_power_quadratically():
     assert doubled.mean_power == pytest.approx(4 * signal.mean_power, rel=1e-12)
 
 
+def test_scale_amplitude_by_one_returns_its_input():
+    """Multiplying by 1.0 changes no bit, so no copy is made."""
+    signal = unit_excitation(64, 8, 0.22, 16, SEED)
+    assert scale_amplitude(signal, 1.0) is signal
+    halved = scale_amplitude(signal, 0.5)
+    assert halved.samples.tobytes() == (signal.samples * 0.5).tobytes()
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         Signal(np.zeros((2, 8), dtype=complex), 4, 4, 0.0)
@@ -109,3 +119,27 @@ def test_draw_noise_stage_rows_are_prefix_stable():
     short = draw_noise(2, 512, SEED)
     long = draw_noise(5, 512, SEED)
     np.testing.assert_array_equal(short.stage_noise, long.stage_noise[:2])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_draw_noise_rows_equal_the_complex_expression(seed):
+    """Rows written part by part in place keep the bits of the expression."""
+    rng = np.random.default_rng(seed)
+    noise = draw_noise(3, 4099, seed)
+    for row in noise.stage_noise:
+        re = rng.standard_normal(4099)
+        im = rng.standard_normal(4099)
+        assert row.tobytes() == ((re + 1j * im) * np.sqrt(0.5)).tobytes()
+
+
+def test_draw_noise_holds_one_real_draw_beyond_its_rows():
+    """One row of N samples peaks at 1.5 row lengths traced; drawing the
+    real and imaginary parts and combining them took 3.0."""
+    length = 1 << 18
+    tracemalloc.start()
+    try:
+        draw_noise(1, length, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * length) < 2.0
