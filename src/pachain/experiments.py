@@ -291,6 +291,8 @@ def config_from_json(path: Path | str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # bad JSON, or an integer too long for int()
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):

@@ -17,8 +17,8 @@ carries the derivatives with respect to the at most K+1 parameters through
 the same cascade pass that computes it (forward-mode tangents in
 cascade_samples), and every trial point is scored with its tangents, since
 the damping follows the gain ratio (Nielsen 1999) and most first trials are
-accepted.  The residual is reduced only by sum_of_squares and
-normal_equations, in einsum's fixed order, never BLAS's thread-dependent one.
+accepted.  A call with tangents hands the solver r^T r, J^T J and J^T r
+alone, each an einsum in its fixed order, never BLAS's thread-dependent one.
 """
 
 from __future__ import annotations
@@ -209,14 +209,16 @@ def build_residual(
     config: CascadeConfig,
     noise: NoiseRealization | None,
     mode: Mode,
-) -> Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]:
+) -> Callable[..., np.ndarray | tuple[float, np.ndarray, np.ndarray]]:
     """Residual of the desired output against the cascade output.
 
     Returns a function theta -> the 2N real values of G*x_unit - y_K(theta),
     the float view of the complex residual (real and imaginary parts
-    interleaved).  Called with ``jacobian=True`` it returns the pair
-    (residual, J), with J the exact (2N, dim) Jacobian in the same layout,
-    from the same cascade pass.  The closure holds the noise realization and
+    interleaved).  Called with ``jacobian=True`` it returns instead
+    (r^T r, J^T J, J^T r) of that residual r and its exact Jacobian J, from
+    the same cascade pass: J = -dy is never formed, both products reduce the
+    float view of the tangents dy as the kernel wrote them, and r is written
+    over the output buffer.  The closure holds the noise realization and
     passes sigma and its unit rows to the kernel, which alone scales them, so
     the objective is deterministic while the realization is left unchanged.
 
@@ -286,8 +288,10 @@ def build_residual(
         filled = inputs
         if not jacobian:
             return (desired - y).view(float)
-        # d(desired - y) = -dy
-        return (desired - y).view(float), np.negative(dy).view(float).T
+        r = np.subtract(desired, y, out=y).view(float)
+        f = dy.view(float)
+        # J = d(desired - y) = -f^T, so J^T J = f f^T and J^T r = -f r.
+        return sum_of_squares(r), np.einsum("ji,ki->jk", f, f), -np.einsum("ji,i->j", f, r)
 
     return residual
 
@@ -297,11 +301,6 @@ def sum_of_squares(r: np.ndarray) -> float:
     return float(np.einsum("i,i->", r, r))
 
 
-def normal_equations(jac: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J^T J, J^T r) of a Jacobian and its residual, in einsum's fixed order."""
-    return np.einsum("ij,ik->jk", jac, jac), np.einsum("ij,i->j", jac, r)
-
-
 def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     margin = START_MARGIN * (hi - lo)
     return np.clip(np.asarray(start, dtype=float), lo + margin, hi - margin)
@@ -309,14 +308,13 @@ def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 
 def solve(
     spec: OptimizationSpec,
-    residual: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]],
+    residual: Callable[..., np.ndarray | tuple[float, np.ndarray, np.ndarray]],
 ) -> OptimizationResult:
     """Projected Levenberg-Marquardt descent over the spec's box.
 
-    ``residual(theta, jacobian=True)`` must return the residual vector and
-    its exact Jacobian (one row per residual entry), as build_residual's
-    closure does; these are reduced by sum_of_squares and normal_equations
-    to r^T r, J^T J, J^T r.
+    ``residual(theta, jacobian=True)`` must return (r^T r, J^T J, J^T r) of
+    the residual r and its exact Jacobian J at theta, as build_residual's
+    closure does; these are all the step needs, so solve never sees r or J.
     The start is moved START_MARGIN of the box width inside the box.
     At each damping, a coordinate on a bound is held (its step is zero) when
     the gradient or the damped step points out of the box there, and the
@@ -358,11 +356,10 @@ def solve(
     calls = 0
 
     def evaluate(point: np.ndarray):
-        """(objective, J^T J, J^T r) at point, from one call with tangents."""
+        """(objective, J^T J, J^T r) at point, from one counted call with tangents."""
         nonlocal calls
         calls += 1
-        r, jac = residual(point, jacobian=True)
-        return (sum_of_squares(r), *normal_equations(jac, r))
+        return residual(point, jacobian=True)
 
     theta = _project_start(spec.start, lo, hi)
     objective, normal, gradient = evaluate(theta)

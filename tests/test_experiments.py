@@ -235,6 +235,19 @@ def test_config_from_json_reports_bad_files(tmp_path):
         config_from_json(path)
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, name):
+    """A missing path or a directory is a ConfigError naming the path, so the
+    CLI prints one error line, no traceback, and exits 1."""
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        config_from_json(path)
+    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"pachain: error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 def test_noise_streams_are_distinct():
     config = ExperimentConfig(seed=5)
     opt = optimization_noise(config, 2, 64)
@@ -572,6 +585,38 @@ def test_emit_is_deterministic(tmp_path):
         return json.loads((out / "manifest.json").read_text())["files"]
 
     assert digests(tmp_path / "a") == digests(tmp_path / "b")
+
+
+def chain_curve(amplitude, alpha, gains):
+    """|F_K(r)|: the stage recursion y <- g*(y + alpha*y*|y|^2) from real
+    amplitudes r, in plain numpy."""
+    y = amplitude.astype(complex)
+    for gain in gains:
+        y = gain * (y + alpha * y * (y.real * y.real + y.imag * y.imag))
+    return np.abs(y)
+
+
+def test_noise_free_amam_points_lie_on_the_chain_curve(tmp_path):
+    """At sigma = 0 the memoryless, phase-equivariant chain maps an input of
+    magnitude r to one of magnitude |F_K(r)|, so every written AM/AM point
+    (|x|, |y|) of the 512-symbol study lies on the curve of its row's gains
+    to 1e-12 relative (8.1e-16 measured)."""
+    config = ExperimentConfig(symbols=512, sigma_sq=0.0, output_dir=tmp_path)
+    record = run_cases(config)
+    emit_outputs(record)
+    names = sorted(path.name for path in tmp_path.glob("amam_*.csv"))
+    assert len(names) == 20
+    for name in names:
+        stages, case = re.fullmatch(r"amam_K(\d+)_(\w+)\.csv", name).groups()
+        key = (int(stages), case)
+        if key in record.optimized_parameters:
+            gains = record.optimized_parameters[key][1]
+        else:
+            gains = scenario_gains(config, experiments._CASE_NAMED[case].scenario, key[0])
+        points = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        assert len(points) == config.symbols
+        expected = chain_curve(points[:, 0], config.alpha, gains)
+        np.testing.assert_allclose(points[:, 1], expected, rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def test_emit_empty_record_warns(tmp_path):

@@ -12,6 +12,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from pachain.optimizer import (
     expand_parameters,
     grid_oracle,
     mode_dimension,
-    normal_equations,
     reduce_parameters,
     scenario_start,
     solve,
@@ -152,13 +152,19 @@ def linear_spec(start, lo, hi):
     )
 
 
+def gauss_newton_terms(r, jac):
+    """(r^T r, J^T J, J^T r) of a residual and its Jacobian: what a residual
+    returns to solve when called with tangents."""
+    return sum_of_squares(r), np.einsum("ij,ik->jk", jac, jac), np.einsum("ij,i->j", jac, r)
+
+
 def linear_residual(A, b):
     """theta -> A @ theta - b, whose exact Jacobian is A."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
 
     def residual(theta, jacobian=False):
         r = A @ theta - b
-        return (r, A) if jacobian else r
+        return gauss_newton_terms(r, A) if jacobian else r
 
     return residual
 
@@ -201,7 +207,7 @@ def test_solver_iteration_budget():
         r = np.array([10 * (theta[1] - theta[0] ** 2), 1 - theta[0]])
         if not jacobian:
             return r
-        return r, np.array([[-20 * theta[0], 10.0], [-1.0, 0.0]])
+        return gauss_newton_terms(r, np.array([[-20 * theta[0], 10.0], [-1.0, 0.0]]))
 
     spec = linear_spec([-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0])
     with pytest.MonkeyPatch.context() as patch:
@@ -244,10 +250,11 @@ def test_full_drive_optimum_lands_on_upper_bound_exactly():
 
 
 def always_with_tangents(residual):
-    """residual, computing the tangents on every call and dropping J when it
-    was not asked for.  Counts the calls of each kind, and the points
-    evaluated: a Jacobian call at the point just scored objective-only is
-    not a new point.  Keeps the objectives at which J was asked for."""
+    """residual, computing the tangents on every call; a call that did not
+    ask for them then returns the plain residual at the same point.  Counts
+    the calls of each kind, and the points evaluated: a Jacobian call at the
+    point just scored objective-only is not a new point.  Keeps the
+    objectives at which J was asked for."""
     seen = {False: 0, True: 0, "points": 0, "last_plain": None, "linearized": set()}
 
     def wrapped(theta, jacobian=False):
@@ -256,10 +263,11 @@ def always_with_tangents(residual):
         if not (jacobian and key == seen["last_plain"]):
             seen["points"] += 1
         seen["last_plain"] = None if jacobian else key
-        r, jac = residual(theta, jacobian=True)
+        terms = residual(theta, jacobian=True)
         if jacobian:
-            seen["linearized"].add(sum_of_squares(r))
-        return (r, jac) if jacobian else r
+            seen["linearized"].add(terms[0])
+            return terms
+        return residual(theta)
 
     return wrapped, seen
 
@@ -314,9 +322,8 @@ def test_criticality_is_the_projected_gradient_step_at_the_returned_point(monkey
     assert result.status is SolveStatus.MAX_ITERATIONS
 
     theta = result.parameters
-    r, jac = build_residual(x, config, noise, mode)(theta, jacobian=True)
+    _, _, gradient = build_residual(x, config, noise, mode)(theta, jacobian=True)
     lo, hi = spec.bounds()
-    _, gradient = normal_equations(jac, r)
     expected = float(np.max(np.abs(np.clip(theta - 2.0 * gradient, lo, hi) - theta)))
     assert result.criticality == expected
     assert result.criticality > 1e-3
@@ -461,8 +468,7 @@ def step_stops(record):
         residual = build_residual(x, fixed, noise, mode)
 
         def jtr(point):
-            r, jac = residual(point, jacobian=True)
-            return normal_equations(jac, r)[1]
+            return residual(point, jacobian=True)[2]
 
         floor = optimizer.GRADIENT_TOLERANCE * max(np.max(np.abs(jtr(start))), 1.0)
         theta, gradient = result.parameters, jtr(result.parameters)
@@ -604,10 +610,12 @@ def test_joint_equal_seed_28_reaches_the_grid_optimum():
 
 
 def test_study_does_not_depend_on_the_blas_thread_count():
-    """Every sum over a residual is sum_of_squares or normal_equations, in one
-    fixed order, so a small study gives the same bytes with OpenBLAS on one
-    thread and on two.  With BLAS products (r @ r, J^T J, J^T r) the two
-    differ in the last bits at 1,024 symbols on a 2-core host."""
+    """Every sum over a residual or its tangents (r^T r, J^T J and J^T r of
+    the residual's call with tangents, sum_of_squares of the oracle's) is an
+    einsum, in one fixed order, so a small study gives the same bytes with
+    OpenBLAS on one thread and on two.  With BLAS products (r @ r, J^T J,
+    J^T r) the two differ in the last bits at 1,024 symbols on a 2-core
+    host."""
     code = (
         "from pachain.experiments import ExperimentConfig, run_optimizations\n"
         "from pachain.optimizer import Mode\n"
@@ -913,24 +921,68 @@ def residual_points(draw):
 @settings(deadline=None)
 @given(residual_points())
 def test_jacobian_matches_central_differences(case):
+    """J^T J and J^T r of the call with tangents match those of a
+    central-difference Jacobian C of the plain call.  Each column of C is
+    within 1e-6 times the norm of J's column, which bounds entry (i, k) of
+    C^T C - J^T J by (2e-6 + 1e-12) |J_i| |J_k| and entry i of C^T r - J^T r
+    by 1e-6 |J_i| |r| (Cauchy-Schwarz); the bounds below add 1% for the
+    rounding of the products."""
     residual, theta = case
-    _, jac = residual(theta, jacobian=True)
+    _, normal, gradient = residual(theta, jacobian=True)
+    columns = []
     for i in range(theta.size):
         h = 1e-6 * max(1.0, abs(theta[i]))
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        central = (residual(up) - residual(down)) / (2.0 * h)
-        column = jac[:, i]
-        assert np.linalg.norm(column - central) <= 1e-6 * np.linalg.norm(column)
+        columns.append((residual(up) - residual(down)) / (2.0 * h))
+    r = residual(theta)
+    _, central_normal, central_gradient = gauss_newton_terms(r, np.stack(columns, axis=1))
+    norms = np.sqrt(np.diag(normal))
+    assert np.all(np.abs(central_normal - normal) <= 2.02e-6 * np.outer(norms, norms))
+    assert np.all(
+        np.abs(central_gradient - gradient) <= 1.01e-6 * norms * np.sqrt(sum_of_squares(r))
+    )
 
 
 @settings(deadline=None)
 @given(residual_points())
 def test_jacobian_call_returns_the_same_residual(case):
+    """The objective r^T r of the call with tangents is bit for bit
+    sum_of_squares of the plain call's residual at the same point."""
     residual, theta = case
-    r, _ = residual(theta, jacobian=True)
-    assert np.array_equal(r, residual(theta))
+    objective, _, _ = residual(theta, jacobian=True)
+    assert objective == sum_of_squares(residual(theta))
+
+
+TANGENT_MEMORY_CASES = [(mode, 5) for mode in Mode] + [(Mode.POWER_ONLY, 1)]
+
+
+@pytest.mark.parametrize(
+    "mode, stages", TANGENT_MEMORY_CASES,
+    ids=[f"{mode.value}-K{stages}" for mode, stages in TANGENT_MEMORY_CASES],
+)
+def test_a_tangent_call_holds_under_half_a_signal_length(mode, stages):
+    """At 4,096 symbols one call with tangents on a built closure allocates
+    a traced peak of 0.25 lengths of N complex samples: it reduces the
+    tangents where they lie and writes the residual over its own output.  A
+    negated (2N, dim) Jacobian copy and a fresh residual took 2.0 (power
+    K1) to 7.0 (joint-unequal K5) lengths."""
+    config = ExperimentConfig()
+    x = experiments.excitation_for(config)
+    noise = experiments.optimization_noise(config, stages, len(x))
+    chain = experiments.make_cascade_config(
+        config, experiments.scenario_gains(config, Scenario.ONE, stages)
+    )
+    residual = build_residual(x, chain, noise, mode)
+    theta = scenario_start(Scenario.ONE, stages, config.alpha, mode)
+    tracemalloc.start()  # traces what is allocated from here on
+    try:
+        residual(theta, jacobian=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * len(x)) < 0.5
 
 
 @pytest.mark.parametrize("jacobian", [False, True])
@@ -940,6 +992,12 @@ def test_residual_rejects_a_wrong_shape(jacobian):
     for theta in (np.array([0.5, 1.0, 1.0]), np.array([0.5]), np.array([[0.5, 1.0]])):
         with pytest.raises(ValueError, match="takes 2 parameters"):
             residual(theta, jacobian=jacobian)
+
+
+def returned_arrays(value, jacobian):
+    """What a residual call returned, as a tuple of arrays: the residual, or
+    the objective, J^T J and J^T r."""
+    return tuple(np.asarray(part) for part in value) if jacobian else (value,)
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -959,9 +1017,9 @@ def test_residual_closure_reuses_its_arrays_safely(monkeypatch, mode):
     for _ in range(2):
         for theta in points:
             for jacobian in (False, True):
-                got = shared(theta, jacobian=jacobian)
+                got = returned_arrays(shared(theta, jacobian=jacobian), jacobian)
                 fresh = build_residual(x, config, noise, mode)(theta, jacobian=jacobian)
-                got, fresh = (got, fresh) if jacobian else ((got,), (fresh,))
+                fresh = returned_arrays(fresh, jacobian)
                 assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
                 returned.extend(got)
                 copies.extend(a.copy() for a in got)
@@ -1007,9 +1065,9 @@ def test_stage_reuse_matches_a_fresh_closure(case):
         shared = build_residual(x, config, noise, mode)
         returned, copies = [], []
         for theta, jacobian in walk:
-            got = shared(theta, jacobian=jacobian)
+            got = returned_arrays(shared(theta, jacobian=jacobian), jacobian)
             fresh = build_residual(x, config, noise, mode)(theta, jacobian=jacobian)
-            got, fresh = (got, fresh) if jacobian else ((got,), (fresh,))
+            fresh = returned_arrays(fresh, jacobian)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in fresh]
             returned.extend(got)
             copies.extend(a.copy() for a in got)
