@@ -268,9 +268,12 @@ def cascade_samples(
     stage; every output bit is the same as in one pass over all of them.
     The temporaries of a block live in ``workspace`` (a fresh
     CascadeWorkspace when None), and y is written into ``out`` (a fresh
-    array when None), which must not overlap x0.  Every product keeps the
-    operand order of the plain expressions in the comments (complex
-    multiplication is not bit-commutative under FMA).
+    array when None), which must not overlap x0, with one exception: a
+    one-stage call with no ``stage_f`` and no ``tangent`` may pass x0 itself
+    as ``out``, since it reads each block of x0 before it writes that block
+    of y; the output has the same bits as in a fresh ``out``.  Every product
+    keeps the operand order of the plain expressions in the comments
+    (complex multiplication is not bit-commutative under FMA).
     """
     work = CascadeWorkspace() if workspace is None else workspace
     y_all = np.empty(len(x0), dtype=complex) if out is None else out
@@ -317,24 +320,49 @@ def cascade_samples(
     return y_all
 
 
+def warn_if_overdriven(alphas: Sequence[complex], input_energy: np.ndarray, length: int) -> None:
+    """Emit ModelValidityWarning if a stage is driven past its saturation input.
+
+    Stage k (1-based) is overdriven when its mean input power,
+    input_energy[k-1] / length, exceeds x_max(alphas[k-1])**2; a linear
+    stage never is.  The model still evaluates there (the cubic folds over
+    exactly as written), but it no longer resembles an amplifier.  The
+    warning names every overdriven stage and points at the caller of the
+    function that calls this one.
+    """
+    overdriven = [
+        k + 1
+        for k, alpha in enumerate(alphas)
+        if alpha != 0 and input_energy[k] / length > x_max(alpha) ** 2
+    ]
+    if overdriven:
+        warnings.warn(
+            f"stage(s) {overdriven} driven past the saturation input; the "
+            "cubic model folds over in this regime",
+            ModelValidityWarning,
+            stacklevel=3,
+        )
+
+
 def cascade_forward(
     x0: Signal,
     config: CascadeConfig,
     noise: NoiseRealization | None = None,
     keep_stages: bool = False,
 ) -> CascadeRun:
-    """Run the full chain and return its output.
+    """Run one whole chain and return its output.
 
     ``x0`` must already be scaled to the configured drive (input_power).
     The chain is one kernel call, and only its output is kept.  A caller
     that needs each stage's output passes a (K, N) array to
     cascade_samples(..., stage_f=...), whose row k-1 times g_k is stage k's
-    output; ``keep_stages`` is accepted only as False.
+    output; ``keep_stages`` is accepted only as False.  A caller that needs
+    the output after every stage k = 1..K, as the scenario sweep of
+    experiments.run_cases does, runs one-stage cascade_samples calls over
+    one buffer instead.
 
-    Emits ModelValidityWarning if any stage's mean input power exceeds the
-    squared saturation input of that stage -- the model still evaluates (the
-    cubic folds over exactly as written), but it no longer resembles an
-    amplifier there.
+    The kernel's per-stage input energy goes to warn_if_overdriven, which
+    warns if a stage is driven past its saturation input.
     """
     if keep_stages:
         raise ValueError("no stage outputs are kept; use cascade_samples(..., stage_f=...)")
@@ -344,18 +372,7 @@ def cascade_forward(
         x0.samples, config.alphas, config.gains, config.sigma,
         None if noise is None else noise.stage_noise, input_energy=energy,
     )
-    overdriven = [
-        k + 1
-        for k, stage in enumerate(config.stages)
-        if stage.alpha != 0 and energy[k] / len(x0) > x_max(stage.alpha) ** 2
-    ]
-    if overdriven:
-        warnings.warn(
-            f"stage(s) {overdriven} driven past the saturation input; the "
-            "cubic model folds over in this regime",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
+    warn_if_overdriven([stage.alpha for stage in config.stages], energy, len(x0))
     return CascadeRun(
         output=replace(x0, samples=samples, nominal_power=mean_power_of(samples))
     )

@@ -18,15 +18,22 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
-from itertools import chain
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .cascade import (
-    CascadeConfig, PaStage, cascade_forward, check_alpha, is_number, store_numbers,
+    CascadeConfig,
+    PaStage,
+    cascade_forward,
+    cascade_samples,
+    check_alpha,
+    is_number,
+    store_numbers,
+    warn_if_overdriven,
 )
 from .metrics import FLOOR_DB, PSD_SEGMENT_LENGTH, MetricsReport, aclr_span, psd_span, report
 from .optimizer import (
@@ -42,7 +49,15 @@ from .optimizer import (
     scenario_start,
     solve,
 )
-from .signals import NoiseRealization, Signal, draw_noise, scale_amplitude, unit_excitation
+from .signals import (
+    NoiseRealization,
+    Signal,
+    draw_noise,
+    mean_power_of,
+    noise_rows,
+    scale_amplitude,
+    unit_excitation,
+)
 
 RRC_SPAN_SYMBOLS = 16
 # The most complex samples one numpy array can hold: its byte count must fit an intp.
@@ -330,6 +345,11 @@ def evaluation_noise(config: ExperimentConfig, stages: int, length: int) -> Nois
     return draw_noise(stages, length, config.seed + 2)
 
 
+def evaluation_rows(config: ExperimentConfig, length: int) -> Iterator[np.ndarray]:
+    """The rows of evaluation_noise in order, each written over one buffer."""
+    return noise_rows(config.seed + 2, repeat(np.empty(length, dtype=complex)))
+
+
 def scenario_gains(config: ExperimentConfig, scenario: Scenario, stages: int) -> np.ndarray:
     """Stage gains for a bracketing scenario: those of its scenario_start."""
     return scenario_start(scenario, stages, config.alpha)[1:]
@@ -349,6 +369,17 @@ def make_cascade_config(
     )
 
 
+def _report(config: ExperimentConfig, x_unit: Signal, x0: Signal, output: Signal) -> MetricsReport:
+    """Metrics of a chain's output, given its input x0."""
+    return report(
+        scale_amplitude(x_unit, config.G),
+        output,
+        reference_input=x0,
+        channel_bandwidth=1.0 + config.rolloff,
+        amam_decimate=config.oversampling,
+    )
+
+
 def _evaluate(
     config: ExperimentConfig,
     x_unit: Signal,
@@ -358,15 +389,7 @@ def _evaluate(
 ) -> MetricsReport:
     """Metrics of the configured chain at drive p0 on the given realization."""
     x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
-    run = cascade_forward(x0, cascade_cfg, noise)
-    desired = scale_amplitude(x_unit, config.G)
-    return report(
-        desired,
-        run.output,
-        reference_input=x0,
-        channel_bandwidth=1.0 + config.rolloff,
-        amam_decimate=config.oversampling,
-    )
+    return _report(config, x_unit, x0, cascade_forward(x0, cascade_cfg, noise).output)
 
 
 # --------------------------------------------------------------------------
@@ -379,27 +402,69 @@ def _case_point(
     noise: NoiseRealization | None,
     stages: int,
     case: Case,
-) -> tuple[OptimizationResult | None, float, np.ndarray]:
-    """A case's (result, p0, gains) at K = stages.
-
-    A scenario case has no result: it runs at full drive on its fixed gains.
-    """
-    gains = scenario_gains(config, case.scenario, stages)
-    if case.mode is None:
-        return None, 1.0, gains
-    fixed = make_cascade_config(config, gains)
+) -> tuple[OptimizationResult, float, np.ndarray]:
+    """An optimized case's (result, p0, gains) at K = stages."""
+    fixed = make_cascade_config(config, scenario_gains(config, case.scenario, stages))
     start = scenario_start(case.scenario, stages, config.alpha, case.mode)
     spec = OptimizationSpec(case.mode, stages, start, gain_bounds=fixed.gain_bounds)
     result = solve(spec, build_residual(x_unit, fixed, noise, case.mode))
     return (result, *expand_parameters(result.parameters, case.mode, fixed))
 
 
+class _ScenarioChain:
+    """A bracketing scenario's deepest chain at full drive, one stage at a time.
+
+    Its chain at K = k is the first k stages of the deepest (scenario_gains)
+    on the first k evaluation rows, so after ``advance`` has run stage k its
+    one buffer holds the K = k output, bit for bit that of cascade_forward.
+    """
+
+    def __init__(self, config: ExperimentConfig, scenario: Scenario, x_unit: Signal) -> None:
+        stages = max(config.K_range)
+        self.config, self.x_unit = config, x_unit
+        self.gains = scenario_gains(config, scenario, stages)
+        self.samples = np.empty(len(x_unit), dtype=complex)
+        self.input_energy = np.zeros(stages)
+        self.stages = 0
+
+    def advance(self, row: np.ndarray) -> None:
+        """Run the next stage on evaluation row ``row``, over the buffer itself."""
+        k = self.stages
+        cascade_samples(
+            self.x_unit.samples if k == 0 else self.samples,
+            np.array([self.config.alpha]), self.gains[k : k + 1], self.config.sigma,
+            row[np.newaxis], out=self.samples, input_energy=self.input_energy[k : k + 1],
+        )
+        self.stages += 1
+
+    def metrics(self) -> MetricsReport:
+        """The metrics of the chain so far; warns as cascade_forward would.
+
+        The buffer is wrapped in a Signal only while report reads it: the
+        next ``advance`` writes over it.
+        """
+        alphas = [self.config.alpha] * self.stages
+        warn_if_overdriven(alphas, self.input_energy, len(self.x_unit))
+        power = mean_power_of(self.samples)
+        output = replace(self.x_unit, samples=self.samples, nominal_power=power)
+        return _report(self.config, self.x_unit, self.x_unit, output)
+
+
 def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRecord:
     """Run the cases at every K and evaluate each on the evaluation noise.
 
     A case runs if it has no mode or its mode is in ``config.modes``.  The
-    excitation and each noise stream are drawn once for the whole pass.
-    Each distinct problem (K, scenario, free drive, gain rows) is solved and
+    excitation and each noise stream are drawn once for the whole pass,
+    which runs stage-major: for k = 1..max(K_range) it takes evaluation row
+    k, moves each bracketing scenario's one chain (_ScenarioChain) through
+    stage k, and, if k is in K_range, evaluates the K = k rows in case
+    order.  So the bracketing chains run 2 max(K_range) signal lengths of
+    stage work, not 2 sum(K_range), and hold two chain buffers whatever
+    K_range is.  Without optimized rows the evaluation stream is read one
+    row at a time into one buffer (evaluation_rows); with them it is drawn
+    whole once (evaluation_noise), and the scenario chains read their rows
+    from that draw.  Optimized rows are evaluated by cascade_forward.  Each
+    distinct problem (K, scenario, free drive, gain rows) is solved and
     evaluated once; a later case that poses it again, as unequal_gains and
     joint_unequal do at K = 1, takes the first one's result, point and metrics.
     """
@@ -408,23 +473,36 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
     if not config.K_range or not cases:
         return record
     x_unit = excitation_for(config)
-    # Row k of a draw does not depend on the row count, so one draw at the
-    # deepest cascade serves every K.
     deepest = max(config.K_range)
-    eval_noise = evaluation_noise(config, deepest, len(x_unit))
-    opt_noise = None
+    eval_noise = opt_noise = None
     if any(case.mode is not None for case in cases):
+        eval_noise = evaluation_noise(config, deepest, len(x_unit))
         opt_noise = optimization_noise(config, deepest, len(x_unit))
+        eval_rows = iter(eval_noise.stage_noise)
+    else:
+        eval_rows = evaluation_rows(config, len(x_unit))
+    chains = {
+        case.scenario: _ScenarioChain(config, case.scenario, x_unit)
+        for case in cases if case.mode is None
+    }
     solved = {}  # problem -> (result, p0, gains, metrics) of its first case
-    for stages in config.K_range:
+    for stages in range(1, deepest + 1):
+        row = next(eval_rows)
+        for scenario_chain in chains.values():
+            scenario_chain.advance(row)
+        if stages not in config.K_range:
+            continue
         for case in cases:
             rows = None if case.mode is None else tuple(gain_rows(case.mode, stages))
             problem = (stages, case.scenario, case.mode in FREE_POWER_MODES, rows)
             if problem not in solved:
-                result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
-                chain_config = make_cascade_config(config, gains)
-                metrics = _evaluate(config, x_unit, chain_config, p0, eval_noise)
-                solved[problem] = (result, p0, gains, metrics)
+                if case.mode is None:
+                    solved[problem] = (None, 1.0, None, chains[case.scenario].metrics())
+                else:
+                    result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
+                    chain_config = make_cascade_config(config, gains)
+                    metrics = _evaluate(config, x_unit, chain_config, p0, eval_noise)
+                    solved[problem] = (result, p0, gains, metrics)
             result, p0, gains, metrics = solved[problem]
             key = (stages, case.name)
             if result is None:
@@ -455,13 +533,26 @@ def _db_text(value: float) -> str:
     return repr(FLOOR_DB if value == float("-inf") else float(value))
 
 
-def _csv_bytes(header: str, rows: Iterable[str]) -> bytes:
-    return "\n".join(chain([header], rows, [""])).encode("utf-8")
+# Rows per block of an emitted file.  Each block is formatted, written and
+# hashed before the next is made, so no file's text is ever whole in memory.
+WRITE_BLOCK_ROWS = 8192
 
 
-def _column_text(column: np.ndarray) -> list[str]:
-    """repr of every value: the shortest text that float() reads back exactly."""
-    return list(map(repr, column.tolist()))
+def _csv_blocks(header: str, rows: Iterable[str]) -> Iterator[bytes]:
+    """A CSV file's bytes: the header line and the rows, WRITE_BLOCK_ROWS
+    lines at a time, each line ending in a newline."""
+    lines = chain([header], rows)
+    while block := list(islice(lines, WRITE_BLOCK_ROWS)):
+        yield "\n".join(chain(block, [""])).encode("utf-8")
+
+
+def _column_text(column: np.ndarray) -> Iterator[str]:
+    """repr of every value, the shortest text that float() reads back exactly,
+    made WRITE_BLOCK_ROWS values at a time."""
+    return chain.from_iterable(
+        map(repr, column[start : start + WRITE_BLOCK_ROWS].tolist())
+        for start in range(0, len(column), WRITE_BLOCK_ROWS)
+    )
 
 
 class _ColumnText:
@@ -479,7 +570,8 @@ class _ColumnText:
     def __call__(self, column: np.ndarray) -> list[str]:
         key = column.tobytes()
         if key != self._key:
-            self._key, self._text = key, _column_text(column)
+            self._text = []  # dropped first, so one column's text is held at a time
+            self._key, self._text = key, list(_column_text(column))
         return self._text
 
 
@@ -495,17 +587,18 @@ def _frees(stages: int, case: str) -> tuple[bool, bool]:
     return mode in FREE_POWER_MODES, mode is not None and None not in gain_rows(mode, stages)
 
 
-def _build_files(record: RunRecord) -> dict[str, bytes]:
-    """The run's files by name, each as the bytes to write.
+def _build_files(record: RunRecord) -> Iterator[tuple[str, Iterator[bytes]]]:
+    """The run's files, each as its name and its bytes in blocks of rows.
 
     The metric rows are walked once, in row order, and the optimized
-    parameters once.  AM/AM and PSD values are written as repr, whole
-    columns at a time.  A column that repeats from one file to the next (the
-    AM/AM input at one drive, the PSD frequency axis) is formatted once per
-    run of repeats; the reuse keeps only the last column of each of those two
+    parameters once; the AM/AM and PSD files come in row order, then the
+    tables.  AM/AM and PSD values are written as repr, and a file's rows
+    are formatted a block at a time as its blocks are read.  A column that
+    repeats from one file to the next (the AM/AM input at one drive, the PSD
+    frequency axis) is formatted once per run of repeats, when its file is
+    yielded; the reuse keeps only the last column of each of those two
     roles, so it is bounded by two columns' text whatever the record holds.
     """
-    files: dict[str, bytes] = {}
     amam_inputs, psd_axes = _ColumnText(), _ColumnText()
     metric_rows = []
     all_metrics = {**record.scenario_metrics, **record.optimization_metrics}
@@ -519,14 +612,13 @@ def _build_files(record: RunRecord) -> dict[str, bytes]:
                 ("psd", "freq_symrate,psd_db", psd_axes, metrics.psd.frequencies,
                  metrics.psd.power_density),
             ):
-                files[f"{kind}_K{stages}_{case}.csv"] = _csv_bytes(
-                    header, map(",".join, zip(shared(first), _column_text(second)))
-                )
+                rows = map(",".join, zip(shared(first), _column_text(second)))
+                yield f"{kind}_K{stages}_{case}.csv", _csv_blocks(header, rows)
         metric_rows.append(
             f"{stages},{case},{_db_text(metrics.nmse_db)},{_db_text(metrics.aclr_db)}"
         )
     if metric_rows:
-        files["metrics_vs_K.csv"] = _csv_bytes("K,scenario_or_mode,nmse_db,aclr_db", metric_rows)
+        yield "metrics_vs_K.csv", _csv_blocks("K,scenario_or_mode,nmse_db,aclr_db", metric_rows)
 
     power_rows, gain_table_rows = [], []
     for stages, case in sorted(record.optimized_parameters, key=_case_sort_key):
@@ -539,10 +631,20 @@ def _build_files(record: RunRecord) -> dict[str, bytes]:
                 f"{case},{stages},{k},{gain:.2f}" for k, gain in enumerate(gains, start=1)
             )
     if power_rows:
-        files["table_power.csv"] = _csv_bytes("case,K,p0", power_rows)
+        yield "table_power.csv", _csv_blocks("case,K,p0", power_rows)
     if gain_table_rows:
-        files["table_gains.csv"] = _csv_bytes("case,K,k,gain", gain_table_rows)
-    return files
+        yield "table_gains.csv", _csv_blocks("case,K,k,gain", gain_table_rows)
+
+
+def _write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
+    """Write the blocks to path; the sha256 hex digest of what was written,
+    hashed block by block as it is written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for block in blocks:
+            handle.write(block)
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -576,36 +678,47 @@ def _listed_files(manifest_path: Path) -> set[str]:
 def emit_outputs(record: RunRecord) -> list[Path]:
     """Write the run's CSV files and a digest manifest to the output dir.
 
-    The manifest holds the config, seed, and a sha256 digest per emitted
-    file; identical (config, seed) runs produce byte-identical trees.  The
-    files that an earlier manifest in the directory lists and this run does
-    not write are deleted, so the directory holds exactly what the new
-    manifest lists; a file that no manifest lists is left alone.
+    Each file is written to a temporary name and hashed a block of rows at
+    a time as _build_files makes it, in row order.  Once every file is
+    written, each is renamed into place; if any write fails, no file is
+    renamed and the temporary files are removed.  The manifest, written
+    last, holds the config, seed, and the sha256 digest of each emitted
+    file, so identical (config, seed) runs produce byte-identical trees.
+    The files that an earlier manifest in the directory lists and this run
+    does not write are deleted before the new manifest is written, so the
+    directory holds exactly what the new manifest lists; a file that no
+    manifest lists is left alone.  Returns the written paths in write
+    order, the manifest last.
     """
     output_dir = record.config.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
-    files = _build_files(record)
-    if not files:
+    digests: dict[str, str] = {}
+    # (temporary, final) path of each file.  The renames wait until every
+    # file is written: on an ext4 host, renaming each file over the last
+    # run's as soon as it was written made emission at 512 symbols 10-15%
+    # slower.
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, blocks in _build_files(record):
+            staged.append((output_dir / f"{name}.tmp", output_dir / name))
+            digests[name] = _write_blocks(staged[-1][0], blocks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    if not digests:
         warnings.warn("run produced no data (empty K_range); emitting manifest only")
     manifest_path = output_dir / "manifest.json"
-    stale = _listed_files(manifest_path) - set(files)
-
-    written: list[Path] = []
-    for name in sorted(files):
-        path = output_dir / name
-        _write_atomic(path, files[name])
-        written.append(path)
-    for name in sorted(stale):
+    for name in sorted(_listed_files(manifest_path) - set(digests)):
         (output_dir / name).unlink(missing_ok=True)
 
     manifest = {
         "config": config_to_dict(record.config),
         "seed": record.config.seed,
-        "files": {
-            name: hashlib.sha256(files[name]).hexdigest() for name in sorted(files)
-        },
+        "files": {name: digests[name] for name in sorted(digests)},
     }
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
     _write_atomic(manifest_path, manifest_bytes)
-    written.append(manifest_path)
-    return written
+    return [path for _, path in staged] + [manifest_path]

@@ -13,6 +13,7 @@ the constellation and shaping (about 0.22 for the defaults).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,9 +34,11 @@ class Signal:
     ``nominal_power`` is the mean of |sample|^2 and is kept consistent by the
     operations in this module.
 
-    No code writes a signal's samples in place: every operation returns new
-    samples or the same Signal, so two signals may share one array (see
-    scale_amplitude).
+    No code writes a signal's samples in place while the signal is in use:
+    every operation returns new samples or the same Signal, so two signals
+    may share one array (see scale_amplitude).  The one buffer written in
+    place, a scenario chain's in experiments.run_cases, is wrapped in a
+    Signal only while that chain's metrics are taken.
     """
 
     samples: np.ndarray
@@ -188,25 +191,35 @@ def unit_excitation(
     return scale_amplitude(shaped, 1.0 / peak)
 
 
-def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
-    """Circularly-symmetric complex Gaussian noise, unit variance per sample.
+def noise_rows(seed: int, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Fill each given row with the next row of a noise stream, then yield it.
 
-    Returns one independent sequence per stage; deterministic per seed, and
-    the first k rows of a (stages >= k) draw equal the rows of a k-stage draw
-    with the same seed.  Row k is (re + 1j*im) * sqrt(0.5) for the k-th pair
-    of standard-normal draws of length ``length``; its real and imaginary
-    parts are written in place, one draw at a time, which gives the same
-    bits with one real draw as the only temporary.
+    The stream of a seed is circularly-symmetric complex Gaussian noise of
+    unit variance per sample: row k is (re + 1j*im) * sqrt(0.5) for the k-th
+    pair of standard-normal draws of the row's length.  Its real and
+    imaginary parts are written in place, one draw at a time, which gives
+    the same bits with one real draw as the only temporary.  ``rows`` may
+    hand out one buffer again and again, which then holds one row at a time.
+    """
+    rng = np.random.default_rng(seed)
+    for row in rows:
+        np.multiply(rng.standard_normal(len(row)), np.sqrt(0.5), out=row.real)
+        np.multiply(rng.standard_normal(len(row)), np.sqrt(0.5), out=row.imag)
+        yield row
+
+
+def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
+    """The first ``stages`` rows of the seed's noise stream (noise_rows).
+
+    One independent row per stage, deterministic per seed; row k does not
+    depend on how many rows are drawn, so the first k rows of a (stages >= k)
+    draw equal the rows of a k-stage draw with the same seed.
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(seed)
-    # One interleaved draw per stage keeps row k identical for any total
-    # stage count, so a K=2 realization is a prefix of the K=5 one.
     noise = np.empty((stages, length), dtype=complex)
-    for row in noise:
-        np.multiply(rng.standard_normal(length), np.sqrt(0.5), out=row.real)
-        np.multiply(rng.standard_normal(length), np.sqrt(0.5), out=row.imag)
+    for _ in noise_rows(seed, noise):
+        pass  # each row is filled in place
     return NoiseRealization(stage_noise=noise, seed=seed)

@@ -366,6 +366,28 @@ def test_cascade_samples_matches_cascade_forward():
     assert prescaled.tobytes() == bare.tobytes()
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_one_stage_may_write_over_its_input(sigma):
+    """A one-stage call with no stage_f and no tangent may pass x0 itself as
+    out.  Run stage by stage over 3 SAMPLE_BLOCKs and a ragged tail, a chain
+    written over one buffer keeps every bit of one that takes a fresh out
+    each stage, input energy included, and ends on the bits of the whole
+    chain in one call."""
+    x = unit_excitation(3 * cascade.SAMPLE_BLOCK // 8 + 15, 8, 0.22, 16, 9).samples
+    assert len(x) % cascade.SAMPLE_BLOCK and len(x) > 3 * cascade.SAMPLE_BLOCK
+    noise = draw_noise(3, len(x), 13).stage_noise
+    alphas, gains = np.array([ALPHA, ALPHA * 0.5, ALPHA]), np.array([0.9, 1.2, 1.1])
+    fresh, state = x, x.copy()
+    for k in range(3):
+        fresh_energy, state_energy = np.zeros(1), np.zeros(1)
+        stage = (alphas[k : k + 1], gains[k : k + 1], sigma, noise[k : k + 1])
+        fresh = cascade_samples(fresh, *stage, input_energy=fresh_energy)
+        assert cascade_samples(state, *stage, out=state, input_energy=state_energy) is state
+        assert state.tobytes() == fresh.tobytes()
+        assert state_energy.tobytes() == fresh_energy.tobytes()
+    assert state.tobytes() == cascade_samples(x, alphas, gains, sigma, noise).tobytes()
+
+
 def test_equivalent_gain_is_product():
     config = make_config([ALPHA] * 3, [0.8, 1.2, 0.9])
     assert equivalent_pa(config).g_tilde == pytest.approx(0.8 * 1.2 * 0.9, rel=1e-12)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 import pachain
 import pachain.cli as cli
 import pachain.experiments as experiments
-from pachain.cascade import CascadeConfig, PaStage, cascade_forward
+from pachain.cascade import (
+    CascadeConfig, ModelValidityWarning, PaStage, cascade_forward, cascade_samples,
+)
 from pachain.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -37,7 +40,7 @@ from pachain.experiments import (
 )
 from pachain.metrics import MetricsReport, PsdEstimate
 from pachain.optimizer import Mode, OptimizationResult, Scenario, SolveStatus
-from pachain.signals import draw_noise
+from pachain.signals import draw_noise, noise_rows
 
 SMALL = dict(symbols=256, K_range=(1,), oversampling=8)
 
@@ -309,22 +312,35 @@ def test_linear_chain_power_s2_runs_at_unit_gains():
 
 
 def test_each_noise_stream_is_drawn_once(monkeypatch):
-    calls = []
+    """Scenario rows alone read the seed + 2 stream once, row by row, up to
+    the deepest K, and draw no whole realization.  Optimized rows draw each
+    stream whole once, at the deepest K, and scenario rows run with them
+    read their rows from that draw."""
+    draws, reads = [], []
 
     def counting_draw(stages, length, seed):
-        calls.append((stages, seed))
+        draws.append((stages, seed))
         return draw_noise(stages, length, seed)
 
+    def counting_rows(seed, rows):
+        for row in noise_rows(seed, rows):
+            reads.append(seed)
+            yield row
+
     monkeypatch.setattr(experiments, "draw_noise", counting_draw)
-    config = ExperimentConfig(symbols=256, K_range=(1, 2), modes=(Mode.POWER_ONLY,))
+    monkeypatch.setattr(experiments, "noise_rows", counting_rows)
+    config = ExperimentConfig(symbols=256, K_range=(1, 3), modes=(Mode.POWER_ONLY,))
     run_scenarios(config)
-    assert calls == [(2, config.seed + 2)]
-    calls.clear()
+    assert (draws, reads) == ([], [config.seed + 2] * 3)
+    reads.clear()
     run_optimizations(config)
-    assert sorted(calls) == [(2, config.seed + 1), (2, config.seed + 2)]
-    calls.clear()
+    assert (sorted(draws), reads) == ([(3, config.seed + 1), (3, config.seed + 2)], [])
+    draws.clear()
+    run_cases(config)
+    assert (draws, reads) == ([(3, config.seed + 2), (3, config.seed + 1)], [])
+    draws.clear()
     run_optimizations(ExperimentConfig(symbols=256, K_range=(1, 2), modes=()))
-    assert calls == []
+    assert (draws, reads) == ([], [])
 
 
 def _result_fields(result):
@@ -333,13 +349,18 @@ def _result_fields(result):
     return [v.tobytes() if isinstance(v, np.ndarray) else v for v in values]
 
 
+def _files(record):
+    """The files _build_files makes for a record, by name, each as its joined bytes."""
+    return {name: b"".join(blocks) for name, blocks in experiments._build_files(record)}
+
+
 def test_combine_records():
     """The one pass and the two halves combined give the same files and the
     same fields in every result, on every mode at K = 1..3."""
     config = ExperimentConfig(symbols=256, K_range=(1, 2, 3))
     one_pass = run_cases(config)
     merged = combine_records(run_scenarios(config), run_optimizations(config))
-    assert experiments._build_files(one_pass) == experiments._build_files(merged)
+    assert _files(one_pass) == _files(merged)
     assert one_pass.optimization_results.keys() == merged.optimization_results.keys()
     assert len(one_pass.optimization_results) == 18
     for key, result in one_pass.optimization_results.items():
@@ -357,26 +378,25 @@ def test_run_cases_keeps_the_configured_modes():
 
 
 def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
-    """The 40 rows of a default-K_range sweep take 28 solves and 38
-    evaluations: at K = 1, unequal_gains poses the problem of equal_gains
-    and joint_unequal that of joint_equal (a solve of its own keeps every
-    field), and each takes that row's result, point and metrics."""
+    """The 40 rows of a default-K_range sweep take 28 solves, and 38
+    reports: 28 evaluations of optimized rows and one per (K, scenario).  At
+    K = 1, unequal_gains poses the problem of equal_gains and joint_unequal
+    that of joint_equal (a solve of its own keeps every field), and each
+    takes that row's result, point and metrics."""
     calls = []
-    solve, evaluate = experiments.solve, experiments._evaluate
 
-    def counting_solve(*args):
-        calls.append("solve")
-        return solve(*args)
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
 
-    def counting_evaluate(*args):
-        calls.append("evaluate")
-        return evaluate(*args)
+        monkeypatch.setattr(experiments, name, counted)
 
-    monkeypatch.setattr(experiments, "solve", counting_solve)
-    monkeypatch.setattr(experiments, "_evaluate", counting_evaluate)
+    for name in ("solve", "_evaluate", "report"):
+        counting(name, getattr(experiments, name))
     config = ExperimentConfig(symbols=128)
     record = run_cases(config)
-    assert (calls.count("solve"), calls.count("evaluate")) == (28, 38)
+    assert [calls.count(name) for name in ("solve", "_evaluate", "report")] == [28, 28, 38]
     assert len(record.scenario_metrics) + len(record.optimization_results) == 40
 
     x = experiments.excitation_for(config)
@@ -410,6 +430,102 @@ def test_an_evaluation_holds_few_signal_lengths():
     finally:
         tracemalloc.stop()
     assert peak / (16 * len(x)) < 3.0
+
+
+def _traced_sweep(K_range, output_dir):
+    """A scenario sweep at 32,768 symbols and its tracemalloc peak, in
+    signal lengths of 16N bytes."""
+    config = ExperimentConfig(symbols=32768, K_range=K_range, modes=(), output_dir=output_dir)
+    tracemalloc.start()  # traces what is allocated from here on
+    try:
+        record = run_cases(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return record, peak / (16 * config.symbols * config.oversampling)
+
+
+@pytest.fixture(scope="module")
+def traced_sweeps(tmp_path_factory):
+    out = tmp_path_factory.mktemp("traced")
+    return {
+        K_range: _traced_sweep(K_range, out / f"K{len(K_range)}")
+        for K_range in [(1, 2, 3, 4, 5), (1,)]
+    }
+
+
+def test_the_scenario_sweep_holds_few_signal_lengths(traced_sweeps):
+    """The sweep holds the excitation, one noise row, one chain buffer per
+    scenario and what one report needs, whatever K_range is: K = 1..5
+    peaks at 6.1 signal lengths and 1.2 above K = 1 alone, the rest being
+    the records' AM/AM points.  Whole noise draws and each chain rerun in
+    full for every K took 9.1, 5.2 above K = 1."""
+    deep, shallow = traced_sweeps[1, 2, 3, 4, 5][1], traced_sweeps[1,][1]
+    assert deep < 7.0
+    assert deep - shallow <= 1.5
+
+
+def test_emission_holds_a_few_files_at_a_time(traced_sweeps):
+    """Each file is formatted, written and hashed a block of rows at a time,
+    so emitting the 22 files of a K = 1..5 sweep peaks at 3.9 times the
+    largest file; holding every file's bytes until the manifest took 16.7."""
+    record = traced_sweeps[1, 2, 3, 4, 5][0]
+    tracemalloc.start()
+    try:
+        written = emit_outputs(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(written) == 22
+    assert peak < 5 * max(path.stat().st_size for path in written)
+
+
+def _metric_bits(metrics):
+    return (
+        repr(metrics.nmse_db), repr(metrics.aclr_db), metrics.amam.tobytes(),
+        metrics.psd.frequencies.tobytes(), metrics.psd.power_density.tobytes(),
+        repr(metrics.psd.peak_density),
+    )
+
+
+def test_scenario_rows_have_the_bits_of_each_chain_run_alone():
+    """Each (K, scenario) row of the stage-major sweep has the metrics, bit
+    for bit, of its chain run alone through cascade_forward, also at
+    K_range (3, 1), where stage 2 runs without a row of its own."""
+    config = ExperimentConfig(symbols=256, K_range=(3, 1), modes=())
+    record = run_scenarios(config)
+    assert len(record.scenario_metrics) == 4
+    x = experiments.excitation_for(config)
+    noise = evaluation_noise(config, 3, len(x))
+    for (stages, case), metrics in record.scenario_metrics.items():
+        gains = scenario_gains(config, experiments._CASE_NAMED[case].scenario, stages)
+        chain = experiments.make_cascade_config(config, gains)
+        alone = experiments._evaluate(config, x, chain, 1.0, noise)
+        assert _metric_bits(metrics) == _metric_bits(alone), (stages, case)
+
+
+@pytest.mark.parametrize("sigma_sq", [0.5, 1.0])
+def test_the_scenario_sweep_warns_as_cascade_forward_does(sigma_sq):
+    """Stage k's input energy is the same in every chain that holds stage k,
+    so the sweep warns for each (K, scenario) with the message that
+    cascade_forward gives on that chain, in the same order."""
+    config = ExperimentConfig(symbols=2048, sigma_sq=sigma_sq, modes=())
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        run_scenarios(config)
+    x = experiments.excitation_for(config)
+    noise = evaluation_noise(config, max(config.K_range), len(x))
+    with warnings.catch_warnings(record=True) as forward:
+        warnings.simplefilter("always")
+        for stages in config.K_range:
+            for scenario in (Scenario.ONE, Scenario.TWO):
+                gains = scenario_gains(config, scenario, stages)
+                cascade_forward(x, experiments.make_cascade_config(config, gains), noise)
+    assert len(forward) >= 6
+    assert [(w.category, str(w.message)) for w in swept] == [
+        (w.category, str(w.message)) for w in forward
+    ]
+    assert all(w.category is ModelValidityWarning for w in swept)
 
 
 def test_empty_run_is_allowed():
@@ -505,7 +621,7 @@ def test_signal_files_match_per_value_formatting(emitted):
     assert not np.array_equal(joint[0], joint[1])
     assert not np.array_equal(joint[0], inputs[(1, "scenario1")])
 
-    files = experiments._build_files(record)
+    files = _files(record)
     signal_names = {name for name in files if name.startswith(("amam_", "psd_"))}
     reference = _signal_files_per_value(record)
     assert signal_names == {
@@ -525,12 +641,12 @@ def test_signal_files_match_per_value_formatting(emitted):
             assert float(text_x) == x and float(text_y) == y, (name, line)
 
 
-def _synthetic_signal_record(input_columns, rows, seed=3):
+def _synthetic_signal_record(input_columns, rows, seed=3, output_dir=Path("runs")):
     """A record whose scenario rows, at K = 1, 2, ..., have the given input
     columns, and whose joint rows (K = 1..5, equal and unequal gains) each
     have an input column of their own, as at distinct drives."""
     rng = np.random.default_rng(seed)
-    record = RunRecord(config=ExperimentConfig())
+    record = RunRecord(config=ExperimentConfig(output_dir=output_dir))
     axis = np.linspace(-4.0, 4.0, 1023)
 
     def metrics(inputs):
@@ -552,30 +668,30 @@ def test_reused_columns_are_matched_by_their_bytes():
     record = _synthetic_signal_record(
         [("scenario1", zero), ("scenario2", negative_zero)], rows=3
     )
-    files = experiments._build_files(record)
+    files = _files(record)
     assert files["amam_K2_scenario2.csv"].splitlines()[1].startswith(b"-0.0,")
     reference = _signal_files_per_value(record)
     assert all(files[name] == text for name, text in reference.items())
 
 
-def test_column_reuse_is_bounded():
+def test_column_reuse_is_bounded(monkeypatch, tmp_path):
     """The reuse keeps at most one formatted column per role, so ten joint
-    rows on distinct drives are built with a tracemalloc peak under the
-    returned bytes plus 12 times the largest file.  Calibrated at 4,096
-    rows: this code peaks 6.9 largest files above the returned bytes, and
-    a copy that keeps the text of every distinct input column 28.5."""
+    rows on distinct drives are emitted with a tracemalloc peak under 5
+    times the largest file.  Calibrated at 4,096 rows in blocks of 512:
+    this code peaks at 3.7 largest files, and a copy that keeps the text of
+    every distinct input column at 25.3."""
+    monkeypatch.setattr(experiments, "WRITE_BLOCK_ROWS", 512)
     shared = np.random.default_rng(1).random(4096)
     record = _synthetic_signal_record(
-        [("scenario1", shared), ("scenario2", shared)], rows=4096
+        [("scenario1", shared), ("scenario2", shared)], rows=4096, output_dir=tmp_path
     )
     tracemalloc.start()
     try:
-        files = experiments._build_files(record)
+        written = emit_outputs(record)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    sizes = [len(data) for data in files.values()]
-    assert peak < sum(sizes) + 12 * max(sizes)
+    assert peak < 5 * max(path.stat().st_size for path in written)
 
 
 def test_emit_is_deterministic(tmp_path):
@@ -642,6 +758,28 @@ def test_rerun_into_one_directory_leaves_only_its_files(tmp_path):
     listed = set(json.loads((out / "manifest.json").read_text())["files"])
     assert "psd_K1_scenario2.csv" in listed
     assert {p.name for p in out.iterdir()} == listed | {"manifest.json", "notes.txt"}
+
+
+def test_a_failed_emission_renames_no_file(monkeypatch, tmp_path):
+    """Files are renamed into place only once all are written: a write that
+    fails after two files leaves the last run's tree as it was, with no
+    temporary file."""
+    record = run_scenarios(ExperimentConfig(output_dir=tmp_path, **SMALL))
+    emit_outputs(record)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    build = experiments._build_files
+
+    def failing_build(record):
+        files = build(record)
+        for _ in range(2):
+            yield next(files)[0], [b"changed"]
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(experiments, "_build_files", failing_build)
+    with pytest.raises(OSError, match="no space"):
+        emit_outputs(record)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_emit_deletes_only_plain_names_of_the_old_manifest(tmp_path):
@@ -870,18 +1008,24 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
 
 
 def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):
+    """Only scenario 2's chain runs: one one-stage kernel call on its gain,
+    and no whole-chain call."""
     calls = []
 
-    def counting_forward(*args, **kwargs):
-        calls.append(args[1])
-        return cascade_forward(*args, **kwargs)
+    def counting_samples(x0, alphas, gains, *args, **kwargs):
+        calls.append(gains.tolist())
+        return cascade_samples(x0, alphas, gains, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "cascade_forward", counting_forward)
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a scenario row ran cascade_forward")
+
+    monkeypatch.setattr(experiments, "cascade_samples", counting_samples)
+    monkeypatch.setattr(experiments, "cascade_forward", no_forward)
     out = tmp_path / "sim"
     code = cli.main(["simulate", "--scenario", "2", "--K", "1", "--symbols", "128",
                      "--out", str(out)])
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [scenario_gains(ExperimentConfig(), Scenario.TWO, 1).tolist()]
     assert (out / "amam_K1_scenario2.csv").exists()
     assert not (out / "amam_K1_scenario1.csv").exists()
 
