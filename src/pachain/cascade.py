@@ -236,8 +236,10 @@ def cascade_samples(
     It alone scales the noise: any sigma != 0 multiplies row k into a work
     buffer, one block at a time, so its callers pass sigma and the unit
     rows of a realization.  The optimizer's residual (and through it the
-    grid oracle) calls it once per parameter vector and cascade_forward once
-    per chain, so all of them share its arithmetic.
+    grid oracle) calls it once per parameter vector, cascade_forward once
+    per chain, and experiments.run_cases once per advance of a chain (a
+    scenario chain's stage, or an optimized row's whole chain), so all of
+    them share its arithmetic.
 
     ``input_energy``, a float (K,) array, has sum |y_{k-1} + sigma*w_k|^2,
     the energy of stage k's input, added into entry k-1.
@@ -352,14 +354,14 @@ def cascade_forward(
 ) -> CascadeRun:
     """Run one whole chain and return its output.
 
-    ``x0`` must already be scaled to the configured drive (input_power).
-    The chain is one kernel call, and only its output is kept.  A caller
-    that needs each stage's output passes a (K, N) array to
-    cascade_samples(..., stage_f=...), whose row k-1 times g_k is stage k's
-    output; ``keep_stages`` is accepted only as False.  A caller that needs
-    the output after every stage k = 1..K, as the scenario sweep of
-    experiments.run_cases does, runs one-stage cascade_samples calls over
-    one buffer instead.
+    This is the public single-chain runner, and the reference that the
+    tests hold experiments.run_cases to: run_cases evaluates every row
+    through its own _Chain, which calls cascade_samples over one buffer and
+    gives the same bits.  ``x0`` must already be scaled to the configured
+    drive (input_power).  The chain is one kernel call, and only its output
+    is kept.  A caller that needs each stage's output passes a (K, N) array
+    to cascade_samples(..., stage_f=...), whose row k-1 times g_k is stage
+    k's output; ``keep_stages`` is accepted only as False.
 
     The kernel's per-stage input energy goes to warn_if_overdriven, which
     warns if a stage is driven past its saturation input.

@@ -28,7 +28,7 @@ import numpy as np
 from .cascade import (
     CascadeConfig,
     PaStage,
-    cascade_forward,
+    cascade_forward,  # not called here: kept as the hook perfbench's tracer wraps
     cascade_samples,
     check_alpha,
     is_number,
@@ -341,15 +341,6 @@ def optimization_noise(config: ExperimentConfig, stages: int, length: int) -> No
     return draw_noise(stages, length, config.seed + 1)
 
 
-def evaluation_noise(config: ExperimentConfig, stages: int, length: int) -> NoiseRealization:
-    return draw_noise(stages, length, config.seed + 2)
-
-
-def evaluation_rows(config: ExperimentConfig, length: int) -> Iterator[np.ndarray]:
-    """The rows of evaluation_noise in order, each written over one buffer."""
-    return noise_rows(config.seed + 2, repeat(np.empty(length, dtype=complex)))
-
-
 def scenario_gains(config: ExperimentConfig, scenario: Scenario, stages: int) -> np.ndarray:
     """Stage gains for a bracketing scenario: those of its scenario_start."""
     return scenario_start(scenario, stages, config.alpha)[1:]
@@ -380,18 +371,6 @@ def _report(config: ExperimentConfig, x_unit: Signal, x0: Signal, output: Signal
     )
 
 
-def _evaluate(
-    config: ExperimentConfig,
-    x_unit: Signal,
-    cascade_cfg: CascadeConfig,
-    p0: float,
-    noise: NoiseRealization,
-) -> MetricsReport:
-    """Metrics of the configured chain at drive p0 on the given realization."""
-    x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
-    return _report(config, x_unit, x0, cascade_forward(x0, cascade_cfg, noise).output)
-
-
 # --------------------------------------------------------------------------
 # The study
 
@@ -411,31 +390,38 @@ def _case_point(
     return (result, *expand_parameters(result.parameters, case.mode, fixed))
 
 
-class _ScenarioChain:
-    """A bracketing scenario's deepest chain at full drive, one stage at a time.
+class _Chain:
+    """One chain at drive p0 on the given gains, run a few stages at a time.
 
-    Its chain at K = k is the first k stages of the deepest (scenario_gains)
-    on the first k evaluation rows, so after ``advance`` has run stage k its
-    one buffer holds the K = k output, bit for bit that of cascade_forward.
+    It holds one output buffer, each stage's input energy and its depth,
+    the number of stages run so far.  ``advance(rows)`` runs the next
+    len(rows) stages, one evaluation row each, in one cascade_samples call
+    over the buffer.  At depth 0 it reads x0 = scale_amplitude(x_unit,
+    sqrt(p0)), after that the buffer itself, so a call past depth 0 takes
+    one row (the in-place call cascade_samples allows).  After stages 1..k
+    on evaluation rows 1..k the buffer holds, bit for bit, what
+    cascade_forward gives on the chain of gains[:k].
     """
 
-    def __init__(self, config: ExperimentConfig, scenario: Scenario, x_unit: Signal) -> None:
-        stages = max(config.K_range)
-        self.config, self.x_unit = config, x_unit
-        self.gains = scenario_gains(config, scenario, stages)
+    def __init__(
+        self, config: ExperimentConfig, x_unit: Signal, p0: float, gains: np.ndarray
+    ) -> None:
+        self.config, self.x_unit, self.gains = config, x_unit, gains
+        self.x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
         self.samples = np.empty(len(x_unit), dtype=complex)
-        self.input_energy = np.zeros(stages)
-        self.stages = 0
+        self.input_energy = np.zeros(len(gains))
+        self.depth = 0
 
-    def advance(self, row: np.ndarray) -> None:
-        """Run the next stage on evaluation row ``row``, over the buffer itself."""
-        k = self.stages
+    def advance(self, rows: np.ndarray) -> _Chain:
+        """Run the next len(rows) stages on the (stages, N) evaluation rows."""
+        k, count = self.depth, len(rows)
         cascade_samples(
-            self.x_unit.samples if k == 0 else self.samples,
-            np.array([self.config.alpha]), self.gains[k : k + 1], self.config.sigma,
-            row[np.newaxis], out=self.samples, input_energy=self.input_energy[k : k + 1],
+            self.x0.samples if k == 0 else self.samples,
+            np.full(count, self.config.alpha), self.gains[k : k + count], self.config.sigma,
+            rows, out=self.samples, input_energy=self.input_energy[k : k + count],
         )
-        self.stages += 1
+        self.depth += count
+        return self
 
     def metrics(self) -> MetricsReport:
         """The metrics of the chain so far; warns as cascade_forward would.
@@ -443,30 +429,33 @@ class _ScenarioChain:
         The buffer is wrapped in a Signal only while report reads it: the
         next ``advance`` writes over it.
         """
-        alphas = [self.config.alpha] * self.stages
-        warn_if_overdriven(alphas, self.input_energy, len(self.x_unit))
+        warn_if_overdriven([self.config.alpha] * self.depth, self.input_energy, len(self.x0))
         power = mean_power_of(self.samples)
-        output = replace(self.x_unit, samples=self.samples, nominal_power=power)
-        return _report(self.config, self.x_unit, self.x_unit, output)
+        output = replace(self.x0, samples=self.samples, nominal_power=power)
+        return _report(self.config, self.x_unit, self.x0, output)
 
 
 def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRecord:
     """Run the cases at every K and evaluate each on the evaluation noise.
 
     A case runs if it has no mode or its mode is in ``config.modes``.  The
-    excitation and each noise stream are drawn once for the whole pass,
-    which runs stage-major: for k = 1..max(K_range) it takes evaluation row
-    k, moves each bracketing scenario's one chain (_ScenarioChain) through
-    stage k, and, if k is in K_range, evaluates the K = k rows in case
-    order.  So the bracketing chains run 2 max(K_range) signal lengths of
-    stage work, not 2 sum(K_range), and hold two chain buffers whatever
-    K_range is.  Without optimized rows the evaluation stream is read one
-    row at a time into one buffer (evaluation_rows); with them it is drawn
-    whole once (evaluation_noise), and the scenario chains read their rows
-    from that draw.  Optimized rows are evaluated by cascade_forward.  Each
-    distinct problem (K, scenario, free drive, gain rows) is solved and
-    evaluated once; a later case that poses it again, as unequal_gains and
-    joint_unequal do at K = 1, takes the first one's result, point and metrics.
+    excitation and the seed + 1 optimization noise are drawn once for the
+    whole pass, the latter whole and only when an optimized row runs.  The
+    seed + 2 evaluation stream is read once, row by row, through
+    noise_rows: into a (max(K_range), N) array when an optimized row runs,
+    otherwise over one reused row.  The pass runs stage-major: for k =
+    1..max(K_range) it reads evaluation row k, moves each bracketing
+    scenario's one chain (a _Chain at unit drive on the deepest scenario
+    gains) through stage k, and, if k is in K_range, evaluates the K = k
+    rows in case order.  So the bracketing chains run 2 max(K_range) signal
+    lengths of stage work, not 2 sum(K_range), and hold two chain buffers
+    whatever K_range is.  An optimized row is solved, then evaluated by a
+    _Chain of its own (p0, gains) advanced over rows 1..K.  Every row's
+    metrics come from one _Chain.metrics call, so each overdrive warning
+    has one source line.  Each distinct problem (K, scenario, free drive,
+    gain rows) is solved and evaluated once; a later case that poses it
+    again, as unequal_gains and joint_unequal do at K = 1, takes the first
+    one's result, point and metrics.
     """
     record = RunRecord(config=config)
     cases = [case for case in cases if case.mode is None or case.mode in config.modes]
@@ -474,22 +463,21 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
         return record
     x_unit = excitation_for(config)
     deepest = max(config.K_range)
-    eval_noise = opt_noise = None
     if any(case.mode is not None for case in cases):
-        eval_noise = evaluation_noise(config, deepest, len(x_unit))
         opt_noise = optimization_noise(config, deepest, len(x_unit))
-        eval_rows = iter(eval_noise.stage_noise)
+        buffers = np.empty((deepest, len(x_unit)), dtype=complex)
     else:
-        eval_rows = evaluation_rows(config, len(x_unit))
+        opt_noise, buffers = None, repeat(np.empty(len(x_unit), dtype=complex))
+    eval_rows = noise_rows(config.seed + 2, buffers)
     chains = {
-        case.scenario: _ScenarioChain(config, case.scenario, x_unit)
+        case.scenario: _Chain(config, x_unit, 1.0, scenario_gains(config, case.scenario, deepest))
         for case in cases if case.mode is None
     }
     solved = {}  # problem -> (result, p0, gains, metrics) of its first case
     for stages in range(1, deepest + 1):
         row = next(eval_rows)
         for scenario_chain in chains.values():
-            scenario_chain.advance(row)
+            scenario_chain.advance(row[np.newaxis])
         if stages not in config.K_range:
             continue
         for case in cases:
@@ -497,12 +485,12 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
             problem = (stages, case.scenario, case.mode in FREE_POWER_MODES, rows)
             if problem not in solved:
                 if case.mode is None:
-                    solved[problem] = (None, 1.0, None, chains[case.scenario].metrics())
+                    result, p0, gains, evaluated = None, 1.0, None, chains[case.scenario]
                 else:
                     result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
-                    chain_config = make_cascade_config(config, gains)
-                    metrics = _evaluate(config, x_unit, chain_config, p0, eval_noise)
-                    solved[problem] = (result, p0, gains, metrics)
+                    evaluated = _Chain(config, x_unit, p0, gains).advance(buffers[:stages])
+                solved[problem] = (result, p0, gains, evaluated.metrics())
+                del evaluated  # so the next solve runs without this chain's buffers
             result, p0, gains, metrics = solved[problem]
             key = (stages, case.name)
             if result is None:
@@ -647,16 +635,6 @@ def _write_blocks(path: Path, blocks: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _listed_files(manifest_path: Path) -> set[str]:
     """Names of the files an existing manifest lists; empty if there is none.
 
@@ -678,20 +656,22 @@ def _listed_files(manifest_path: Path) -> set[str]:
 def emit_outputs(record: RunRecord) -> list[Path]:
     """Write the run's CSV files and a digest manifest to the output dir.
 
-    Each file is written to a temporary name and hashed a block of rows at
-    a time as _build_files makes it, in row order.  Once every file is
-    written, each is renamed into place; if any write fails, no file is
-    renamed and the temporary files are removed.  The manifest, written
-    last, holds the config, seed, and the sha256 digest of each emitted
-    file, so identical (config, seed) runs produce byte-identical trees.
-    The files that an earlier manifest in the directory lists and this run
-    does not write are deleted before the new manifest is written, so the
-    directory holds exactly what the new manifest lists; a file that no
-    manifest lists is left alone.  Returns the written paths in write
+    Every file, the manifest last, is staged: written to a temporary name
+    (``name.tmp``), each CSV hashed a block of rows at a time as
+    _build_files makes it, in row order.  The manifest holds the config,
+    seed, and the sha256 digest of each emitted file, so identical (config,
+    seed) runs produce byte-identical trees.  Once every file is written,
+    the CSV files are renamed into place, the files that the directory's
+    earlier manifest lists and this run does not write are deleted, and the
+    manifest is renamed last, so the directory holds exactly what the new
+    manifest lists; a file that no manifest lists is left alone.  If any
+    write fails, the manifest's included, no file is renamed or deleted and
+    the temporary files are removed.  Returns the written paths in write
     order, the manifest last.
     """
     output_dir = record.config.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = output_dir / "manifest.json"
     digests: dict[str, str] = {}
     # (temporary, final) path of each file.  The renames wait until every
     # file is written: on an ext4 host, renaming each file over the last
@@ -702,23 +682,24 @@ def emit_outputs(record: RunRecord) -> list[Path]:
         for name, blocks in _build_files(record):
             staged.append((output_dir / f"{name}.tmp", output_dir / name))
             digests[name] = _write_blocks(staged[-1][0], blocks)
-        for tmp, path in staged:
+        if not digests:
+            warnings.warn("run produced no data (empty K_range); emitting manifest only")
+        manifest = {
+            "config": config_to_dict(record.config),
+            "seed": record.config.seed,
+            "files": {name: digests[name] for name in sorted(digests)},
+        }
+        staged.append((output_dir / f"{manifest_path.name}.tmp", manifest_path))
+        _write_blocks(
+            staged[-1][0], [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")]
+        )
+        for tmp, path in staged[:-1]:
             os.replace(tmp, path)
+        for name in sorted(_listed_files(manifest_path) - set(digests)):
+            (output_dir / name).unlink(missing_ok=True)
+        os.replace(*staged[-1])
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    if not digests:
-        warnings.warn("run produced no data (empty K_range); emitting manifest only")
-    manifest_path = output_dir / "manifest.json"
-    for name in sorted(_listed_files(manifest_path) - set(digests)):
-        (output_dir / name).unlink(missing_ok=True)
-
-    manifest = {
-        "config": config_to_dict(record.config),
-        "seed": record.config.seed,
-        "files": {name: digests[name] for name in sorted(digests)},
-    }
-    manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    _write_atomic(manifest_path, manifest_bytes)
-    return [path for _, path in staged] + [manifest_path]
+    return [path for _, path in staged]

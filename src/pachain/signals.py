@@ -37,7 +37,7 @@ class Signal:
     No code writes a signal's samples in place while the signal is in use:
     every operation returns new samples or the same Signal, so two signals
     may share one array (see scale_amplitude).  The one buffer written in
-    place, a scenario chain's in experiments.run_cases, is wrapped in a
+    place, a chain's in experiments.run_cases (its _Chain), is wrapped in a
     Signal only while that chain's metrics are taken.
     """
 

@@ -31,7 +31,6 @@ from pachain.experiments import (
     config_from_json,
     config_to_dict,
     emit_outputs,
-    evaluation_noise,
     optimization_noise,
     run_cases,
     run_optimizations,
@@ -40,7 +39,7 @@ from pachain.experiments import (
 )
 from pachain.metrics import MetricsReport, PsdEstimate
 from pachain.optimizer import Mode, OptimizationResult, Scenario, SolveStatus
-from pachain.signals import draw_noise, noise_rows
+from pachain.signals import draw_noise, noise_rows, scale_amplitude
 
 SMALL = dict(symbols=256, K_range=(1,), oversampling=8)
 
@@ -252,12 +251,13 @@ def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, name):
 
 
 def test_noise_streams_are_distinct():
+    """The optimization noise is the seed + 1 stream, not the seed + 2
+    evaluation stream that run_cases reads."""
     config = ExperimentConfig(seed=5)
     opt = optimization_noise(config, 2, 64)
-    eva = evaluation_noise(config, 2, 64)
-    assert not np.array_equal(opt.stage_noise, eva.stage_noise)
+    evaluation = draw_noise(2, 64, config.seed + 2)
+    assert not np.array_equal(opt.stage_noise, evaluation.stage_noise)
     np.testing.assert_array_equal(opt.stage_noise, draw_noise(2, 64, 6).stage_noise)
-    np.testing.assert_array_equal(eva.stage_noise, draw_noise(2, 64, 7).stage_noise)
 
 
 def test_scenario_gains():
@@ -312,10 +312,9 @@ def test_linear_chain_power_s2_runs_at_unit_gains():
 
 
 def test_each_noise_stream_is_drawn_once(monkeypatch):
-    """Scenario rows alone read the seed + 2 stream once, row by row, up to
-    the deepest K, and draw no whole realization.  Optimized rows draw each
-    stream whole once, at the deepest K, and scenario rows run with them
-    read their rows from that draw."""
+    """Every call reads the seed + 2 stream once, row by row, up to the
+    deepest K.  Only the seed + 1 stream is drawn whole, once, at the
+    deepest K, and only when optimized rows run."""
     draws, reads = [], []
 
     def counting_draw(stages, length, seed):
@@ -330,15 +329,14 @@ def test_each_noise_stream_is_drawn_once(monkeypatch):
     monkeypatch.setattr(experiments, "draw_noise", counting_draw)
     monkeypatch.setattr(experiments, "noise_rows", counting_rows)
     config = ExperimentConfig(symbols=256, K_range=(1, 3), modes=(Mode.POWER_ONLY,))
-    run_scenarios(config)
-    assert (draws, reads) == ([], [config.seed + 2] * 3)
-    reads.clear()
-    run_optimizations(config)
-    assert (sorted(draws), reads) == ([(3, config.seed + 1), (3, config.seed + 2)], [])
-    draws.clear()
-    run_cases(config)
-    assert (draws, reads) == ([(3, config.seed + 2), (3, config.seed + 1)], [])
-    draws.clear()
+    for run, drawn in [
+        (run_scenarios, []), (run_optimizations, [(3, config.seed + 1)]),
+        (run_cases, [(3, config.seed + 1)]),
+    ]:
+        run(config)
+        assert (draws, reads) == (drawn, [config.seed + 2] * 3), run.__name__
+        draws.clear()
+        reads.clear()
     run_optimizations(ExperimentConfig(symbols=256, K_range=(1, 2), modes=()))
     assert (draws, reads) == ([], [])
 
@@ -378,8 +376,10 @@ def test_run_cases_keeps_the_configured_modes():
 
 
 def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
-    """The 40 rows of a default-K_range sweep take 28 solves, and 38
-    reports: 28 evaluations of optimized rows and one per (K, scenario).  At
+    """The 40 rows of a default-K_range sweep take 28 solves, 38 kernel
+    calls in experiments (one per stage of each scenario chain, 10, and one
+    per optimized chain, 28) and 38 reports: 28 evaluations of optimized
+    rows and one per (K, scenario).  At
     K = 1, unequal_gains poses the problem of equal_gains and joint_unequal
     that of joint_equal (a solve of its own keeps every field), and each
     takes that row's result, point and metrics."""
@@ -392,11 +392,12 @@ def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
 
         monkeypatch.setattr(experiments, name, counted)
 
-    for name in ("solve", "_evaluate", "report"):
+    names = ("solve", "cascade_samples", "report")
+    for name in names:
         counting(name, getattr(experiments, name))
     config = ExperimentConfig(symbols=128)
     record = run_cases(config)
-    assert [calls.count(name) for name in ("solve", "_evaluate", "report")] == [28, 28, 38]
+    assert [calls.count(name) for name in names] == [28, 38, 38]
     assert len(record.scenario_metrics) + len(record.optimization_results) == 40
 
     x = experiments.excitation_for(config)
@@ -414,18 +415,19 @@ def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
 
 
 def test_an_evaluation_holds_few_signal_lengths():
-    """At unit drive and unit gain an evaluation holds, beyond its inputs,
-    the chain output and one real buffer for the NMSE sums (or the PSD's
-    bounded chunks): a traced peak of 1.78 lengths of N complex samples at
-    N = 262,144.  Scaled copies of the input and the desired signal and
-    full-length d - a temporaries took 4.53 lengths."""
+    """At unit drive and unit gain an evaluation (one _Chain advance and its
+    metrics) holds, beyond its inputs, the chain buffer and one real buffer
+    for the NMSE sums (or the PSD's bounded chunks): a traced peak of 1.78
+    lengths of N complex samples at N = 262,144.  Scaled copies of the
+    input and the desired signal and full-length d - a temporaries took
+    4.53 lengths."""
     config = ExperimentConfig(symbols=32768, K_range=(3,), modes=())
     x = experiments.excitation_for(config)
-    noise = evaluation_noise(config, 3, len(x))
-    chain = experiments.make_cascade_config(config, scenario_gains(config, Scenario.ONE, 3))
+    rows = draw_noise(3, len(x), config.seed + 2).stage_noise
+    gains = scenario_gains(config, Scenario.ONE, 3)
     tracemalloc.start()  # traces what is allocated from here on
     try:
-        experiments._evaluate(config, x, chain, 1.0, noise)
+        experiments._Chain(config, x, 1.0, gains).advance(rows).metrics()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,18 +491,23 @@ def _metric_bits(metrics):
 
 
 def test_scenario_rows_have_the_bits_of_each_chain_run_alone():
-    """Each (K, scenario) row of the stage-major sweep has the metrics, bit
-    for bit, of its chain run alone through cascade_forward, also at
-    K_range (3, 1), where stage 2 runs without a row of its own."""
-    config = ExperimentConfig(symbols=256, K_range=(3, 1), modes=())
-    record = run_scenarios(config)
-    assert len(record.scenario_metrics) == 4
+    """Every row of run_cases, scenario and optimized, has the metrics, bit
+    for bit, of its chain at its (p0, gains) run alone through
+    cascade_forward on the seed + 2 draw, at K_range (3, 1), where stage 2
+    runs without a row of its own."""
+    config = ExperimentConfig(symbols=256, K_range=(3, 1))
+    record = run_cases(config)
+    rows = {**record.scenario_metrics, **record.optimization_metrics}
+    assert len(rows) == 16
     x = experiments.excitation_for(config)
-    noise = evaluation_noise(config, 3, len(x))
-    for (stages, case), metrics in record.scenario_metrics.items():
-        gains = scenario_gains(config, experiments._CASE_NAMED[case].scenario, stages)
+    noise = draw_noise(3, len(x), config.seed + 2)
+    for (stages, case), metrics in rows.items():
+        p0, gains = record.optimized_parameters.get((stages, case), (
+            1.0, scenario_gains(config, experiments._CASE_NAMED[case].scenario, stages)
+        ))
+        x0 = scale_amplitude(x, float(np.sqrt(p0)))
         chain = experiments.make_cascade_config(config, gains)
-        alone = experiments._evaluate(config, x, chain, 1.0, noise)
+        alone = experiments._report(config, x, x0, cascade_forward(x0, chain, noise).output)
         assert _metric_bits(metrics) == _metric_bits(alone), (stages, case)
 
 
@@ -514,7 +521,7 @@ def test_the_scenario_sweep_warns_as_cascade_forward_does(sigma_sq):
         warnings.simplefilter("always")
         run_scenarios(config)
     x = experiments.excitation_for(config)
-    noise = evaluation_noise(config, max(config.K_range), len(x))
+    noise = draw_noise(max(config.K_range), len(x), config.seed + 2)
     with warnings.catch_warnings(record=True) as forward:
         warnings.simplefilter("always")
         for stages in config.K_range:
@@ -761,14 +768,16 @@ def test_rerun_into_one_directory_leaves_only_its_files(tmp_path):
 
 
 def test_a_failed_emission_renames_no_file(monkeypatch, tmp_path):
-    """Files are renamed into place only once all are written: a write that
-    fails after two files leaves the last run's tree as it was, with no
-    temporary file."""
-    record = run_scenarios(ExperimentConfig(output_dir=tmp_path, **SMALL))
+    """Files are renamed into place, and the last run's stale files deleted,
+    only once all are written, the manifest last: a write that fails after
+    two files, or one that fails while writing the manifest, leaves the last
+    run's tree as it was, with no temporary file."""
+    config = ExperimentConfig(output_dir=tmp_path, **SMALL)
+    record = run_scenarios(config)
     emit_outputs(record)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
-    build = experiments._build_files
+    build, write = experiments._build_files, experiments._write_blocks
 
     def failing_build(record):
         files = build(record)
@@ -776,10 +785,23 @@ def test_a_failed_emission_renames_no_file(monkeypatch, tmp_path):
             yield next(files)[0], [b"changed"]
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(experiments, "_build_files", failing_build)
-    with pytest.raises(OSError, match="no space"):
-        emit_outputs(record)
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    def failing_manifest(path, blocks):
+        if path.name != "manifest.json.tmp":
+            return write(path, blocks)
+        write(path, [b"{"])
+        raise OSError("no space left on device")
+
+    # Scenario 2 alone on another seed: its renames would change bytes and
+    # its deletions would remove scenario 1's files.
+    other = run_cases(replace(config, seed=1), [experiments._CASE_NAMED["scenario2"]])
+    for name, failing, emitted in [
+        ("_build_files", failing_build, record), ("_write_blocks", failing_manifest, other),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, name, failing)
+            with pytest.raises(OSError, match="no space"):
+                emit_outputs(emitted)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before, name
 
 
 def test_emit_deletes_only_plain_names_of_the_old_manifest(tmp_path):
@@ -1031,9 +1053,10 @@ def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):
 
 
 def test_cli_sweep_draws_each_stream_once(monkeypatch, tmp_path):
-    """One sweep draws the excitation, the seed + 2 evaluation noise and the
-    seed + 1 optimization noise once each, at the deepest K."""
-    calls = []
+    """One sweep draws the excitation and the seed + 1 optimization noise
+    once each, at the deepest K, and reads the seed + 2 evaluation stream
+    once, row by row, up to the deepest K."""
+    calls, reads = [], []
     excitation, noise = experiments.unit_excitation, experiments.draw_noise
 
     def counting_excitation(*args):
@@ -1044,14 +1067,34 @@ def test_cli_sweep_draws_each_stream_once(monkeypatch, tmp_path):
         calls.append((stages, seed))
         return noise(stages, length, seed)
 
+    def counting_rows(seed, rows):
+        for row in noise_rows(seed, rows):
+            reads.append(seed)
+            yield row
+
     monkeypatch.setattr(experiments, "unit_excitation", counting_excitation)
     monkeypatch.setattr(experiments, "draw_noise", counting_noise)
+    monkeypatch.setattr(experiments, "noise_rows", counting_rows)
     path = tmp_path / "k12.json"
     path.write_text(json.dumps({"K_range": [1, 2], "seed": 5}))
     code = cli.main(["sweep", "--config", str(path), "--symbols", "256",
                      "--out", str(tmp_path / "out")])
     assert code == 0
-    assert calls == ["x", (2, 7), (2, 6)]
+    assert (calls, reads) == (["x", (2, 6)], [7, 7])
+
+
+def test_cli_sweep_shows_each_overdrive_message_once(tmp_path):
+    """Every row's metrics are taken on one source line, so under the
+    default filter a sweep at sigma^2 = 0.5 shows each of its 5 distinct
+    overdrive messages once; a second evaluation path showed each twice."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        code = cli.main(["sweep", "--symbols", "512", "--sigma-sq", "0.5",
+                         "--out", str(tmp_path / "od")])
+    assert code == 0
+    messages = [str(w.message) for w in caught]
+    assert (len(messages), len(set(messages))) == (5, 5)
 
 
 def test_cli_output_collision_exits_three(tmp_path, capsys):
