@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import NoiseRealization, Signal, mean_power_of
+from .signals import SAMPLE_BLOCK, NoiseRealization, Signal, mean_power_of
 
 # |alpha| beyond this is outside the cubic model's sensible range: saturation
 # would sit below typical drive levels and the fit to a real PA is meaningless.
@@ -189,14 +189,6 @@ def check_noise(config: CascadeConfig, noise: NoiseRealization | None, length: i
         )
     if noise.length != length:
         raise ValueError(f"noise length {noise.length} != signal length {length}")
-
-
-# Samples per block of cascade_samples.  A block's arrays, tangent rows
-# included, stay in a core's cache and are not page-faulted in afresh on
-# every call.  On a 2-core Xeon (2 MiB L2 per core), five stages with six
-# tangent rows over 32,768 samples took 10.6 ms in one pass and 4.8 ms in
-# blocks of 8,192; one plain stage over 524,288 samples took 14.9 and 4.6 ms.
-SAMPLE_BLOCK = 8192
 
 
 class CascadeWorkspace:

@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -35,7 +35,15 @@ from .cascade import (
     store_numbers,
     warn_if_overdriven,
 )
-from .metrics import FLOOR_DB, PSD_SEGMENT_LENGTH, MetricsReport, aclr_span, psd_span, report
+from .metrics import (
+    FLOOR_DB,
+    PSD_SEGMENT_LENGTH,
+    MetricsReport,
+    aclr_span,
+    amam_magnitudes,
+    psd_span,
+    report,
+)
 from .optimizer import (
     FREE_POWER_MODES,
     Mode,
@@ -360,12 +368,15 @@ def make_cascade_config(
     )
 
 
-def _report(config: ExperimentConfig, x_unit: Signal, x0: Signal, output: Signal) -> MetricsReport:
-    """Metrics of a chain's output, given its input x0."""
+def _report(
+    config: ExperimentConfig, x_unit: Signal, amam_input: np.ndarray, output: Signal
+) -> MetricsReport:
+    """Metrics of a chain's output, given the AM/AM column of its input x0,
+    amam_magnitudes(x0, config.oversampling)."""
     return report(
         scale_amplitude(x_unit, config.G),
         output,
-        reference_input=x0,
+        amam_input,
         channel_bandwidth=1.0 + config.rolloff,
         amam_decimate=config.oversampling,
     )
@@ -393,21 +404,33 @@ def _case_point(
 class _Chain:
     """One chain at drive p0 on the given gains, run a few stages at a time.
 
-    It holds one output buffer, each stage's input energy and its depth,
-    the number of stages run so far.  ``advance(rows)`` runs the next
-    len(rows) stages, one evaluation row each, in one cascade_samples call
-    over the buffer.  At depth 0 it reads x0 = scale_amplitude(x_unit,
-    sqrt(p0)), after that the buffer itself, so a call past depth 0 takes
-    one row (the in-place call cascade_samples allows).  After stages 1..k
-    on evaluation rows 1..k the buffer holds, bit for bit, what
-    cascade_forward gives on the chain of gains[:k].
+    It holds one output buffer, each stage's input energy, its depth (the
+    number of stages run so far) and the AM/AM input column of its drive,
+    amam_magnitudes(x0, config.oversampling).  It takes that column from
+    ``amam_inputs``, the run's columns by drive, and adds it there when the
+    drive has none yet, so the chains of one run at one drive share one
+    array.  ``advance(rows)`` runs the next len(rows) stages, one
+    evaluation row each, in one cascade_samples call over the buffer.  At
+    depth 0 it reads x0 = scale_amplitude(x_unit, sqrt(p0)), after that the
+    buffer itself, so a call past depth 0 takes one row (the in-place call
+    cascade_samples allows).  After stages 1..k on evaluation rows 1..k the
+    buffer holds, bit for bit, what cascade_forward gives on the chain of
+    gains[:k].
     """
 
     def __init__(
-        self, config: ExperimentConfig, x_unit: Signal, p0: float, gains: np.ndarray
+        self,
+        config: ExperimentConfig,
+        x_unit: Signal,
+        p0: float,
+        gains: np.ndarray,
+        amam_inputs: dict[float, np.ndarray],
     ) -> None:
         self.config, self.x_unit, self.gains = config, x_unit, gains
         self.x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
+        if p0 not in amam_inputs:
+            amam_inputs[p0] = amam_magnitudes(self.x0, config.oversampling)
+        self.amam_input = amam_inputs[p0]
         self.samples = np.empty(len(x_unit), dtype=complex)
         self.input_energy = np.zeros(len(gains))
         self.depth = 0
@@ -432,7 +455,7 @@ class _Chain:
         warn_if_overdriven([self.config.alpha] * self.depth, self.input_energy, len(self.x0))
         power = mean_power_of(self.samples)
         output = replace(self.x0, samples=self.samples, nominal_power=power)
-        return _report(self.config, self.x_unit, self.x0, output)
+        return _report(self.config, self.x_unit, self.amam_input, output)
 
 
 def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRecord:
@@ -443,19 +466,23 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
     whole pass, the latter whole and only when an optimized row runs.  The
     seed + 2 evaluation stream is read once, row by row, through
     noise_rows: into a (max(K_range), N) array when an optimized row runs,
-    otherwise over one reused row.  The pass runs stage-major: for k =
-    1..max(K_range) it reads evaluation row k, moves each bracketing
+    otherwise into a fresh row per stage.  The pass runs stage-major: for k
+    = 1..max(K_range) it reads evaluation row k, moves each bracketing
     scenario's one chain (a _Chain at unit drive on the deepest scenario
-    gains) through stage k, and, if k is in K_range, evaluates the K = k
-    rows in case order.  So the bracketing chains run 2 max(K_range) signal
-    lengths of stage work, not 2 sum(K_range), and hold two chain buffers
-    whatever K_range is.  An optimized row is solved, then evaluated by a
-    _Chain of its own (p0, gains) advanced over rows 1..K.  Every row's
-    metrics come from one _Chain.metrics call, so each overdrive warning
-    has one source line.  Each distinct problem (K, scenario, free drive,
-    gain rows) is solved and evaluated once; a later case that poses it
-    again, as unequal_gains and joint_unequal do at K = 1, takes the first
-    one's result, point and metrics.
+    gains) through stage k, drops the row when it is a fresh one, and, if k
+    is in K_range, evaluates the K = k rows in case order.  So the
+    bracketing chains run 2 max(K_range) signal lengths of stage work, not
+    2 sum(K_range), and hold two chain buffers whatever K_range is, and no
+    evaluation row is alive while a scenario-only pass takes its metrics.
+    An optimized row is solved, then evaluated by a _Chain of its own (p0,
+    gains) advanced over rows 1..K.  Every row's metrics come from one
+    _Chain.metrics call, so each overdrive warning has one source line.
+    The AM/AM input column is made once per distinct drive p0 and shared by
+    every row at that drive: the scenario rows and every optimized row that
+    ends at p0 = 1.0.  Each distinct problem (K, scenario, free drive, gain
+    rows) is solved and evaluated once; a later case that poses it again,
+    as unequal_gains and joint_unequal do at K = 1, takes the first one's
+    result, point and metrics.
     """
     record = RunRecord(config=config)
     cases = [case for case in cases if case.mode is None or case.mode in config.modes]
@@ -467,10 +494,14 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
         opt_noise = optimization_noise(config, deepest, len(x_unit))
         buffers = np.empty((deepest, len(x_unit)), dtype=complex)
     else:
-        opt_noise, buffers = None, repeat(np.empty(len(x_unit), dtype=complex))
+        opt_noise = None
+        buffers = (np.empty(len(x_unit), dtype=complex) for _ in range(deepest))
     eval_rows = noise_rows(config.seed + 2, buffers)
+    amam_inputs: dict[float, np.ndarray] = {}  # drive p0 -> its AM/AM input column
     chains = {
-        case.scenario: _Chain(config, x_unit, 1.0, scenario_gains(config, case.scenario, deepest))
+        case.scenario: _Chain(
+            config, x_unit, 1.0, scenario_gains(config, case.scenario, deepest), amam_inputs
+        )
         for case in cases if case.mode is None
     }
     solved = {}  # problem -> (result, p0, gains, metrics) of its first case
@@ -478,6 +509,7 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
         row = next(eval_rows)
         for scenario_chain in chains.values():
             scenario_chain.advance(row[np.newaxis])
+        del row  # a fresh row is freed here, before the reports
         if stages not in config.K_range:
             continue
         for case in cases:
@@ -488,7 +520,8 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
                     result, p0, gains, evaluated = None, 1.0, None, chains[case.scenario]
                 else:
                     result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
-                    evaluated = _Chain(config, x_unit, p0, gains).advance(buffers[:stages])
+                    evaluated = _Chain(config, x_unit, p0, gains, amam_inputs)
+                    evaluated.advance(buffers[:stages])
                 solved[problem] = (result, p0, gains, evaluated.metrics())
                 del evaluated  # so the next solve runs without this chain's buffers
             result, p0, gains, metrics = solved[problem]
@@ -596,7 +629,8 @@ def _build_files(record: RunRecord) -> Iterator[tuple[str, Iterator[bytes]]]:
         # Signal files of the rows that free both p0 and every gain, or neither.
         if free_power == free_gains:
             for kind, header, shared, first, second in (
-                ("amam", "input_mag,output_mag", amam_inputs, *metrics.amam.T),
+                ("amam", "input_mag,output_mag", amam_inputs, metrics.amam_input,
+                 metrics.amam_output),
                 ("psd", "freq_symrate,psd_db", psd_axes, metrics.psd.frequencies,
                  metrics.psd.power_density),
             ):

@@ -1,4 +1,4 @@
-"""Signal-quality metrics: NMSE, PSD, ACLR, and AM/AM point clouds."""
+"""Signal-quality metrics: NMSE, PSD, ACLR, and AM/AM magnitude columns."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SAMPLE_BLOCK
-from .signals import DegenerateSignalError, Signal
+from .signals import SAMPLE_BLOCK, DegenerateSignalError, Signal
 
 # Finite stand-in for -inf dB in serialized output.
 FLOOR_DB = -300.0
@@ -54,12 +53,20 @@ class PsdEstimate:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One signal's quality summary against its reference."""
+    """One signal's quality summary against its reference.
+
+    The AM/AM scatter is two equal-length columns: ``amam_input``, |x| of
+    the chain's input, and ``amam_output``, |y| of this output, at the same
+    decimated samples.  The input column depends only on the drive, so the
+    reports of the chains at one drive may share one array; it is never
+    written to.
+    """
 
     nmse_db: float
     aclr_db: float
     psd: PsdEstimate
-    amam: np.ndarray  # shape (n, 2): |input|, |output|
+    amam_input: np.ndarray
+    amam_output: np.ndarray
 
 
 def nmse(desired: Signal, actual: Signal) -> float:
@@ -165,23 +172,17 @@ def aclr(psd: PsdEstimate, channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH)
     return 10.0 * np.log10(worst / main)
 
 
-def amam_points(input_signal: Signal, output_signal: Signal, decimate: int = 1) -> np.ndarray:
-    """(|x_n|, |y_n|) pairs, optionally keeping every decimate-th sample."""
-    if len(input_signal) != len(output_signal):
-        raise ValueError(
-            f"length mismatch: {len(input_signal)} vs {len(output_signal)}"
-        )
+def amam_magnitudes(signal: Signal, decimate: int = 1) -> np.ndarray:
+    """|s_n| at every decimate-th sample: one column of an AM/AM scatter."""
     if decimate < 1:
         raise ValueError(f"decimate must be >= 1, got {decimate}")
-    x = np.abs(input_signal.samples[::decimate])
-    y = np.abs(output_signal.samples[::decimate])
-    return np.column_stack([x, y])
+    return np.abs(signal.samples[::decimate])
 
 
 def report(
     desired: Signal,
     actual: Signal,
-    reference_input: Signal,
+    amam_input: np.ndarray,
     channel_bandwidth: float,
     amam_decimate: int,
 ) -> MetricsReport:
@@ -189,14 +190,23 @@ def report(
 
     The PSD is estimate_psd's (PSD_SEGMENT_LENGTH-sample Hann segments
     overlapping by PSD_OVERLAP); ACLR is taken over channels of
-    ``channel_bandwidth`` symbol rates.  AM/AM pairs are computed against
-    ``reference_input`` (the chain's input); ``amam_decimate`` thins the
-    point cloud for plotting.
+    ``channel_bandwidth`` symbol rates.  ``amam_input`` is the AM/AM input
+    column, amam_magnitudes(x0, amam_decimate) of the chain's input x0: the
+    report keeps that array itself, not a copy, and pairs it with the
+    output's column at the same samples.  ``amam_decimate`` thins the point
+    cloud for plotting.
     """
+    amam_output = amam_magnitudes(actual, amam_decimate)
+    if len(amam_input) != len(amam_output):
+        raise ValueError(
+            f"AM/AM input column of {len(amam_input)} points for an output of "
+            f"{len(amam_output)}"
+        )
     psd = estimate_psd(actual)
     return MetricsReport(
         nmse_db=nmse(desired, actual),
         aclr_db=aclr(psd, channel_bandwidth),
         psd=psd,
-        amam=amam_points(reference_input, actual, decimate=amam_decimate),
+        amam_input=amam_input,
+        amam_output=amam_output,
     )

@@ -13,9 +13,19 @@ the constellation and shaping (about 0.22 for the defaults).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
+
+# Samples per block of the loops that walk a signal a block at a time
+# (cascade.cascade_samples, metrics.nmse, noise_rows), so their temporaries
+# are one block long, not one signal.  A block's arrays, tangent rows
+# included, stay in a core's cache and are not page-faulted in afresh on
+# every call.  On a 2-core Xeon (2 MiB L2 per core), five stages with six
+# tangent rows over 32,768 samples took 10.6 ms in one pass and 4.8 ms in
+# blocks of 8,192; one plain stage over 524,288 samples took 14.9 and 4.6 ms.
+SAMPLE_BLOCK = 8192
 
 QAM16_LEVELS = np.array([-3, -1, 1, 3], dtype=float)
 # Mean energy of the unnormalized {+-1, +-3}^2 constellation: (2*1 + 2*9)/4
@@ -38,7 +48,10 @@ class Signal:
     every operation returns new samples or the same Signal, so two signals
     may share one array (see scale_amplitude).  The one buffer written in
     place, a chain's in experiments.run_cases (its _Chain), is wrapped in a
-    Signal only while that chain's metrics are taken.
+    Signal only while that chain's metrics are taken.  What is read from a
+    signal may be shared in the same way: run_cases makes the AM/AM input
+    column of a drive once and every report at that drive holds that one
+    array (metrics.MetricsReport).
     """
 
     samples: np.ndarray
@@ -191,21 +204,33 @@ def unit_excitation(
     return scale_amplitude(shaped, 1.0 / peak)
 
 
+def _fill_noise_row(rng: np.random.Generator, row: np.ndarray) -> np.ndarray:
+    """Write the generator's next row into ``row``: its real part, then its
+    imaginary part, each sqrt(0.5) times standard-normal draws taken
+    SAMPLE_BLOCK at a time into one block-long buffer."""
+    draw = np.empty(min(len(row), SAMPLE_BLOCK))
+    for part in (row.real, row.imag):
+        for start in range(0, len(row), SAMPLE_BLOCK):
+            block = part[start : start + SAMPLE_BLOCK]
+            np.multiply(rng.standard_normal(out=draw[: len(block)]), np.sqrt(0.5), out=block)
+    return row
+
+
 def noise_rows(seed: int, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Fill each given row with the next row of a noise stream, then yield it.
+    """Fill each given row with the next row of a noise stream, then hand it on.
 
     The stream of a seed is circularly-symmetric complex Gaussian noise of
     unit variance per sample: row k is (re + 1j*im) * sqrt(0.5) for the k-th
     pair of standard-normal draws of the row's length.  Its real and
-    imaginary parts are written in place, one draw at a time, which gives
-    the same bits with one real draw as the only temporary.  ``rows`` may
-    hand out one buffer again and again, which then holds one row at a time.
+    imaginary parts are written in place, one after the other, each drawn a
+    SAMPLE_BLOCK at a time: the generator gives the same values in blocks as
+    in one draw, so a row has the bits of the one-shot pair with one block
+    of draws as the only temporary.  A row is filled when it is asked for.
+    The iterator keeps no reference to a row it has handed on, so a row
+    that ``rows`` makes afresh is freed as soon as its caller drops it;
+    ``rows`` may also hand out one buffer again and again.
     """
-    rng = np.random.default_rng(seed)
-    for row in rows:
-        np.multiply(rng.standard_normal(len(row)), np.sqrt(0.5), out=row.real)
-        np.multiply(rng.standard_normal(len(row)), np.sqrt(0.5), out=row.imag)
-        yield row
+    return map(partial(_fill_noise_row, np.random.default_rng(seed)), rows)
 
 
 def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
@@ -213,7 +238,9 @@ def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
 
     One independent row per stage, deterministic per seed; row k does not
     depend on how many rows are drawn, so the first k rows of a (stages >= k)
-    draw equal the rows of a k-stage draw with the same seed.
+    draw equal the rows of a k-stage draw with the same seed.  The rows are
+    filled in place, so the draw holds the (stages, length) array and one
+    SAMPLE_BLOCK of draws.
     """
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages}")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from pachain.experiments import (
     run_scenarios,
     scenario_gains,
 )
-from pachain.metrics import MetricsReport, PsdEstimate
+from pachain.metrics import MetricsReport, PsdEstimate, amam_magnitudes
 from pachain.optimizer import Mode, OptimizationResult, Scenario, SolveStatus
 from pachain.signals import draw_noise, noise_rows, scale_amplitude
 
@@ -427,7 +428,7 @@ def test_an_evaluation_holds_few_signal_lengths():
     gains = scenario_gains(config, Scenario.ONE, 3)
     tracemalloc.start()  # traces what is allocated from here on
     try:
-        experiments._Chain(config, x, 1.0, gains).advance(rows).metrics()
+        experiments._Chain(config, x, 1.0, gains, {}).advance(rows).metrics()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,14 +458,97 @@ def traced_sweeps(tmp_path_factory):
 
 
 def test_the_scenario_sweep_holds_few_signal_lengths(traced_sweeps):
-    """The sweep holds the excitation, one noise row, one chain buffer per
-    scenario and what one report needs, whatever K_range is: K = 1..5
-    peaks at 6.1 signal lengths and 1.2 above K = 1 alone, the rest being
-    the records' AM/AM points.  Whole noise draws and each chain rerun in
-    full for every K took 9.1, 5.2 above K = 1."""
+    """The sweep holds the excitation, one chain buffer per scenario, and
+    either one noise row with a block of draws or what one report needs,
+    whatever K_range is: K = 1..5 peaks at 5.0 signal lengths and 0.7
+    above K = 1 alone, the rest being the records' AM/AM output columns.
+    With a noise row alive through the reports, a whole real draw per part
+    and an AM/AM input column per row it took 6.1, 1.2 above K = 1; with
+    whole noise draws and each chain rerun in full for every K, 9.1 and
+    5.2."""
     deep, shallow = traced_sweeps[1, 2, 3, 4, 5][1], traced_sweeps[1,][1]
-    assert deep < 7.0
-    assert deep - shallow <= 1.5
+    assert deep < 5.5
+    assert deep - shallow <= 1.0
+
+
+def test_no_evaluation_row_is_alive_during_a_report(monkeypatch):
+    """A scenario-only pass makes each evaluation row afresh and drops it
+    once both chains have run their stage on it, so no row is alive while
+    any of its reports runs."""
+    handed, alive = [], []
+    rows, report = experiments.noise_rows, experiments.report
+
+    def tracked(row):
+        handed.append(weakref.ref(row))
+        return row
+
+    def checked_report(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in handed))
+        return report(*args, **kwargs)
+
+    # map, not a generator, so the tracking itself holds no row.
+    monkeypatch.setattr(
+        experiments, "noise_rows", lambda seed, given: map(tracked, rows(seed, given))
+    )
+    monkeypatch.setattr(experiments, "report", checked_report)
+    run_cases(ExperimentConfig(symbols=256, modes=()))
+    assert len(handed) == 5
+    assert alive == [0] * 10
+
+
+def test_rows_at_one_drive_share_one_amam_input_column():
+    """Every row at p0 = 1.0, scenario or optimized, holds one AM/AM input
+    array; a row at another drive holds its own, made from its drive."""
+    config = ExperimentConfig(symbols=256)
+    record = run_cases(config)
+    rows = {**record.scenario_metrics, **record.optimization_metrics}
+    drives = {key: 1.0 for key in record.scenario_metrics}
+    drives.update((key, p0) for key, (p0, _) in record.optimized_parameters.items())
+    unit = record.scenario_metrics[1, "scenario1"].amam_input
+    at_unit = [key for key, p0 in drives.items() if p0 == 1.0]
+    assert len(at_unit) > len(record.scenario_metrics)
+    assert all(rows[key].amam_input is unit for key in at_unit)
+
+    x = experiments.excitation_for(config)
+    columns = {1.0: unit}
+    for key, p0 in drives.items():
+        if p0 != 1.0:
+            column = columns.setdefault(p0, rows[key].amam_input)
+            assert rows[key].amam_input is column, key
+            x0 = scale_amplitude(x, float(np.sqrt(p0)))
+            assert column.tobytes() == amam_magnitudes(x0, config.oversampling).tobytes(), key
+    assert len(columns) > 2
+
+
+_ALONE = """
+import sys
+from pathlib import Path
+from pachain.experiments import ExperimentConfig, emit_outputs, run_cases
+config = ExperimentConfig(symbols=512, seed=9, K_range=(1, 2), output_dir=Path(sys.argv[1]))
+emit_outputs(run_cases(config))
+"""
+
+
+def test_a_run_after_another_gives_the_files_of_its_config_alone(tmp_path):
+    """No array outlives its run: config B run right after config A (another
+    seed and length) writes exactly the files of B run alone in a fresh
+    interpreter."""
+    src = str(Path(pachain.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", _ALONE, str(tmp_path / "alone")],
+        env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    run_cases(ExperimentConfig(symbols=256, seed=5, K_range=(1, 2)))
+    after = tmp_path / "after"
+    emit_outputs(run_cases(
+        ExperimentConfig(symbols=512, seed=9, K_range=(1, 2), output_dir=after)
+    ))
+
+    def files(out):
+        return json.loads((out / "manifest.json").read_text())["files"]
+
+    assert files(after) == files(tmp_path / "alone")
+    assert len(files(after)) == 19
 
 
 def test_emission_holds_a_few_files_at_a_time(traced_sweeps):
@@ -484,7 +568,8 @@ def test_emission_holds_a_few_files_at_a_time(traced_sweeps):
 
 def _metric_bits(metrics):
     return (
-        repr(metrics.nmse_db), repr(metrics.aclr_db), metrics.amam.tobytes(),
+        repr(metrics.nmse_db), repr(metrics.aclr_db),
+        metrics.amam_input.tobytes(), metrics.amam_output.tobytes(),
         metrics.psd.frequencies.tobytes(), metrics.psd.power_density.tobytes(),
         repr(metrics.psd.peak_density),
     )
@@ -507,7 +592,8 @@ def test_scenario_rows_have_the_bits_of_each_chain_run_alone():
         ))
         x0 = scale_amplitude(x, float(np.sqrt(p0)))
         chain = experiments.make_cascade_config(config, gains)
-        alone = experiments._report(config, x, x0, cascade_forward(x0, chain, noise).output)
+        inputs = amam_magnitudes(x0, config.oversampling)
+        alone = experiments._report(config, x, inputs, cascade_forward(x0, chain, noise).output)
         assert _metric_bits(metrics) == _metric_bits(alone), (stages, case)
 
 
@@ -600,8 +686,11 @@ def _signal_columns(record):
     """(name, header, first column, second column) of each AM/AM and PSD file
     that a record's metrics could give."""
     for (stages, case), metrics in {**record.scenario_metrics, **record.optimization_metrics}.items():
-        amam, psd = metrics.amam, metrics.psd
-        yield f"amam_K{stages}_{case}.csv", "input_mag,output_mag", amam[:, 0], amam[:, 1]
+        psd = metrics.psd
+        yield (
+            f"amam_K{stages}_{case}.csv", "input_mag,output_mag",
+            metrics.amam_input, metrics.amam_output,
+        )
         yield f"psd_K{stages}_{case}.csv", "freq_symrate,psd_db", psd.frequencies, psd.power_density
 
 
@@ -621,10 +710,10 @@ def test_signal_files_match_per_value_formatting(emitted):
     each have their own drive; every field reads back as its exact value."""
     config = replace(emitted[1].config, K_range=(1, 2))
     record = run_cases(config)
-    inputs = {key: m.amam[:, 0] for key, m in record.scenario_metrics.items()}
+    inputs = {key: m.amam_input for key, m in record.scenario_metrics.items()}
     assert len(inputs) == 4
     assert all(np.array_equal(column, inputs[(1, "scenario1")]) for column in inputs.values())
-    joint = [record.optimization_metrics[(k, "joint_equal")].amam[:, 0] for k in (1, 2)]
+    joint = [record.optimization_metrics[(k, "joint_equal")].amam_input for k in (1, 2)]
     assert not np.array_equal(joint[0], joint[1])
     assert not np.array_equal(joint[0], inputs[(1, "scenario1")])
 
@@ -658,7 +747,7 @@ def _synthetic_signal_record(input_columns, rows, seed=3, output_dir=Path("runs"
 
     def metrics(inputs):
         psd = PsdEstimate(axis, -60.0 * rng.random(len(axis)), 1.0)
-        return MetricsReport(-30.0, -40.0, psd, np.column_stack([inputs, rng.random(len(inputs))]))
+        return MetricsReport(-30.0, -40.0, psd, inputs, rng.random(len(inputs)))
 
     for stages, (case, column) in enumerate(input_columns, start=1):
         record.scenario_metrics[(stages, case)] = metrics(column)
@@ -1118,7 +1207,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
         evaluations=2, jacobian_evaluations=4, criticality=0.5,
     )
     record.optimization_metrics[key] = MetricsReport(
-        nmse_db=-10.0, aclr_db=-30.0, psd=None, amam=None
+        nmse_db=-10.0, aclr_db=-30.0, psd=None, amam_input=None, amam_output=None
     )
     record.optimized_parameters[key] = (1.0, np.ones(1))
     monkeypatch.setattr(cli, "run_cases", lambda config, cases: record)

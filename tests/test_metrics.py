@@ -11,7 +11,7 @@ from pachain.metrics import (
     PSD_OVERLAP,
     PSD_SEGMENT_LENGTH,
     aclr,
-    amam_points,
+    amam_magnitudes,
     estimate_psd,
     nmse,
     report,
@@ -188,22 +188,31 @@ def test_aclr_bandwidth_parameter():
 
 
 def test_amam_points_shape_and_decimation():
+    """An AM/AM point is the pair of |x| and |y| at one sample: two columns
+    of one length, thinned alike."""
     x = unit_excitation(256, 8, 0.22, 16, 14)
     y = make_signal(0.9 * x.samples)
-    points = amam_points(x, y)
-    assert points.shape == (len(x), 2)
-    np.testing.assert_allclose(points[:, 0], np.abs(x.samples))
-    np.testing.assert_allclose(points[:, 1], 0.9 * np.abs(x.samples), rtol=1e-12)
-    thinned = amam_points(x, y, decimate=8)
-    assert thinned.shape == (len(x) // 8, 2)
+    inputs, outputs = amam_magnitudes(x), amam_magnitudes(y)
+    assert inputs.shape == outputs.shape == (len(x),)
+    np.testing.assert_allclose(inputs, np.abs(x.samples))
+    np.testing.assert_allclose(outputs, 0.9 * np.abs(x.samples), rtol=1e-12)
+    thinned = amam_magnitudes(x, decimate=8)
+    assert thinned.tobytes() == inputs[::8].tobytes()
+    assert thinned.shape == (len(x) // 8,)
+    with pytest.raises(ValueError, match="decimate"):
+        amam_magnitudes(x, decimate=0)
 
 
 def test_report_bundles_everything():
     x = unit_excitation(1024, 8, 0.22, 16, 15)
     y = make_signal(x.samples + 0.01 * white_noise(len(x), 16).samples)
-    bundle = report(x, y, x, DEFAULT_CHANNEL_BANDWIDTH, 4)
+    inputs = amam_magnitudes(x, 4)
+    bundle = report(x, y, inputs, DEFAULT_CHANNEL_BANDWIDTH, 4)
     assert bundle.nmse_db < -30
     assert bundle.aclr_db < -20
-    assert bundle.amam.shape == (len(x) // 4, 2)
+    assert bundle.amam_input is inputs
+    assert bundle.amam_output.tobytes() == np.abs(y.samples[::4]).tobytes()
     assert bundle.psd.frequencies.size == bundle.psd.power_density.size
     assert FLOOR_DB < bundle.nmse_db
+    with pytest.raises(ValueError, match="AM/AM input column"):
+        report(x, y, inputs, DEFAULT_CHANNEL_BANDWIDTH, 8)

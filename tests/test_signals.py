@@ -1,12 +1,15 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from pachain.signals import (
+    SAMPLE_BLOCK,
     Signal,
     draw_noise,
     generate_qam16,
+    noise_rows,
     pulse_shape,
     rrc_taps,
     scale_amplitude,
@@ -133,8 +136,9 @@ def test_draw_noise_rows_equal_the_complex_expression(seed):
 
 
 def test_draw_noise_holds_one_real_draw_beyond_its_rows():
-    """One row of N samples peaks at 1.5 row lengths traced; drawing the
-    real and imaginary parts and combining them took 3.0."""
+    """One row of N samples peaks at 1.02 row lengths traced: the row and
+    one SAMPLE_BLOCK of draws.  A whole real draw per part took 1.5, and
+    drawing both parts and then combining them 3.0."""
     length = 1 << 18
     tracemalloc.start()
     try:
@@ -142,4 +146,31 @@ def test_draw_noise_holds_one_real_draw_beyond_its_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * length) < 2.0
+    assert peak / (16 * length) < 1.1
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("length", [1, SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 120])
+def test_noise_rows_have_the_bits_of_the_one_shot_draws(seed, length):
+    """The stream's rows, drawn a SAMPLE_BLOCK at a time and part by part,
+    are bit for bit those of one standard_normal(N) draw for the real part
+    and one for the imaginary part, row after row, whether they come from
+    noise_rows over fresh rows or from draw_noise."""
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(3):
+        re = rng.standard_normal(length)
+        im = rng.standard_normal(length)
+        expected.append(((re + 1j * im) * np.sqrt(0.5)).tobytes())
+    fresh = (np.empty(length, dtype=complex) for _ in range(3))
+    assert [row.tobytes() for row in noise_rows(seed, fresh)] == expected
+    assert [row.tobytes() for row in draw_noise(3, length, seed).stage_noise] == expected
+
+
+def test_noise_rows_keep_no_row_they_handed_on():
+    """A row made afresh for noise_rows is freed once its caller drops it,
+    although the stream goes on."""
+    rows = noise_rows(SEED, (np.empty(64, dtype=complex) for _ in range(3)))
+    handed = weakref.ref(next(rows))
+    assert handed() is None
+    assert len(next(rows)) == 64
