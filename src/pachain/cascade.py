@@ -227,11 +227,7 @@ def cascade_samples(
     and w_k = stage_noise[k] (unused, and may be None, when sigma is 0).
     It alone scales the noise: any sigma != 0 multiplies row k into a work
     buffer, one block at a time, so its callers pass sigma and the unit
-    rows of a realization.  The optimizer's residual (and through it the
-    grid oracle) calls it once per parameter vector, cascade_forward once
-    per chain, and experiments.run_cases once per advance of a chain (a
-    scenario chain's stage, or an optimized row's whole chain), so all of
-    them share its arithmetic.
+    rows of a realization.
 
     ``input_energy``, a float (K,) array, has sum |y_{k-1} + sigma*w_k|^2,
     the energy of stage k's input, added into entry k-1.
@@ -314,28 +310,57 @@ def cascade_samples(
     return y_all
 
 
-def warn_if_overdriven(alphas: Sequence[complex], input_energy: np.ndarray, length: int) -> None:
-    """Emit ModelValidityWarning if a stage is driven past its saturation input.
+class Chain:
+    """A chain on x0 with the given stages, run a few stages at a time.
 
-    Stage k (1-based) is overdriven when its mean input power,
-    input_energy[k-1] / length, exceeds x_max(alphas[k-1])**2; a linear
-    stage never is.  The model still evaluates there (the cubic folds over
-    exactly as written), but it no longer resembles an amplifier.  The
-    warning names every overdriven stage and points at the caller of the
-    function that calls this one.
+    It holds one output buffer, each stage's input energy and its depth, the
+    number of stages run so far.  After stages 1..k the buffer holds, bit
+    for bit, the output of the chain of its first k stages run in one call.
     """
-    overdriven = [
-        k + 1
-        for k, alpha in enumerate(alphas)
-        if alpha != 0 and input_energy[k] / length > x_max(alpha) ** 2
-    ]
-    if overdriven:
-        warnings.warn(
-            f"stage(s) {overdriven} driven past the saturation input; the "
-            "cubic model folds over in this regime",
-            ModelValidityWarning,
-            stacklevel=3,
+
+    def __init__(self, x0: Signal, alphas: np.ndarray, gains: np.ndarray, sigma: float) -> None:
+        self.x0, self.alphas, self.gains, self.sigma = x0, alphas, gains, sigma
+        self.samples = np.empty(len(x0), dtype=complex)
+        self.input_energy = np.zeros(len(gains))
+        self.depth = 0
+
+    def advance(self, count: int, rows: np.ndarray | None) -> Chain:
+        """Run the next count stages in one cascade_samples call, the i-th of
+        them on noise row rows[i] (rows may be None when sigma is 0).  At
+        depth 0 it reads x0, after that the buffer itself, so a call past
+        depth 0 runs one stage: the in-place call cascade_samples allows."""
+        k = self.depth
+        cascade_samples(
+            self.x0.samples if k == 0 else self.samples,
+            self.alphas[k : k + count], self.gains[k : k + count], self.sigma, rows,
+            out=self.samples, input_energy=self.input_energy[k : k + count],
         )
+        self.depth += count
+        return self
+
+    def output(self) -> Signal:
+        """The buffer as a Signal, valid until the next advance writes over it.
+
+        Stage k is overdriven when its mean input power exceeds
+        x_max(alpha_k)**2; a linear stage never is.  The model still
+        evaluates there (the cubic folds over exactly as written), but it no
+        longer resembles an amplifier.  A ModelValidityWarning names every
+        overdriven stage among 1..depth and points at the caller of the
+        function that calls this one.
+        """
+        overdriven = [
+            k + 1
+            for k, alpha in enumerate(self.alphas[: self.depth])
+            if alpha != 0 and self.input_energy[k] / len(self.x0) > x_max(alpha) ** 2
+        ]
+        if overdriven:
+            warnings.warn(
+                f"stage(s) {overdriven} driven past the saturation input; the "
+                "cubic model folds over in this regime",
+                ModelValidityWarning,
+                stacklevel=3,
+            )
+        return replace(self.x0, samples=self.samples, nominal_power=mean_power_of(self.samples))
 
 
 def cascade_forward(
@@ -344,32 +369,20 @@ def cascade_forward(
     noise: NoiseRealization | None = None,
     keep_stages: bool = False,
 ) -> CascadeRun:
-    """Run one whole chain and return its output.
+    """Run one whole chain, one Chain advance over all its stages, and
+    return its output; warns as Chain.output does.
 
-    This is the public single-chain runner, and the reference that the
-    tests hold experiments.run_cases to: run_cases evaluates every row
-    through its own _Chain, which calls cascade_samples over one buffer and
-    gives the same bits.  ``x0`` must already be scaled to the configured
-    drive (input_power).  The chain is one kernel call, and only its output
-    is kept.  A caller that needs each stage's output passes a (K, N) array
-    to cascade_samples(..., stage_f=...), whose row k-1 times g_k is stage
-    k's output; ``keep_stages`` is accepted only as False.
-
-    The kernel's per-stage input energy goes to warn_if_overdriven, which
-    warns if a stage is driven past its saturation input.
+    ``x0`` must already be scaled to the configured drive (input_power).  A
+    caller that needs each stage's output passes a (K, N) array to
+    cascade_samples(..., stage_f=...), whose row k-1 times g_k is stage k's
+    output; ``keep_stages`` is accepted only as False.
     """
     if keep_stages:
         raise ValueError("no stage outputs are kept; use cascade_samples(..., stage_f=...)")
     check_noise(config, noise, len(x0))
-    energy = np.zeros(config.stage_count)
-    samples = cascade_samples(
-        x0.samples, config.alphas, config.gains, config.sigma,
-        None if noise is None else noise.stage_noise, input_energy=energy,
-    )
-    warn_if_overdriven([stage.alpha for stage in config.stages], energy, len(x0))
-    return CascadeRun(
-        output=replace(x0, samples=samples, nominal_power=mean_power_of(samples))
-    )
+    rows = None if noise is None else noise.stage_noise
+    chain = Chain(x0, config.alphas, config.gains, config.sigma)
+    return CascadeRun(output=chain.advance(config.stage_count, rows).output())
 
 
 def equivalent_sigma(gains: Sequence[float], sigma: float) -> float:

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -27,13 +27,12 @@ import numpy as np
 
 from .cascade import (
     CascadeConfig,
+    Chain,
     PaStage,
     cascade_forward,  # not called here: kept as the hook perfbench's tracer wraps
-    cascade_samples,
     check_alpha,
     is_number,
     store_numbers,
-    warn_if_overdriven,
 )
 from .metrics import (
     FLOOR_DB,
@@ -61,7 +60,6 @@ from .signals import (
     NoiseRealization,
     Signal,
     draw_noise,
-    mean_power_of,
     noise_rows,
     scale_amplitude,
     unit_excitation,
@@ -126,7 +124,9 @@ class ExperimentConfig:
         has a saturation input to drive each stage to.
     sigma_sq: variance of the complex Gaussian noise added before each
         stage, per sample, in unit-drive power; a real number >= 0.
-    G: reference gain, a linear amplitude ratio; a real number > 0.
+    G: reference gain, a linear amplitude ratio; a real number > 0 such
+        that G^2 * symbols * oversampling, the desired signal's energy, is
+        finite.
     epsilon: half-width of the per-stage gain box [(1-epsilon)*G,
         (1+epsilon)*G], as a fraction of G; a real number in [0, 1).
     K_range: the numbers of stages studied; a list or tuple of distinct
@@ -228,6 +228,9 @@ class ExperimentConfig:
                 f"max(K_range) * symbols * oversampling must fit an array, got "
                 f"{max(self.K_range)} * {self.symbols} * {self.oversampling}"
             )
+        # The energy of the desired signal, G times the unit-drive excitation.
+        if not np.isfinite(self.G * self.G * self.symbols * self.oversampling):
+            raise ConfigError(f"G^2 * symbols * oversampling must be finite, got G = {self.G}")
         span, needed = psd_span(self.oversampling), aclr_span(1.0 + self.rolloff)
         if span < needed:
             raise ConfigError(
@@ -368,20 +371,6 @@ def make_cascade_config(
     )
 
 
-def _report(
-    config: ExperimentConfig, x_unit: Signal, amam_input: np.ndarray, output: Signal
-) -> MetricsReport:
-    """Metrics of a chain's output, given the AM/AM column of its input x0,
-    amam_magnitudes(x0, config.oversampling)."""
-    return report(
-        scale_amplitude(x_unit, config.G),
-        output,
-        amam_input,
-        channel_bandwidth=1.0 + config.rolloff,
-        amam_decimate=config.oversampling,
-    )
-
-
 # --------------------------------------------------------------------------
 # The study
 
@@ -401,63 +390,6 @@ def _case_point(
     return (result, *expand_parameters(result.parameters, case.mode, fixed))
 
 
-class _Chain:
-    """One chain at drive p0 on the given gains, run a few stages at a time.
-
-    It holds one output buffer, each stage's input energy, its depth (the
-    number of stages run so far) and the AM/AM input column of its drive,
-    amam_magnitudes(x0, config.oversampling).  It takes that column from
-    ``amam_inputs``, the run's columns by drive, and adds it there when the
-    drive has none yet, so the chains of one run at one drive share one
-    array.  ``advance(rows)`` runs the next len(rows) stages, one
-    evaluation row each, in one cascade_samples call over the buffer.  At
-    depth 0 it reads x0 = scale_amplitude(x_unit, sqrt(p0)), after that the
-    buffer itself, so a call past depth 0 takes one row (the in-place call
-    cascade_samples allows).  After stages 1..k on evaluation rows 1..k the
-    buffer holds, bit for bit, what cascade_forward gives on the chain of
-    gains[:k].
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        x_unit: Signal,
-        p0: float,
-        gains: np.ndarray,
-        amam_inputs: dict[float, np.ndarray],
-    ) -> None:
-        self.config, self.x_unit, self.gains = config, x_unit, gains
-        self.x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
-        if p0 not in amam_inputs:
-            amam_inputs[p0] = amam_magnitudes(self.x0, config.oversampling)
-        self.amam_input = amam_inputs[p0]
-        self.samples = np.empty(len(x_unit), dtype=complex)
-        self.input_energy = np.zeros(len(gains))
-        self.depth = 0
-
-    def advance(self, rows: np.ndarray) -> _Chain:
-        """Run the next len(rows) stages on the (stages, N) evaluation rows."""
-        k, count = self.depth, len(rows)
-        cascade_samples(
-            self.x0.samples if k == 0 else self.samples,
-            np.full(count, self.config.alpha), self.gains[k : k + count], self.config.sigma,
-            rows, out=self.samples, input_energy=self.input_energy[k : k + count],
-        )
-        self.depth += count
-        return self
-
-    def metrics(self) -> MetricsReport:
-        """The metrics of the chain so far; warns as cascade_forward would.
-
-        The buffer is wrapped in a Signal only while report reads it: the
-        next ``advance`` writes over it.
-        """
-        warn_if_overdriven([self.config.alpha] * self.depth, self.input_energy, len(self.x0))
-        power = mean_power_of(self.samples)
-        output = replace(self.x0, samples=self.samples, nominal_power=power)
-        return _report(self.config, self.x_unit, self.amam_input, output)
-
-
 def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRecord:
     """Run the cases at every K and evaluate each on the evaluation noise.
 
@@ -466,23 +398,18 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
     whole pass, the latter whole and only when an optimized row runs.  The
     seed + 2 evaluation stream is read once, row by row, through
     noise_rows: into a (max(K_range), N) array when an optimized row runs,
-    otherwise into a fresh row per stage.  The pass runs stage-major: for k
-    = 1..max(K_range) it reads evaluation row k, moves each bracketing
-    scenario's one chain (a _Chain at unit drive on the deepest scenario
-    gains) through stage k, drops the row when it is a fresh one, and, if k
-    is in K_range, evaluates the K = k rows in case order.  So the
-    bracketing chains run 2 max(K_range) signal lengths of stage work, not
-    2 sum(K_range), and hold two chain buffers whatever K_range is, and no
-    evaluation row is alive while a scenario-only pass takes its metrics.
-    An optimized row is solved, then evaluated by a _Chain of its own (p0,
-    gains) advanced over rows 1..K.  Every row's metrics come from one
-    _Chain.metrics call, so each overdrive warning has one source line.
-    The AM/AM input column is made once per distinct drive p0 and shared by
-    every row at that drive: the scenario rows and every optimized row that
-    ends at p0 = 1.0.  Each distinct problem (K, scenario, free drive, gain
-    rows) is solved and evaluated once; a later case that poses it again,
-    as unequal_gains and joint_unequal do at K = 1, takes the first one's
-    result, point and metrics.
+    otherwise into a fresh row per stage, dropped once both scenario chains
+    have run their stage on it.  The pass runs stage-major: for k =
+    1..max(K_range) each bracketing scenario's one Chain, at unit drive on
+    the deepest scenario gains, takes stage k on evaluation row k, and if k
+    is in K_range the K = k rows are evaluated in case order.  An optimized
+    row is solved, then evaluated by a Chain of its own (p0, gains) run
+    over rows 1..K.  Every row's metrics come from one report call, so each
+    overdrive message has one source location.  The AM/AM input column is
+    made once per distinct drive p0.  Each distinct problem (K, scenario,
+    free drive, gain rows) is solved and evaluated once; a later case that
+    poses it again, as unequal_gains and joint_unequal do at K = 1, takes
+    the first one's result, point and metrics.
     """
     record = RunRecord(config=config)
     cases = [case for case in cases if case.mode is None or case.mode in config.modes]
@@ -498,17 +425,22 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
         buffers = (np.empty(len(x_unit), dtype=complex) for _ in range(deepest))
     eval_rows = noise_rows(config.seed + 2, buffers)
     amam_inputs: dict[float, np.ndarray] = {}  # drive p0 -> its AM/AM input column
+
+    def chain_at(p0: float, gains: np.ndarray) -> Chain:
+        x0 = scale_amplitude(x_unit, float(np.sqrt(p0)))
+        if p0 not in amam_inputs:
+            amam_inputs[p0] = amam_magnitudes(x0, config.oversampling)
+        return Chain(x0, np.full(len(gains), config.alpha), gains, config.sigma)
+
     chains = {
-        case.scenario: _Chain(
-            config, x_unit, 1.0, scenario_gains(config, case.scenario, deepest), amam_inputs
-        )
+        case.scenario: chain_at(1.0, scenario_gains(config, case.scenario, deepest))
         for case in cases if case.mode is None
     }
     solved = {}  # problem -> (result, p0, gains, metrics) of its first case
     for stages in range(1, deepest + 1):
         row = next(eval_rows)
         for scenario_chain in chains.values():
-            scenario_chain.advance(row[np.newaxis])
+            scenario_chain.advance(1, row[np.newaxis])
         del row  # a fresh row is freed here, before the reports
         if stages not in config.K_range:
             continue
@@ -520,9 +452,12 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
                     result, p0, gains, evaluated = None, 1.0, None, chains[case.scenario]
                 else:
                     result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
-                    evaluated = _Chain(config, x_unit, p0, gains, amam_inputs)
-                    evaluated.advance(buffers[:stages])
-                solved[problem] = (result, p0, gains, evaluated.metrics())
+                    evaluated = chain_at(p0, gains).advance(stages, buffers[:stages])
+                metrics = report(
+                    scale_amplitude(x_unit, config.G), evaluated.output(), amam_inputs[p0],
+                    channel_bandwidth=1.0 + config.rolloff, amam_decimate=config.oversampling,
+                )
+                solved[problem] = (result, p0, gains, metrics)
                 del evaluated  # so the next solve runs without this chain's buffers
             result, p0, gains, metrics = solved[problem]
             key = (stages, case.name)

@@ -47,11 +47,8 @@ class Signal:
     No code writes a signal's samples in place while the signal is in use:
     every operation returns new samples or the same Signal, so two signals
     may share one array (see scale_amplitude).  The one buffer written in
-    place, a chain's in experiments.run_cases (its _Chain), is wrapped in a
-    Signal only while that chain's metrics are taken.  What is read from a
-    signal may be shared in the same way: run_cases makes the AM/AM input
-    column of a drive once and every report at that drive holds that one
-    array (metrics.MetricsReport).
+    place, a cascade.Chain's, is wrapped by Chain.output in a Signal that
+    holds until the chain advances again.
     """
 
     samples: np.ndarray

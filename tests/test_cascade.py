@@ -12,6 +12,7 @@ from pachain import cascade
 from pachain.cascade import (
     CascadeConfig,
     CascadeWorkspace,
+    Chain,
     ModelValidityWarning,
     PaStage,
     SaturationUndefinedError,
@@ -221,6 +222,51 @@ def test_single_pass_matches_the_per_stage_forward(monkeypatch, stages, sigma):
     assert y.tobytes() == expected[-1].tobytes()
     outputs = [np.multiply(g, f).tobytes() for g, f in zip(config.gains, stage_f)]
     assert outputs == [out.tobytes() for out in expected]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("stages", [1, 2, 3, 4, 5])
+def test_chain_runs_the_same_stage_by_stage_or_whole(monkeypatch, stages, sigma):
+    """K one-stage advances, one K-stage advance and cascade_forward give the
+    same output bytes and input energies, over two sample blocks.  At every
+    depth k, output() warns naming just the overdriven stages among 1..k:
+    stages 2 and 4 of this chain (mean input powers 1.7 and 1.4 at sigma =
+    0, against x_max^2 = 1.005)."""
+    x = unit_excitation(1100, 8, 0.22, 16, 5)
+    noise = draw_noise(stages, len(x), 17) if sigma else None
+    rows = None if noise is None else noise.stage_noise
+    alphas = [ALPHA, ALPHA, 0.5 * ALPHA, ALPHA, 0.0][:stages]
+    config = make_config(alphas, [3.0, 0.4, 6.0, 1.0, 1.0][:stages], sigma=sigma)
+    overdriven = per_stage_forward(x, config, noise)[1]
+    assert overdriven == [k for k in (2, 4) if k <= stages]
+
+    stepped = Chain(x, config.alphas, config.gains, sigma)
+    for k in range(1, stages + 1):
+        stepped.advance(1, None if rows is None else rows[k - 1 : k])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stepped.output()
+        among = [stage for stage in overdriven if stage <= k]
+        named = [(w.category, str(w.message).split(" driven")[0]) for w in caught]
+        assert named == ([(ModelValidityWarning, f"stage(s) {among}")] if among else [])
+
+    made = []
+
+    class Recorded(Chain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cascade, "Chain", Recorded)
+    whole = Chain(x, config.alphas, config.gains, sigma).advance(stages, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        run = cascade_forward(x, config, noise)
+    assert len(made) == 1 and made[0].depth == stages
+    assert run.output.samples.tobytes() == stepped.samples.tobytes()
+    for chain in (whole, made[0]):
+        assert chain.samples.tobytes() == stepped.samples.tobytes()
+        assert chain.input_energy.tobytes() == stepped.input_energy.tobytes()
 
 
 def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():

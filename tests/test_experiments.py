@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pachain
+import pachain.cascade as cascade
 import pachain.cli as cli
 import pachain.experiments as experiments
 from pachain.cascade import (
-    CascadeConfig, ModelValidityWarning, PaStage, cascade_forward, cascade_samples,
+    CascadeConfig, Chain, ModelValidityWarning, PaStage, cascade_forward, cascade_samples,
 )
 from pachain.experiments import (
     ConfigError,
@@ -38,7 +39,7 @@ from pachain.experiments import (
     run_scenarios,
     scenario_gains,
 )
-from pachain.metrics import MetricsReport, PsdEstimate, amam_magnitudes
+from pachain.metrics import MetricsReport, PsdEstimate, amam_magnitudes, report
 from pachain.optimizer import Mode, OptimizationResult, Scenario, SolveStatus
 from pachain.signals import draw_noise, noise_rows, scale_amplitude
 
@@ -87,6 +88,8 @@ def test_config_validation_errors():
         dict(modes=(Mode.POWER_ONLY, Mode.POWER_ONLY)),
         # the range checks alone would let these through
         dict(G=float("nan")),
+        # the desired signal's energy would overflow only after the chain had run
+        dict(G=1e200),
         dict(sigma_sq=float("inf")),
         dict(alpha=complex(float("nan"), 0.0)),
         # PaStage would reject it only after the excitation was drawn
@@ -378,24 +381,25 @@ def test_run_cases_keeps_the_configured_modes():
 
 def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
     """The 40 rows of a default-K_range sweep take 28 solves, 38 kernel
-    calls in experiments (one per stage of each scenario chain, 10, and one
-    per optimized chain, 28) and 38 reports: 28 evaluations of optimized
-    rows and one per (K, scenario).  At
-    K = 1, unequal_gains poses the problem of equal_gains and joint_unequal
+    calls from cascade.Chain (one per stage of each scenario chain, 10, and
+    one per optimized chain, 28) and 38 reports: 28 evaluations of
+    optimized rows and one per (K, scenario).  At K = 1, unequal_gains poses the problem of equal_gains and joint_unequal
     that of joint_equal (a solve of its own keeps every field), and each
     takes that row's result, point and metrics."""
     calls = []
 
-    def counting(name, function):
+    def counting(module, name):
+        function = getattr(module, name)
+
         def counted(*args, **kwargs):
             calls.append(name)
             return function(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     names = ("solve", "cascade_samples", "report")
-    for name in names:
-        counting(name, getattr(experiments, name))
+    for module, name in zip((experiments, cascade, experiments), names):
+        counting(module, name)
     config = ExperimentConfig(symbols=128)
     record = run_cases(config)
     assert [calls.count(name) for name in names] == [28, 38, 38]
@@ -416,10 +420,10 @@ def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
 
 
 def test_an_evaluation_holds_few_signal_lengths():
-    """At unit drive and unit gain an evaluation (one _Chain advance and its
-    metrics) holds, beyond its inputs, the chain buffer and one real buffer
-    for the NMSE sums (or the PSD's bounded chunks): a traced peak of 1.78
-    lengths of N complex samples at N = 262,144.  Scaled copies of the
+    """At unit drive and unit gain an evaluation (one Chain advance and the
+    report of its output) holds, beyond its inputs, the chain buffer and one
+    real buffer for the NMSE sums (or the PSD's bounded chunks): a traced
+    peak of 1.78 lengths of N complex samples at N = 262,144.  Scaled copies of the
     input and the desired signal and full-length d - a temporaries took
     4.53 lengths."""
     config = ExperimentConfig(symbols=32768, K_range=(3,), modes=())
@@ -428,7 +432,11 @@ def test_an_evaluation_holds_few_signal_lengths():
     gains = scenario_gains(config, Scenario.ONE, 3)
     tracemalloc.start()  # traces what is allocated from here on
     try:
-        experiments._Chain(config, x, 1.0, gains, {}).advance(rows).metrics()
+        output = Chain(x, np.full(3, config.alpha), gains, config.sigma).advance(3, rows).output()
+        report(
+            x, output, amam_magnitudes(x, config.oversampling),
+            channel_bandwidth=1.0 + config.rolloff, amam_decimate=config.oversampling,
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -593,7 +601,10 @@ def test_scenario_rows_have_the_bits_of_each_chain_run_alone():
         x0 = scale_amplitude(x, float(np.sqrt(p0)))
         chain = experiments.make_cascade_config(config, gains)
         inputs = amam_magnitudes(x0, config.oversampling)
-        alone = experiments._report(config, x, inputs, cascade_forward(x0, chain, noise).output)
+        alone = report(
+            x, cascade_forward(x0, chain, noise).output, inputs,
+            channel_bandwidth=1.0 + config.rolloff, amam_decimate=config.oversampling,
+        )
         assert _metric_bits(metrics) == _metric_bits(alone), (stages, case)
 
 
@@ -1118,6 +1129,19 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_a_gain_whose_desired_energy_overflows(tmp_path, capsys):
+    """At G = 1e200 the desired signal's energy is not a float: the run
+    stops before any compute with one error line naming G, not an
+    OverflowError after the chain has run.  G = 1e150 still runs."""
+    argv = ["simulate", "--scenario", "1", "--K", "1", "--symbols", "128"]
+    assert cli.main([*argv, "--G", "1e200", "--out", str(tmp_path / "big")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pachain: error: G") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "big").exists()
+    assert cli.main([*argv, "--G", "1e150", "--out", str(tmp_path / "large")]) == 0
+
+
 def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):
     """Only scenario 2's chain runs: one one-stage kernel call on its gain,
     and no whole-chain call."""
@@ -1130,7 +1154,7 @@ def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):
     def no_forward(*args, **kwargs):
         raise AssertionError("a scenario row ran cascade_forward")
 
-    monkeypatch.setattr(experiments, "cascade_samples", counting_samples)
+    monkeypatch.setattr(cascade, "cascade_samples", counting_samples)
     monkeypatch.setattr(experiments, "cascade_forward", no_forward)
     out = tmp_path / "sim"
     code = cli.main(["simulate", "--scenario", "2", "--K", "1", "--symbols", "128",
