@@ -210,24 +210,23 @@ class CascadeWorkspace:
 
 
 def cascade_samples(
-    x0: np.ndarray,
+    y: np.ndarray,
     alphas: np.ndarray,
     gains: np.ndarray,
     sigma: float,
     stage_noise: np.ndarray | None = None,
     tangent: tuple[np.ndarray, Sequence[int | None]] | None = None,
     workspace: CascadeWorkspace | None = None,
-    out: np.ndarray | None = None,
     stage_f: np.ndarray | None = None,
     input_energy: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bare-array cascade kernel: the one implementation of the stage recursion.
 
-    Applies y <- g_k * f(y + sigma*w_k) for k = 1..K, with K = len(gains)
-    and w_k = stage_noise[k] (unused, and may be None, when sigma is 0).
-    It alone scales the noise: any sigma != 0 multiplies row k into a work
-    buffer, one block at a time, so its callers pass sigma and the unit
-    rows of a realization.
+    Applies y <- g_k * f(y + sigma*w_k) for k = 1..K in place on the complex
+    array y, which it returns, with K = len(gains) and w_k = stage_noise[k]
+    (unused, and may be None, when sigma is 0).  It alone scales the noise:
+    any sigma != 0 multiplies row k into a work buffer, one block at a time,
+    so its callers pass sigma and the unit rows of a realization.
 
     ``input_energy``, a float (K,) array, has sum |y_{k-1} + sigma*w_k|^2,
     the energy of stage k's input, added into entry k-1.
@@ -235,13 +234,13 @@ def cascade_samples(
     ``stage_f``, a complex (K, N) array, receives each stage's pre-gain
     output f(y_{k-1} + sigma*w_k) in row k-1: the stage computes it there in
     place of a work buffer, so keeping it costs no copy.  Row k-1 depends on
-    x0 and g_1..g_{k-1} only, so a caller that changes only later gains can
-    resume the chain from it.
+    the input and g_1..g_{k-1} only, so a caller that changes only later
+    gains can resume the chain from it.
 
     ``tangent = (dy, gain_rows)`` also carries, in the same pass, the
-    derivatives of y with respect to real parameters theta_1..theta_d.  On
-    entry the complex (d, N) array dy holds d x0/d theta; it is overwritten
-    with d y/d theta.  gain_rows[k] is the row of the parameter that g_k
+    derivatives of y with respect to real parameters theta_1..theta_d.  The
+    complex (d, N) array dy holds d y/d theta of the input on entry and of
+    the output on return.  gain_rows[k] is the row of the parameter that g_k
     equals (d g_k/d theta = 1 there), or None when g_k is fixed.  The noise
     does not depend on theta, so each stage maps a row t to
 
@@ -256,24 +255,20 @@ def cascade_samples(
     The samples are independent, so the outer loop runs over blocks of
     SAMPLE_BLOCK samples and the inner one takes a block through every
     stage; every output bit is the same as in one pass over all of them.
-    The temporaries of a block live in ``workspace`` (a fresh
-    CascadeWorkspace when None), and y is written into ``out`` (a fresh
-    array when None), which must not overlap x0, with one exception: a
-    one-stage call with no ``stage_f`` and no ``tangent`` may pass x0 itself
-    as ``out``, since it reads each block of x0 before it writes that block
-    of y; the output has the same bits as in a fresh ``out``.  Every product
+    Each stage reads its block of y before it writes it.  The temporaries of
+    a block live in ``workspace`` (a fresh CascadeWorkspace when None), which
+    must not overlap y, nor may stage_f, dy or stage_noise.  Every product
     keeps the operand order of the plain expressions in the comments
     (complex multiplication is not bit-commutative under FMA).
     """
     work = CascadeWorkspace() if workspace is None else workspace
-    y_all = np.empty(len(x0), dtype=complex) if out is None else out
     if tangent is not None:
         dy_all, gain_rows = tangent
         seeded = min((row for row in gain_rows if row is not None), default=len(dy_all))
-    for start in range(0, len(x0), SAMPLE_BLOCK):
+    for start in range(0, len(y), SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        x, y = x0[block], y_all[block]
-        m = len(y)
+        x = y_block = y[block]
+        m = len(x)
         noisy, ax = work.noisy[:m], work.ax[:m]
         ga, gb, conj_row, x_sq = work.ga[:m], work.gb[:m], work.conj_row[:m], work.x_sq[:m]
         if tangent is not None:
@@ -305,35 +300,32 @@ def cascade_samples(
                     dy[gain_rows[k]] += fx
                     live = max(live, gain_rows[k] + 1)
             # y = g * fx, last: x may be y itself.
-            np.multiply(g, fx, out=y)
-            x = y
-    return y_all
+            x = np.multiply(g, fx, out=y_block)
+    return y
 
 
 class Chain:
     """A chain on x0 with the given stages, run a few stages at a time.
 
-    It holds one output buffer, each stage's input energy and its depth, the
-    number of stages run so far.  After stages 1..k the buffer holds, bit
-    for bit, the output of the chain of its first k stages run in one call.
+    It holds one buffer, a copy of x0's samples that cascade_samples runs on
+    in place, each stage's input energy and its depth, the number of stages
+    run so far.  After stages 1..k the buffer holds, bit for bit, the output
+    of the chain of its first k stages run in one call.
     """
 
     def __init__(self, x0: Signal, alphas: np.ndarray, gains: np.ndarray, sigma: float) -> None:
         self.x0, self.alphas, self.gains, self.sigma = x0, alphas, gains, sigma
-        self.samples = np.empty(len(x0), dtype=complex)
+        self.samples = x0.samples.copy()
         self.input_energy = np.zeros(len(gains))
         self.depth = 0
 
     def advance(self, count: int, rows: np.ndarray | None) -> Chain:
-        """Run the next count stages in one cascade_samples call, the i-th of
-        them on noise row rows[i] (rows may be None when sigma is 0).  At
-        depth 0 it reads x0, after that the buffer itself, so a call past
-        depth 0 runs one stage: the in-place call cascade_samples allows."""
+        """Run the next count stages on the buffer in one cascade_samples call,
+        the i-th on noise row rows[i] (rows may be None when sigma is 0)."""
         k = self.depth
         cascade_samples(
-            self.x0.samples if k == 0 else self.samples,
-            self.alphas[k : k + count], self.gains[k : k + count], self.sigma, rows,
-            out=self.samples, input_energy=self.input_energy[k : k + count],
+            self.samples, self.alphas[k : k + count], self.gains[k : k + count], self.sigma,
+            rows, input_energy=self.input_energy[k : k + count],
         )
         self.depth += count
         return self

@@ -126,7 +126,7 @@ class ExperimentConfig:
         stage, per sample, in unit-drive power; a real number >= 0.
     G: reference gain, a linear amplitude ratio; a real number > 0 such
         that G^2 * symbols * oversampling, the desired signal's energy, is
-        finite.
+        finite and G^2 is at least sys.float_info.min.
     epsilon: half-width of the per-stage gain box [(1-epsilon)*G,
         (1+epsilon)*G], as a fraction of G; a real number in [0, 1).
     K_range: the numbers of stages studied; a list or tuple of distinct
@@ -228,9 +228,12 @@ class ExperimentConfig:
                 f"max(K_range) * symbols * oversampling must fit an array, got "
                 f"{max(self.K_range)} * {self.symbols} * {self.oversampling}"
             )
-        # The energy of the desired signal, G times the unit-drive excitation.
+        # The energy of the desired signal, G times the unit-drive excitation:
+        # the NMSE divides by it, and below a normal G^2 it rounds towards 0.
         if not np.isfinite(self.G * self.G * self.symbols * self.oversampling):
             raise ConfigError(f"G^2 * symbols * oversampling must be finite, got G = {self.G}")
+        if self.G * self.G < sys.float_info.min:
+            raise ConfigError(f"G^2 must be at least {sys.float_info.min}, got G = {self.G}")
         span, needed = psd_span(self.oversampling), aclr_span(1.0 + self.rolloff)
         if span < needed:
             raise ConfigError(

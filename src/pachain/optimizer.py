@@ -230,9 +230,10 @@ def build_residual(
     and 0.0 differ and a NaN matches itself) and runs only the stages after
     them: none when only g_K changed, which then costs one multiply.  A call
     with the Jacobian runs the whole chain.  Every call is bit for bit what a
-    fresh closure returns.  The closure also keeps its kernel workspace and
-    its input, output and tangent arrays, so it is not reentrant; the arrays
-    it returns are its caller's.
+    fresh closure returns.  The closure also keeps its kernel workspace, its
+    tangents and one signal buffer, which a call fills with the input of its
+    first stage and the kernel runs on in place; so it is not reentrant, and
+    the arrays it returns are its caller's.
     """
     check_noise(config, noise, len(x0_unit))
     x = x0_unit.samples
@@ -247,7 +248,6 @@ def build_residual(
     fixed_gains = config.gains
     # Working arrays of every call, made once; what a call returns is fresh.
     work = CascadeWorkspace()
-    stage_in = np.empty_like(x)  # input of the first stage a call runs
     y = np.empty_like(x)
     dy = np.empty((dim, len(x)), dtype=complex)
     stage_f = np.empty((stage_count, len(x)), dtype=complex)
@@ -268,22 +268,21 @@ def build_residual(
         # until the kernel returns.
         filled = b""
         tangent = None
-        if depth == stage_count:
-            np.multiply(gains[-1], stage_f[-1], out=y)
-        elif depth:
-            np.multiply(gains[depth - 1], stage_f[depth - 1], out=stage_in)
+        # y is the input of the first stage the call runs, then the output.
+        if depth:
+            np.multiply(gains[depth - 1], stage_f[depth - 1], out=y)
         else:
-            np.multiply(np.sqrt(p0), x, out=stage_in)
+            np.multiply(np.sqrt(p0), x, out=y)
             if jacobian:
                 dy.fill(0.0)
                 if free_power:
-                    np.divide(stage_in, 2.0 * p0, out=dy[0])
+                    np.divide(y, 2.0 * p0, out=dy[0])
                 tangent = (dy, rows)
         if depth < stage_count:
             cascade_samples(
-                stage_in, alphas[depth:], gains[depth:], config.sigma,
+                y, alphas[depth:], gains[depth:], config.sigma,
                 None if noise is None else noise.stage_noise[depth:],
-                tangent, work, y, stage_f[depth:],
+                tangent, work, stage_f[depth:],
             )
         filled = inputs
         if not jacobian:

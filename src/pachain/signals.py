@@ -47,8 +47,8 @@ class Signal:
     No code writes a signal's samples in place while the signal is in use:
     every operation returns new samples or the same Signal, so two signals
     may share one array (see scale_amplitude).  The one buffer written in
-    place, a cascade.Chain's, is wrapped by Chain.output in a Signal that
-    holds until the chain advances again.
+    place, a cascade.Chain's copy of its input's samples, is wrapped by
+    Chain.output in a Signal that holds until the chain advances again.
     """
 
     samples: np.ndarray

@@ -167,9 +167,9 @@ def per_stage_forward(x, config, noise):
     output and the stages whose mean input power passes x_max^2."""
     samples, outputs, overdriven = x.samples, [], []
     for k, stage in enumerate(config.stages):
-        stage_in = samples
+        stage_in = samples.copy()  # the kernel runs in place
         if config.sigma != 0.0:
-            stage_in = stage_in + config.sigma * noise.stage_noise[k]
+            stage_in += config.sigma * noise.stage_noise[k]
         if stage.alpha != 0 and np.mean(np.abs(stage_in) ** 2) > x_max(stage.alpha) ** 2:
             overdriven.append(k + 1)
         samples = cascade_samples(
@@ -218,7 +218,7 @@ def test_single_pass_matches_the_per_stage_forward(monkeypatch, stages, sigma):
 
     stage_f = np.empty((stages, len(x)), dtype=complex)
     rows = None if noise is None else noise.stage_noise
-    y = kernel(x.samples, config.alphas, config.gains, sigma, rows, stage_f=stage_f)
+    y = kernel(x.samples.copy(), config.alphas, config.gains, sigma, rows, stage_f=stage_f)
     assert y.tobytes() == expected[-1].tobytes()
     outputs = [np.multiply(g, f).tobytes() for g, f in zip(config.gains, stage_f)]
     assert outputs == [out.tobytes() for out in expected]
@@ -271,9 +271,9 @@ def test_chain_runs_the_same_stage_by_stage_or_whole(monkeypatch, stages, sigma)
 
 def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():
     """At 2^16 samples and five stages, neither a general-sigma kernel call
-    nor a lean cascade_forward allocates more than its output, one
-    CascadeWorkspace and a small slack: no (K, N) noise array is made.  The
-    slack covers numpy's casting buffer (np.getbufsize() complex values)
+    on a fresh copy of its input nor a lean cascade_forward allocates more
+    than its output, one CascadeWorkspace and a small slack: no (K, N) noise
+    array is made.  The slack covers numpy's casting buffer (np.getbufsize() complex values)
     where the real |x|^2 multiplies a complex array."""
     x = unit_excitation(8192, 8, 0.22, 16, 5)
     noise = draw_noise(5, len(x), 3)
@@ -281,7 +281,9 @@ def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():
     workspace = 6 * cascade.SAMPLE_BLOCK * 16 + cascade.SAMPLE_BLOCK * 8
     bound = len(x) * 16 + workspace + 256 * 1024
     for run in (
-        lambda: cascade_samples(x.samples, config.alphas, config.gains, 0.05, noise.stage_noise),
+        lambda: cascade_samples(
+            x.samples.copy(), config.alphas, config.gains, 0.05, noise.stage_noise
+        ),
         lambda: cascade_forward(x, config, noise),
     ):
         tracemalloc.start()
@@ -296,7 +298,7 @@ def test_kernel_and_forward_temporaries_fit_one_output_and_workspace():
 def test_residual_holds_only_its_documented_buffers():
     """At 2^16 samples and five stages, making a joint-unequal residual
     closure and calling it once allocates no more than its documented
-    buffers (desired, stage input, y, the six tangent rows, stage_f and one
+    buffers (desired, y, the six tangent rows, stage_f and one
     CascadeWorkspace), the residual it returns and 256 KiB of slack (numpy's
     casting buffer, as above): the closure keeps no scaled copy of the
     (K, N) noise, which would add K*N*16 bytes (5 MiB)."""
@@ -304,7 +306,7 @@ def test_residual_holds_only_its_documented_buffers():
     noise = draw_noise(5, len(x), 3)
     config = make_config([ALPHA] * 5, [1.0] * 5, sigma=0.05)
     workspace = 6 * cascade.SAMPLE_BLOCK * 16 + cascade.SAMPLE_BLOCK * 8
-    rows = 3 + 6 + 5 + 1  # desired, stage input, y; tangents; stage_f; returned
+    rows = 2 + 6 + 5 + 1  # desired, y; tangents; stage_f; returned
     bound = rows * len(x) * 16 + workspace + 256 * 1024
     tracemalloc.start()
     try:
@@ -348,7 +350,7 @@ def test_cascade_samples_blocks_leave_every_bit(monkeypatch):
         dy = np.zeros((4, len(x)), dtype=complex)
         dy[0] = x.samples
         y = cascade_samples(
-            x.samples, config.alphas, config.gains, 0.05, noise.stage_noise,
+            x.samples.copy(), config.alphas, config.gains, 0.05, noise.stage_noise,
             (dy, [1, 2, 3]), SHARED_WORK,
         )
         return y, dy
@@ -403,35 +405,76 @@ def test_cascade_samples_matches_cascade_forward():
     config = make_config([ALPHA, ALPHA * 0.5], [0.9, 1.2], sigma=0.05)
     run = cascade_forward(x, config, noise)
     bare = cascade_samples(
-        x.samples, config.alphas, config.gains, 0.05, noise.stage_noise
+        x.samples.copy(), config.alphas, config.gains, 0.05, noise.stage_noise
     )
     prescaled = cascade_samples(
-        x.samples, config.alphas, config.gains, 1.0, 0.05 * noise.stage_noise
+        x.samples.copy(), config.alphas, config.gains, 1.0, 0.05 * noise.stage_noise
     )
     np.testing.assert_array_equal(run.output.samples, bare)
     assert prescaled.tobytes() == bare.tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
-def test_one_stage_may_write_over_its_input(sigma):
-    """A one-stage call with no stage_f and no tangent may pass x0 itself as
-    out.  Run stage by stage over 3 SAMPLE_BLOCKs and a ragged tail, a chain
-    written over one buffer keeps every bit of one that takes a fresh out
-    each stage, input energy included, and ends on the bits of the whole
-    chain in one call."""
-    x = unit_excitation(3 * cascade.SAMPLE_BLOCK // 8 + 15, 8, 0.22, 16, 9).samples
+def test_cascade_samples_runs_in_place(sigma):
+    """The kernel runs the chain in place on its first argument and returns
+    it.  Over 3 SAMPLE_BLOCKs and a ragged tail, the whole chain in one call
+    and the chain run stage by stage on one buffer, each with stage_f, the
+    tangents of p0 and every gain and the input energy, keep every bit of
+    the plain recursion run on copies of the input, with the kernel's
+    operand order and its per-block energy sums; the noise rows are left
+    as they were.  A Chain advanced by 1 then 2 stages holds the bits of
+    one advanced by 3, and leaves its input's samples as they were."""
+    x = unit_excitation(3 * cascade.SAMPLE_BLOCK // 8 + 15, 8, 0.22, 16, 9)
     assert len(x) % cascade.SAMPLE_BLOCK and len(x) > 3 * cascade.SAMPLE_BLOCK
     noise = draw_noise(3, len(x), 13).stage_noise
+    noise_bytes = noise.tobytes()
     alphas, gains = np.array([ALPHA, ALPHA * 0.5, ALPHA]), np.array([0.9, 1.2, 1.1])
-    fresh, state = x, x.copy()
+    blocks = range(0, len(x), cascade.SAMPLE_BLOCK)
+
+    y, dy = x.samples.copy(), np.zeros((4, len(x)), dtype=complex)
+    dy[0] = x.samples
+    want_y, want_f, want_energy = [], [], []
+    for k, (alpha, g) in enumerate(zip(alphas, gains)):
+        v = y + sigma * noise[k]
+        x_sq = np.abs(v) ** 2
+        want_energy.append(sum(x_sq[b : b + cascade.SAMPLE_BLOCK].sum() for b in blocks))
+        f = pa_nonlinearity(v, alpha)
+        ga, gb = g + 2.0 * g * alpha * x_sq, g * (alpha * v) * v
+        dy[: k + 1] = dy[: k + 1] * ga + gb * np.conjugate(dy[: k + 1])
+        dy[k + 1] += f
+        y = g * f
+        want_y.append(y.tobytes())
+        want_f.append(f.tobytes())
+    want = (want_y[-1], b"".join(want_f), dy.tobytes(), np.array(want_energy).tobytes())
+
+    def fresh():
+        tangent = np.zeros((4, len(x)), dtype=complex)
+        tangent[0] = x.samples
+        return x.samples.copy(), np.empty((3, len(x)), dtype=complex), tangent, np.zeros(3)
+
+    whole, stage_f, tangent, energy = fresh()
+    assert cascade_samples(
+        whole, alphas, gains, sigma, noise, (tangent, [1, 2, 3]), SHARED_WORK,
+        stage_f, energy,
+    ) is whole
+    assert (whole.tobytes(), stage_f.tobytes(), tangent.tobytes(), energy.tobytes()) == want
+
+    stepped, stage_f, tangent, energy = fresh()
     for k in range(3):
-        fresh_energy, state_energy = np.zeros(1), np.zeros(1)
-        stage = (alphas[k : k + 1], gains[k : k + 1], sigma, noise[k : k + 1])
-        fresh = cascade_samples(fresh, *stage, input_energy=fresh_energy)
-        assert cascade_samples(state, *stage, out=state, input_energy=state_energy) is state
-        assert state.tobytes() == fresh.tobytes()
-        assert state_energy.tobytes() == fresh_energy.tobytes()
-    assert state.tobytes() == cascade_samples(x, alphas, gains, sigma, noise).tobytes()
+        assert cascade_samples(
+            stepped, alphas[k : k + 1], gains[k : k + 1], sigma, noise[k : k + 1],
+            (tangent, [k + 1]), SHARED_WORK, stage_f[k : k + 1], energy[k : k + 1],
+        ) is stepped
+        assert stepped.tobytes() == want_y[k]
+    assert (stepped.tobytes(), stage_f.tobytes(), tangent.tobytes(), energy.tobytes()) == want
+    assert noise.tobytes() == noise_bytes
+
+    x_bytes = x.samples.tobytes()
+    split = Chain(x, alphas, gains, sigma).advance(1, noise[:1]).advance(2, noise[1:])
+    one = Chain(x, alphas, gains, sigma).advance(3, noise)
+    assert split.samples.tobytes() == one.samples.tobytes() == want_y[-1]
+    assert split.input_energy.tobytes() == one.input_energy.tobytes() == want[3]
+    assert x.samples.tobytes() == x_bytes
 
 
 def test_equivalent_gain_is_product():

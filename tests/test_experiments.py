@@ -90,6 +90,9 @@ def test_config_validation_errors():
         dict(G=float("nan")),
         # the desired signal's energy would overflow only after the chain had run
         dict(G=1e200),
+        # or underflow, and the NMSE would fail or read inf after the chain had run
+        dict(G=1e-200),
+        dict(G=1e-161),
         dict(sigma_sq=float("inf")),
         dict(alpha=complex(float("nan"), 0.0)),
         # PaStage would reject it only after the excitation was drawn
@@ -1130,16 +1133,18 @@ def test_cli_bad_config_value_names_the_key(tmp_path, capsys, data, key):
 
 
 def test_cli_rejects_a_gain_whose_desired_energy_overflows(tmp_path, capsys):
-    """At G = 1e200 the desired signal's energy is not a float: the run
-    stops before any compute with one error line naming G, not an
-    OverflowError after the chain has run.  G = 1e150 still runs."""
+    """At G = 1e200 the desired signal's energy is not a float, and at G =
+    1e-200 G^2 underflows to 0: the run stops before any compute with one
+    error line naming G, not an OverflowError or a zero-energy error after
+    the chain has run.  G = 1e150 and 1e-150 still run."""
     argv = ["simulate", "--scenario", "1", "--K", "1", "--symbols", "128"]
-    assert cli.main([*argv, "--G", "1e200", "--out", str(tmp_path / "big")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("pachain: error: G") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not (tmp_path / "big").exists()
-    assert cli.main([*argv, "--G", "1e150", "--out", str(tmp_path / "large")]) == 0
+    for bad, good in [("1e200", "1e150"), ("1e-200", "1e-150")]:
+        assert cli.main([*argv, "--G", bad, "--out", str(tmp_path / bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pachain: error: G") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / bad).exists()
+        assert cli.main([*argv, "--G", good, "--out", str(tmp_path / good)]) == 0
 
 
 def test_cli_simulate_runs_only_the_named_scenario(monkeypatch, tmp_path):

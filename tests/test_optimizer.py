@@ -482,10 +482,11 @@ def step_stops(record):
 
 
 def test_step_tolerance_ends_only_the_documented_stops(optimization_record):
-    """The stops that solve's docstring and the README give to STEP_TOLERANCE,
-    per row: three at the default config and two at 512 symbols.  Which test
-    ends a solve can turn on last-bit rounding, so a change of arithmetic
-    that moves a stop fails here and its docs must follow."""
+    """The rows whose solve STEP_TOLERANCE ends: the three at the default
+    config that solve's docstring names, and two at 512 symbols on seed 42.
+    Which test ends a solve can turn on last-bit rounding, so a change of
+    arithmetic that moves a stop fails here, and solve's docstring must
+    follow it."""
     assert step_stops(optimization_record) == {
         (3, "unequal_gains"), (5, "power_s2"), (5, "joint_unequal"),
     }
