@@ -338,7 +338,8 @@ class Chain:
         evaluates there (the cubic folds over exactly as written), but it no
         longer resembles an amplifier.  A ModelValidityWarning names every
         overdriven stage among 1..depth and points at the caller of the
-        function that calls this one.
+        function that calls this one.  An output whose mean power is not a
+        finite float (|y|^2 overflows) raises a ValueError naming the depth.
         """
         overdriven = [
             k + 1
@@ -352,7 +353,11 @@ class Chain:
                 ModelValidityWarning,
                 stacklevel=3,
             )
-        return replace(self.x0, samples=self.samples, nominal_power=mean_power_of(self.samples))
+        with np.errstate(over="ignore"):
+            power = mean_power_of(self.samples)
+        if not np.isfinite(power):
+            raise ValueError(f"the output power after stage {self.depth} is {power}, not finite")
+        return replace(self.x0, samples=self.samples, nominal_power=power)
 
 
 def cascade_forward(

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Each command is one ``run_cases`` pass over its cases; ``--K`` and ``--mode``
-set K_range and modes as the other flags set their fields.
+Each command is one ``run_cases`` pass over its cases.  Every flag sets its
+config field through ``config_from_dict``, as a JSON file does: ``--K`` and
+``--mode`` set K_range and modes to their one value.
 
 Exit codes: 0 success, 1 bad arguments or configuration, 2 solver failure
 (a solve stalled at the feasible-set boundary), 3 output I/O failure.  Every
@@ -13,7 +14,6 @@ its start, and its outputs are written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,7 +23,9 @@ from .experiments import (
     ExperimentConfig,
     RunRecord,
     _case_sort_key,
+    config_from_dict,
     config_from_json,
+    config_to_dict,
     emit_outputs,
     run_cases,
 )
@@ -64,7 +66,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oversampling", type=int, help="samples per symbol")
     parser.add_argument("--rolloff", type=float, help="root-raised-cosine roll-off")
     parser.add_argument("--seed", type=int, help="base seed for symbols and noise")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,15 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="run one scenario at one cascade depth")
     simulate.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    simulate.add_argument("--K", type=_stage_count, required=True, help="number of cascaded stages")
-    _add_shared_flags(simulate)
-
     optimize = commands.add_parser("optimize", help="solve one mode at one cascade depth")
-    optimize.add_argument(
-        "--mode", choices=[mode.value for mode in Mode], required=True
-    )
-    optimize.add_argument("--K", type=_stage_count, required=True, help="number of cascaded stages")
-    _add_shared_flags(optimize)
+    optimize.add_argument("--mode", dest="modes", choices=[m.value for m in Mode], required=True)
+    for command in (simulate, optimize):
+        command.add_argument(
+            "--K", dest="K_range", metavar="K", type=_stage_count, required=True,
+            help="number of cascaded stages",
+        )
+        _add_shared_flags(command)
 
     sweep = commands.add_parser("sweep", help="full scenario + optimization study")
     sweep.add_argument("--config", type=Path, help="JSON configuration file")
@@ -91,26 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    # Every flag but --alpha-re/-im, --out, --K and --mode parses to its field's name.
-    updates = {
-        item.name: getattr(args, item.name)
-        for item in dataclasses.fields(config)
-        if getattr(args, item.name, None) is not None
-    }
-    alpha = config.alpha
-    if args.alpha_re is not None:
-        alpha = complex(args.alpha_re, alpha.imag)
-    if args.alpha_im is not None:
-        alpha = complex(alpha.real, args.alpha_im)
-    if alpha != config.alpha:
-        updates["alpha"] = alpha
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if getattr(args, "K", None) is not None:
-        updates["K_range"] = (args.K,)
-    if getattr(args, "mode", None) is not None:
-        updates["modes"] = (Mode(args.mode),)
-    return dataclasses.replace(config, **updates) if updates else config
+    # Every flag but --alpha-re/-im parses to its field's name; a list field
+    # takes the flag's one value.
+    data = config_to_dict(config)
+    for name, value in vars(args).items():
+        if name in data and value is not None:
+            data[name] = [value] if isinstance(data[name], list) else value
+    for part, value in enumerate((args.alpha_re, args.alpha_im)):
+        if value is not None:
+            data["alpha"][part] = value
+    return config_from_dict(data)
 
 
 def _base_config(args: argparse.Namespace) -> ExperimentConfig:

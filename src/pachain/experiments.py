@@ -108,8 +108,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything a run depends on, each field checked here before any compute.
 
-    This is the one place that types a field: a JSON file reaches it through
-    ``config_from_dict``, CLI flags through ``dataclasses.replace``.  A bad
+    This is the one place that types a field: a JSON file and the CLI flags
+    reach it through ``config_from_dict``.  A bad
     value raises a ConfigError that names its field.  A number may be a
     Python or numpy number, but not a bool, and is stored as the Python kind
     of its annotation (cascade.store_numbers); no field may hold an integer of more digits than Python prints

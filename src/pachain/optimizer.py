@@ -1,24 +1,12 @@
 """Box-constrained nonlinear least squares over drive power and stage gains.
 
-The objective is ||G*x_unit - y_K(theta)||^2 where y_K is the cascade output
-at drive p0 with the stage gains taken from theta (or held fixed, depending
-on the mode).  Normalizing the desired signal by 1/sqrt(p0) cancels the p0
-dependence of the reference, so the desired side is simply G times the
-unit-drive excitation.
-
-The solver is a damped Gauss-Newton (Levenberg-Marquardt) iteration with
-projection of trial points onto the box.  Each damped step is solved on the
-free set of projected-Newton methods (Bertsekas 1982): a coordinate on a
-bound is held when the gradient or the damped step points out of the box
-there.  The damped-step term can hold a coordinate whose gradient points in,
-so Converged is no certificate (solve names the one such stop of the default
-study).  Its Jacobian is exact: the residual
-carries the derivatives with respect to the at most K+1 parameters through
-the same cascade pass that computes it (forward-mode tangents in
-cascade_samples), and every trial point is scored with its tangents, since
-the damping follows the gain ratio (Nielsen 1999) and most first trials are
-accepted.  A call with tangents hands the solver r^T r, J^T J and J^T r
-alone, each an einsum in its fixed order, never BLAS's thread-dependent one.
+The objective is ||G*x_unit - y_K(theta)||^2, where y_K is the cascade output
+at drive p0 with the stage gains that theta frees; the mode holds the rest at
+the config's values.  Normalizing the desired signal by 1/sqrt(p0) leaves G
+times the unit-drive excitation as the desired side.  The module holds the
+modes and their parameter vectors, build_residual (the residual and its exact
+Jacobian from one cascade pass), solve (projected Levenberg-Marquardt) and
+grid_oracle, a brute-force check of the 1- and 2-parameter modes.
 """
 
 from __future__ import annotations
@@ -217,8 +205,9 @@ def build_residual(
     interleaved).  Called with ``jacobian=True`` it returns instead
     (r^T r, J^T J, J^T r) of that residual r and its exact Jacobian J, from
     the same cascade pass: J = -dy is never formed, both products reduce the
-    float view of the tangents dy as the kernel wrote them, and r is written
-    over the output buffer.  The closure holds the noise realization and
+    float view of the tangents dy as the kernel wrote them, each an einsum in
+    its fixed order (BLAS's order turns on its thread count), and r is
+    written over the output buffer.  The closure holds the noise realization and
     passes sigma and its unit rows to the kernel, which alone scales them, so
     the objective is deterministic while the realization is left unchanged.
 
@@ -331,20 +320,16 @@ def solve(
     linearized at no further call; a trial that the clip puts on the
     iteration's last rejected one again is rejected without a call.
     ``evaluations`` (calls without tangents) reads 0 and
-    ``jacobian_evaluations`` counts every call.  The result
-    reports the criticality of its point from the gradient of the last
-    linearization, at no extra call; it does not enter the status.
-    Terminates when the projected gradient is at most GRADIENT_TOLERANCE
-    times its starting magnitude, when the clipped step is at most
-    STEP_TOLERANCE, or after MAX_ITERATIONS.  Per row of the default study
-    (30 rows from 28 solves), the step tolerance ends 3: unequal-gains K = 3
-    at a zero step, and power_s2 and joint_unequal at K = 5;
-    test_step_tolerance_ends_only_the_documented_stops tells the two tests apart.
-
-    Converged does not certify an optimum: the damped-step hold also holds a
-    coordinate whose gradient points into the box, and so the default study's
-    unequal-gains K = 3 reports Converged at g1 = 0.70 with df/dg1 = -511
-    (criticality 0.6).
+    ``jacobian_evaluations`` counts every call.  The result reports the
+    criticality of its point from the gradient of the last linearization, at
+    no extra call; it does not enter the status.
+    The status is Converged when the projected gradient is at most
+    GRADIENT_TOLERANCE times its starting magnitude or the clipped step is
+    at most STEP_TOLERANCE, StalledAtBound when lambda passes LAMBDA_LIMIT
+    with no trial accepted, and MaxIterations after MAX_ITERATIONS.
+    Converged is no certificate of an optimum: the damped-step hold can hold
+    a coordinate whose gradient points into the box (the strict xfail
+    test_converged_solves_are_first_order_critical; ROADMAP item 0a).
     """
     lo, hi = spec.bounds()
     if spec.start.size != lo.size:
@@ -352,16 +337,9 @@ def solve(
             f"start has {spec.start.size} parameters, mode {spec.mode.value} "
             f"over {spec.stage_count} stages needs {lo.size}"
         )
-    calls = 0
-
-    def evaluate(point: np.ndarray):
-        """(objective, J^T J, J^T r) at point, from one counted call with tangents."""
-        nonlocal calls
-        calls += 1
-        return residual(point, jacobian=True)
-
     theta = _project_start(spec.start, lo, hi)
-    objective, normal, gradient = evaluate(theta)
+    objective, normal, gradient = residual(theta, jacobian=True)
+    calls = 1  # residual calls, every one with tangents
     if not np.isfinite(objective):
         raise InvalidStartError(f"objective is {objective} at start {theta}")
     history = [objective]
@@ -370,7 +348,7 @@ def solve(
     gradient_floor = GRADIENT_TOLERANCE * max(float(np.max(np.abs(gradient))), 1.0)
     iterations = 0
 
-    for _ in range(MAX_ITERATIONS):
+    while status is SolveStatus.MAX_ITERATIONS and iterations < MAX_ITERATIONS:
         iterations += 1
         # Zero out components that point outside the box at active bounds.
         projected = np.where(
@@ -384,7 +362,6 @@ def solve(
         damping_scale = np.diag(normal).copy()
         damping_scale[damping_scale == 0.0] = 1.0
         on_bound = (theta <= lo) | (theta >= hi)
-        accepted = False
         nu = 2.0  # growth of lam on the next rejection
         rejected = None  # bytes of this iteration's last rejected trial
         while lam <= LAMBDA_LIMIT:
@@ -404,7 +381,8 @@ def solve(
                 break
             # A repeat of the last rejected trial keeps its values, which did not decrease.
             if trial.tobytes() != rejected:
-                trial_objective, trial_normal, trial_gradient = evaluate(trial)
+                calls += 1
+                trial_objective, trial_normal, trial_gradient = residual(trial, jacobian=True)
             if trial_objective < objective:
                 # Decrease of the linear model ||r + J h||^2 over the step h.
                 predicted = -2.0 * float(step @ gradient) - float(step @ normal @ step)
@@ -413,15 +391,12 @@ def solve(
                 normal, gradient = trial_normal, trial_gradient
                 history.append(objective)
                 lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
-                accepted = True
                 break
             rejected = trial.tobytes()
             lam *= nu
             nu *= 2.0
-        if not accepted:
-            if status is not SolveStatus.CONVERGED:
-                status = SolveStatus.STALLED_AT_BOUND
-            break
+        else:
+            status = SolveStatus.STALLED_AT_BOUND
 
     # grad f = 2 J^T r, from the linearization at theta.
     criticality = float(np.max(np.abs(np.clip(theta - 2.0 * gradient, lo, hi) - theta)))

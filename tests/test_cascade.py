@@ -551,6 +551,23 @@ def test_overdrive_warning():
         cascade_forward(hot, config, None)
 
 
+def test_an_output_whose_power_overflows_is_an_error():
+    """At 1e3 times unit drive the cubic lifts |y| to about 6e74 after three
+    stages and past 1e154 after four, where |y|^2 overflows though every
+    sample is finite: the fourth stage's output is a ValueError naming the
+    depth, raised after the overdrive warning, with no numpy RuntimeWarning."""
+    x = unit_excitation(128, 8, 0.22, 16, 21)
+    hot = Signal(1e3 * x.samples, x.oversampling, x.symbol_count, 1e6 * x.nominal_power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(ModelValidityWarning):
+            output = cascade_forward(hot, make_config([ALPHA] * 3, [1.0] * 3)).output
+        assert np.isfinite(output.nominal_power)
+        with pytest.warns(ModelValidityWarning):
+            with pytest.raises(ValueError, match="after stage 4 is inf"):
+                cascade_forward(hot, make_config([ALPHA] * 4, [1.0] * 4))
+
+
 def test_no_warning_at_normal_drive():
     x = unit_excitation(128, 8, 0.22, 16, 21)
     config = make_config([ALPHA] * 2, [1.0, 1.0])

@@ -1056,6 +1056,34 @@ def test_each_flag_sets_only_its_own_field(flag):
     assert cli._apply_flag_overrides(base, cli.build_parser().parse_args(["sweep"])) == base
 
 
+@pytest.mark.parametrize(
+    "flags, data",
+    [
+        pytest.param(["--sigma-sq", "-1"], {"sigma_sq": -1.0}, id="sigma_sq-negative"),
+        pytest.param(["--G", "1e-200"], {"G": 1e-200}, id="G-square-underflows"),
+        pytest.param(["--epsilon", "1"], {"epsilon": 1.0}, id="epsilon-one"),
+        pytest.param(["--symbols", "0"], {"symbols": 0}, id="symbols-zero"),
+        pytest.param(["--symbols", "64"], {"symbols": 64}, id="symbols-below-a-segment"),
+        pytest.param(["--oversampling", "1"], {"oversampling": 1}, id="oversampling-one"),
+        pytest.param(["--rolloff", "0"], {"rolloff": 0.0}, id="rolloff-zero"),
+        pytest.param(["--seed", "-1"], {"seed": -1}, id="seed-negative"),
+        pytest.param(
+            ["--alpha-re", "0.33", "--alpha-im", "0"], {"alpha": [0.33, 0.0]},
+            id="alpha-expansive",
+        ),
+    ],
+)
+def test_a_flag_and_its_json_value_give_one_message(tmp_path, capsys, flags, data):
+    """A bad flag stops the run with the ConfigError that the same value in
+    a JSON file gives, on one line, before any file is written."""
+    with pytest.raises(ConfigError) as from_json:
+        config_from_dict(data)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pachain: error: {from_json.value}\n"
+    assert not out.exists()
+
+
 def test_cli_bad_usage_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--scenario", "9", "--K", "1"])
@@ -1213,6 +1241,41 @@ def test_cli_sweep_shows_each_overdrive_message_once(tmp_path):
     assert code == 0
     messages = [str(w.message) for w in caught]
     assert (len(messages), len(set(messages))) == (5, 5)
+
+
+def test_cli_rejects_a_chain_output_whose_power_overflows(tmp_path, capsys):
+    """At sigma^2 = 10 every stage of the 5-stage scenario 1 chain is
+    overdriven and |y|^2 of its output overflows: the run warns of the
+    overdrive, prints one error line naming the depth and writes nothing,
+    with no numpy RuntimeWarning.  At sigma^2 = 1 the same chain still runs."""
+    argv = ["simulate", "--scenario", "1", "--K", "5", "--symbols", "128"]
+    out = tmp_path / "ovf"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--sigma-sq", "10", "--out", str(out)]) == 1
+    assert [w.category for w in caught] == [ModelValidityWarning]
+    err = capsys.readouterr().err
+    assert err == "pachain: error: the output power after stage 5 is inf, not finite\n"
+    assert not out.exists()
+    with pytest.warns(ModelValidityWarning):
+        assert cli.main([*argv, "--sigma-sq", "1", "--out", str(out)]) == 0
+    assert "scenario1 K=5: NMSE 754.23 dB" in capsys.readouterr().out
+
+
+def test_cli_names_a_stalled_solve_and_exits_two(monkeypatch, tmp_path, capsys):
+    """With LAMBDA_LIMIT at 1e-2, joint_unequal at K = 3 stalls: the run
+    writes its files, names the solve and exits 2."""
+    monkeypatch.setattr(pachain.optimizer, "LAMBDA_LIMIT", 1e-2)
+    out = tmp_path / "opt"
+    code = cli.main([
+        "optimize", "--mode", "joint-unequal", "--K", "3", "--symbols", "256",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "pachain: solve ended StalledAtBound: joint_unequal K=3"
+    ]
+    assert (out / "manifest.json").exists()
 
 
 def test_cli_output_collision_exits_three(tmp_path, capsys):

@@ -221,6 +221,36 @@ def test_solver_iteration_budget():
     np.testing.assert_allclose(result.parameters, [1.0, 1.0], atol=1e-5)
 
 
+def small_study(monkeypatch, name, value, modes=tuple(Mode)):
+    """The K = 3 study at 256 symbols on seed 42 with one solver constant patched."""
+    monkeypatch.setattr(optimizer, name, value)
+    config = ExperimentConfig(symbols=256, K_range=(3,), modes=modes)
+    return experiments.run_optimizations(config).optimization_results
+
+
+def test_a_solve_stalls_when_lambda_passes_its_limit(monkeypatch):
+    """With LAMBDA_LIMIT at 1e-2, joint_unequal's first iteration rejects
+    three trials and stops at its start; at 1e-4, below the starting lambda,
+    every solve stops at its start with no trial."""
+    results = small_study(monkeypatch, "LAMBDA_LIMIT", 1e-2, (Mode.JOINT_UNEQUAL_GAINS,))
+    result = results[3, "joint_unequal"]
+    assert result.status is SolveStatus.STALLED_AT_BOUND
+    assert (result.iterations, result.jacobian_evaluations) == (1, 4)
+    assert len(result.objective_history) == 1
+    results = small_study(monkeypatch, "LAMBDA_LIMIT", 1e-4)
+    assert len(results) == 6
+    for result in results.values():
+        assert result.status is SolveStatus.STALLED_AT_BOUND
+        assert (result.iterations, result.jacobian_evaluations) == (1, 1)
+
+
+def test_a_solve_with_no_iteration_budget_scores_only_its_start(monkeypatch):
+    for result in small_study(monkeypatch, "MAX_ITERATIONS", 0).values():
+        assert result.status is SolveStatus.MAX_ITERATIONS
+        assert (result.iterations, result.jacobian_evaluations) == (0, 1)
+        assert len(result.objective_history) == 1
+
+
 def test_solver_projects_start_into_box():
     spec = linear_spec([5.0], [0.0], [1.0])  # start outside the box
     result = solve(spec, linear_residual([[1.0]], [0.3]))
@@ -482,11 +512,11 @@ def step_stops(record):
 
 
 def test_step_tolerance_ends_only_the_documented_stops(optimization_record):
-    """The rows whose solve STEP_TOLERANCE ends: the three at the default
-    config that solve's docstring names, and two at 512 symbols on seed 42.
+    """The rows whose solve STEP_TOLERANCE ends: unequal_gains at K = 3,
+    and power_s2 and joint_unequal at K = 5, at the default config; and
+    unequal_gains at K = 3 and power_s2 at K = 5 at 512 symbols on seed 42.
     Which test ends a solve can turn on last-bit rounding, so a change of
-    arithmetic that moves a stop fails here, and solve's docstring must
-    follow it."""
+    arithmetic that moves a stop fails here."""
     assert step_stops(optimization_record) == {
         (3, "unequal_gains"), (5, "power_s2"), (5, "joint_unequal"),
     }
