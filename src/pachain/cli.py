@@ -21,8 +21,6 @@ from .experiments import (
     CASES,
     Case,
     ExperimentConfig,
-    RunRecord,
-    _case_sort_key,
     config_from_dict,
     config_from_json,
     config_to_dict,
@@ -121,31 +119,6 @@ def _command_cases(args: argparse.Namespace) -> list[Case]:
     return list(CASES)
 
 
-def _report_lines(record: RunRecord) -> list[str]:
-    lines = []
-    for stages, case in sorted(record.scenario_metrics, key=_case_sort_key):
-        metrics = record.scenario_metrics[stages, case]
-        lines.append(
-            f"{case} K={stages}: NMSE {metrics.nmse_db:.2f} dB, "
-            f"ACLR {metrics.aclr_db:.2f} dB"
-        )
-    for key in sorted(record.optimization_results, key=_case_sort_key):
-        stages, case = key
-        result = record.optimization_results[key]
-        metrics = record.optimization_metrics[key]
-        p0, gains = record.optimized_parameters[key]
-        gains_text = ", ".join(f"{g:.4f}" for g in gains)
-        lines.append(
-            f"{case} K={stages}: p0={p0:.4f} gains=[{gains_text}] "
-            f"status={result.status.value} iterations={result.iterations} "
-            f"evaluations={result.evaluations} "
-            f"jacobian_evaluations={result.jacobian_evaluations} "
-            f"criticality={result.criticality:.3g} "
-            f"NMSE {metrics.nmse_db:.2f} dB, ACLR {metrics.aclr_db:.2f} dB"
-        )
-    return lines
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -161,14 +134,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pachain: output error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    for line in _report_lines(record):
-        print(line)
+    # The record's dicts are in row order (RunRecord); the stderr lines follow the files line.
+    for (stages, case), metrics in record.scenario_metrics.items():
+        print(f"{case} K={stages}: NMSE {metrics.nmse_db:.2f} dB, ACLR {metrics.aclr_db:.2f} dB")
+    unconverged = []
+    for (stages, case), result in record.optimization_results.items():
+        metrics = record.optimization_metrics[stages, case]
+        p0, gains = record.optimized_parameters[stages, case]
+        gains_text = ", ".join(f"{g:.4f}" for g in gains)
+        print(
+            f"{case} K={stages}: p0={p0:.4f} gains=[{gains_text}] "
+            f"status={result.status.value} iterations={result.iterations} "
+            f"evaluations={result.evaluations} "
+            f"jacobian_evaluations={result.jacobian_evaluations} "
+            f"criticality={result.criticality:.3g} "
+            f"NMSE {metrics.nmse_db:.2f} dB, ACLR {metrics.aclr_db:.2f} dB"
+        )
+        if result.status is not SolveStatus.CONVERGED:
+            unconverged.append(f"pachain: solve ended {result.status.value}: {case} K={stages}")
     print(f"wrote {len(written)} files to {record.config.output_dir}")
-
-    for stages, case in sorted(record.optimization_results, key=_case_sort_key):
-        status = record.optimization_results[stages, case].status
-        if status is not SolveStatus.CONVERGED:
-            print(f"pachain: solve ended {status.value}: {case} K={stages}", file=sys.stderr)
+    for line in unconverged:
+        print(line, file=sys.stderr)
     return EXIT_SOLVER if record.solver_failures() else EXIT_OK
 
 

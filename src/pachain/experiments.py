@@ -248,7 +248,12 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """Everything a run produced, regenerable bit-exactly from the config."""
+    """Everything a run produced, regenerable bit-exactly from the config.
+
+    Each dict holds its keys (K, case name) in row order, as run_cases
+    inserts them: ascending K, then the order of the cases it was given,
+    which is that of CASES for run_scenarios, run_optimizations and the CLI.
+    """
 
     config: ExperimentConfig
     scenario_metrics: dict[tuple[int, str], MetricsReport] = field(default_factory=dict)
@@ -412,7 +417,9 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
     made once per distinct drive p0.  Each distinct problem (K, scenario,
     free drive, gain rows) is solved and evaluated once; a later case that
     poses it again, as unequal_gains and joint_unequal do at K = 1, takes
-    the first one's result, point and metrics.
+    the first one's result, point and metrics.  A ValueError raised while a
+    row is solved, run or reported is raised again with "<case> K=<K>: " in
+    front of its message.
     """
     record = RunRecord(config=config)
     cases = [case for case in cases if case.mode is None or case.mode in config.modes]
@@ -451,15 +458,19 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
             rows = None if case.mode is None else tuple(gain_rows(case.mode, stages))
             problem = (stages, case.scenario, case.mode in FREE_POWER_MODES, rows)
             if problem not in solved:
-                if case.mode is None:
-                    result, p0, gains, evaluated = None, 1.0, None, chains[case.scenario]
-                else:
-                    result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
-                    evaluated = chain_at(p0, gains).advance(stages, buffers[:stages])
-                metrics = report(
-                    scale_amplitude(x_unit, config.G), evaluated.output(), amam_inputs[p0],
-                    channel_bandwidth=1.0 + config.rolloff, amam_decimate=config.oversampling,
-                )
+                try:
+                    if case.mode is None:
+                        result, p0, gains, evaluated = None, 1.0, None, chains[case.scenario]
+                    else:
+                        result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
+                        evaluated = chain_at(p0, gains).advance(stages, buffers[:stages])
+                    metrics = report(
+                        scale_amplitude(x_unit, config.G), evaluated.output(), amam_inputs[p0],
+                        channel_bandwidth=1.0 + config.rolloff, amam_decimate=config.oversampling,
+                    )
+                except ValueError as exc:
+                    exc.args = (f"{case.name} K={stages}: {exc}",)
+                    raise
                 solved[problem] = (result, p0, gains, metrics)
                 del evaluated  # so the next solve runs without this chain's buffers
             result, p0, gains, metrics = solved[problem]

@@ -294,6 +294,7 @@ def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.clip(np.asarray(start, dtype=float), lo + margin, hi - margin)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     spec: OptimizationSpec,
     residual: Callable[..., np.ndarray | tuple[float, np.ndarray, np.ndarray]],
@@ -330,6 +331,8 @@ def solve(
     Converged is no certificate of an optimum: the damped-step hold can hold
     a coordinate whose gradient points into the box (the strict xfail
     test_converged_solves_are_first_order_critical; ROADMAP item 0a).
+    numpy's overflow and invalid-value warnings are off inside: an inf or
+    nan trial is rejected, and an inf or nan start raises InvalidStartError.
     """
     lo, hi = spec.bounds()
     if spec.start.size != lo.size:

@@ -116,22 +116,18 @@ def rrc_taps(oversampling: int, rolloff: float, span_symbols: int) -> np.ndarray
     """Unit-energy root-raised-cosine filter, span_symbols*oversampling+1 taps."""
     n_taps = span_symbols * oversampling + 1
     t = (np.arange(n_taps) - (n_taps - 1) / 2) / oversampling
-    taps = np.empty(n_taps)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-12:
-            taps[i] = 1.0 - rolloff + 4.0 * rolloff / np.pi
-        elif abs(abs(4.0 * rolloff * ti) - 1.0) < 1e-9:
-            # Removable singularity at t = +-1/(4*rolloff).
-            taps[i] = (rolloff / np.sqrt(2.0)) * (
-                (1 + 2 / np.pi) * np.sin(np.pi / (4 * rolloff))
-                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * rolloff))
-            )
-        else:
-            num = np.sin(np.pi * ti * (1 - rolloff)) + 4 * rolloff * ti * np.cos(
-                np.pi * ti * (1 + rolloff)
-            )
-            den = np.pi * ti * (1 - (4 * rolloff * ti) ** 2)
-            taps[i] = num / den
+    b = rolloff
+    # float_power squares through C pow, whose bits the taps keep
+    # (tests/test_signals.py); an array's ** 2 is x*x, which can round 1 ulp apart.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        taps = (np.sin(np.pi * t * (1 - b)) + 4 * b * t * np.cos(np.pi * t * (1 + b))) / (
+            np.pi * t * (1 - np.float_power(4 * b * t, 2.0))
+        )
+    taps[np.abs(t) < 1e-12] = 1.0 - b + 4.0 * b / np.pi
+    # Removable singularity at t = +-1/(4*rolloff).
+    taps[np.abs(np.abs(4.0 * b * t) - 1.0) < 1e-9] = (b / np.sqrt(2.0)) * (
+        (1 + 2 / np.pi) * np.sin(np.pi / (4 * b)) + (1 - 2 / np.pi) * np.cos(np.pi / (4 * b))
+    )
     return taps / np.sqrt(np.sum(taps**2))
 
 

@@ -120,6 +120,7 @@ def test_cascade_config_validation():
         dict(sigma=float("inf")),
         dict(reference_gain=float("nan")),
         dict(reference_gain=float("inf")),
+        dict(epsilon=1.0),
         # these would raise a TypeError that does not name the field
         dict(sigma="0.1"),
         dict(input_power=None),
@@ -581,3 +582,17 @@ def test_approx_noise_term_validation():
     config = make_config([ALPHA], [1.0], sigma=0.1)
     with pytest.raises(ValueError):
         approx_cascade_forward(x, config, np.zeros(len(x) + 1, dtype=complex))
+
+
+def test_approx_noise_term_adds_sigma_tilde_times_the_noise():
+    x = unit_excitation(64, 8, 0.22, 16, 2)
+    config = make_config([ALPHA, ALPHA], [0.9, 1.2], sigma=0.1)
+    w = draw_noise(1, len(x), 3).stage_noise[0]
+    noisy = approx_cascade_forward(x, config, w).samples
+    expected = approx_cascade_forward(x, config).samples + equivalent_pa(config).sigma_tilde * w
+    assert noisy.tobytes() == expected.tobytes()
+
+
+def test_equivalent_sigma_rejects_a_negative_sigma():
+    with pytest.raises(ValueError, match="sigma must be >= 0, got -1.0"):
+        equivalent_sigma([1.0], -1.0)

@@ -382,6 +382,20 @@ def test_run_cases_keeps_the_configured_modes():
     assert set(record.optimization_results) == {(1, "equal_gains")}
 
 
+@pytest.mark.parametrize("run", [run_cases, run_scenarios, run_optimizations])
+def test_record_keys_are_in_row_order(run):
+    """Each RunRecord dict is filled in row order, ascending K and then CASES
+    order, whatever the order of K_range: the CLI prints it as it stands."""
+    record = run(ExperimentConfig(symbols=256, K_range=(3, 1)))
+    for table in (
+        record.scenario_metrics, record.optimization_results,
+        record.optimization_metrics, record.optimized_parameters,
+    ):
+        assert list(table) == sorted(table, key=experiments._case_sort_key)
+    keys = [*record.scenario_metrics, *record.optimization_results]
+    assert {stages for stages, _ in keys} == {1, 3}
+
+
 def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
     """The 40 rows of a default-K_range sweep take 28 solves, 38 kernel
     calls from cascade.Chain (one per stage of each scenario chain, 10, and
@@ -921,6 +935,15 @@ def test_emit_deletes_only_plain_names_of_the_old_manifest(tmp_path):
     assert not (out / "stale.csv").exists()
 
 
+def test_emit_deletes_nothing_for_a_manifest_whose_files_is_a_list(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.csv").write_text("old")
+    (out / "manifest.json").write_text(json.dumps({"files": ["stale.csv"]}))
+    emit_outputs(run_scenarios(ExperimentConfig(output_dir=out, **SMALL)))
+    assert (out / "stale.csv").read_text() == "old"
+
+
 def test_import_leaves_scipy_unloaded():
     """scipy is a test dependency only: importing the package and its CLI
     must not load it."""
@@ -1255,11 +1278,42 @@ def test_cli_rejects_a_chain_output_whose_power_overflows(tmp_path, capsys):
         assert cli.main([*argv, "--sigma-sq", "10", "--out", str(out)]) == 1
     assert [w.category for w in caught] == [ModelValidityWarning]
     err = capsys.readouterr().err
-    assert err == "pachain: error: the output power after stage 5 is inf, not finite\n"
+    assert err == "pachain: error: scenario1 K=5: the output power after stage 5 is inf, not finite\n"
     assert not out.exists()
     with pytest.warns(ModelValidityWarning):
         assert cli.main([*argv, "--sigma-sq", "1", "--out", str(out)]) == 0
     assert "scenario1 K=5: NMSE 754.23 dB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("flags", "expected"),
+    [
+        (["--mode", "power", "--K", "5", "--sigma-sq", "10"],
+         "pachain: error: power_s1 K=5: objective is inf at start [0.999]"),
+        (["--mode", "equal-gains", "--K", "3", "--G", "1e30"],
+         "pachain: error: equal_gains K=3: objective is nan at start [7.006e+29]"),
+    ],
+    ids=["overdriven", "huge-gain"],
+)
+def test_cli_names_the_row_of_a_failed_solve_start(tmp_path, capsys, flags, expected):
+    """A start whose objective is not finite ends the run with one error
+    line that names its row, and numpy's overflow warnings stay quiet."""
+    out = tmp_path / "bad"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["optimize", *flags, "--symbols", "128", "--out", str(out)]) == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
+
+
+def test_cli_bad_stage_count_text_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--scenario", "1", "--K", "x", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "argument --K: invalid int value: 'x'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_names_a_stalled_solve_and_exits_two(monkeypatch, tmp_path, capsys):
@@ -1274,6 +1328,23 @@ def test_cli_names_a_stalled_solve_and_exits_two(monkeypatch, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "pachain: solve ended StalledAtBound: joint_unequal K=3"
+    ]
+    assert (out / "manifest.json").exists()
+
+
+def test_cli_an_extreme_gain_stalls_both_power_rows(tmp_path, capsys):
+    """At G = 1e20 with the shipped constants, the objective, near 3.5e42,
+    has the same bits at every p0: no trial decreases it, so both power rows
+    end StalledAtBound, their files are written, and the run exits 2."""
+    out = tmp_path / "opt"
+    code = cli.main([
+        "optimize", "--mode", "power", "--K", "3", "--symbols", "128", "--G", "1e20",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "pachain: solve ended StalledAtBound: power_s1 K=3",
+        "pachain: solve ended StalledAtBound: power_s2 K=3",
     ]
     assert (out / "manifest.json").exists()
 

@@ -216,3 +216,18 @@ def test_report_bundles_everything():
     assert FLOOR_DB < bundle.nmse_db
     with pytest.raises(ValueError, match="AM/AM input column"):
         report(x, y, inputs, DEFAULT_CHANNEL_BANDWIDTH, 8)
+
+
+def test_nmse_needs_signals_of_one_length():
+    with pytest.raises(ValueError, match="length mismatch: 64 vs 128"):
+        nmse(white_noise(64, 5), white_noise(128, 6))
+
+
+def test_psd_needs_one_whole_segment():
+    with pytest.raises(ValueError, match="exceeds signal length 512"):
+        estimate_psd(white_noise(512, 7))
+
+
+def test_psd_of_a_silent_signal_raises():
+    with pytest.raises(DegenerateSignalError, match="no spectral power"):
+        estimate_psd(make_signal(np.zeros(4096)))

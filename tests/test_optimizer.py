@@ -112,6 +112,11 @@ def test_scenario_starts():
     assert scenario_start(Scenario.ONE, 4, ALPHA, Mode.JOINT_UNEQUAL_GAINS).shape == (5,)
 
 
+def test_scenario_start_needs_a_stage():
+    with pytest.raises(ValueError, match="stage_count must be >= 1, got 0"):
+        scenario_start(Scenario.ONE, 0, ALPHA)
+
+
 def test_spec_bounds_each_mode():
     for stages in range(1, 6):
         fixed = np.linspace(0.9, 1.1, stages)

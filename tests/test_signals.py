@@ -25,6 +25,11 @@ def test_qam16_alphabet():
     assert set(np.unique(symbols.imag)) == {-3.0, -1.0, 1.0, 3.0}
 
 
+def test_qam16_needs_a_symbol():
+    with pytest.raises(ValueError, match="symbol_count must be >= 1, got 0"):
+        generate_qam16(0, 1)
+
+
 def test_qam16_deterministic():
     np.testing.assert_array_equal(generate_qam16(100, SEED), generate_qam16(100, SEED))
     assert not np.array_equal(generate_qam16(100, SEED), generate_qam16(100, SEED + 1))
@@ -48,6 +53,41 @@ def test_rrc_taps_singularities_finite():
     # rolloff 0.25 at oversampling 4 puts samples exactly on |4*beta*t| = 1
     taps = rrc_taps(4, 0.25, 8)
     assert np.all(np.isfinite(taps))
+
+
+def _rrc_taps_per_tap(oversampling, rolloff, span_symbols):
+    """The root-raised-cosine taps, one tap at a time in numpy scalars."""
+    n_taps = span_symbols * oversampling + 1
+    t = (np.arange(n_taps) - (n_taps - 1) / 2) / oversampling
+    taps = np.empty(n_taps)
+    for i, ti in enumerate(t):
+        if abs(ti) < 1e-12:
+            taps[i] = 1.0 - rolloff + 4.0 * rolloff / np.pi
+        elif abs(abs(4.0 * rolloff * ti) - 1.0) < 1e-9:
+            taps[i] = (rolloff / np.sqrt(2.0)) * (
+                (1 + 2 / np.pi) * np.sin(np.pi / (4 * rolloff))
+                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * rolloff))
+            )
+        else:
+            num = np.sin(np.pi * ti * (1 - rolloff)) + 4 * rolloff * ti * np.cos(
+                np.pi * ti * (1 + rolloff)
+            )
+            taps[i] = num / (np.pi * ti * (1 - (4 * rolloff * ti) ** 2))
+    return taps / np.sqrt(np.sum(taps**2))
+
+
+@pytest.mark.parametrize("oversampling", range(2, 17))
+def test_rrc_taps_have_the_bits_of_the_per_tap_formula(oversampling):
+    """Every tap, the singular ones included: the rolloffs o/(4j) put taps
+    on |4*beta*t| = 1."""
+    singular = [oversampling / (4 * j) for j in range(1, 4 * oversampling)]
+    rolloffs = [0.05, 0.22, 0.35, 1.0, *(r for r in singular if r <= 1)]
+    for rolloff in rolloffs:
+        for span in (4, 9, 15, 20):
+            expected = _rrc_taps_per_tap(oversampling, rolloff, span)
+            assert rrc_taps(oversampling, rolloff, span).tobytes() == expected.tobytes(), (
+                rolloff, span,
+            )
 
 
 def test_pulse_shape_length_and_validation():
@@ -115,6 +155,13 @@ def test_draw_noise_unit_variance():
     power = np.mean(np.abs(noise.stage_noise) ** 2)
     assert power == pytest.approx(1.0, rel=0.02)
     assert np.abs(np.mean(noise.stage_noise)) < 0.01
+
+
+def test_draw_noise_needs_a_stage_and_a_sample():
+    with pytest.raises(ValueError, match="stages must be >= 1, got 0"):
+        draw_noise(0, 8, 1)
+    with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+        draw_noise(1, 0, 1)
 
 
 def test_draw_noise_stage_rows_are_prefix_stable():
