@@ -253,6 +253,8 @@ class RunRecord:
     Each dict holds its keys (K, case name) in row order, as run_cases
     inserts them: ascending K, then the order of the cases it was given,
     which is that of CASES for run_scenarios, run_optimizations and the CLI.
+    emit_outputs walks the record in its own order: the scenario rows, then
+    the optimized ones, stably sorted by K alone.
     """
 
     config: ExperimentConfig
@@ -545,36 +547,31 @@ class _ColumnText:
         return self._text
 
 
-def _case_sort_key(item: tuple[int, str]) -> tuple[int, int]:
-    stages, case = item
-    return (stages, CASES.index(_CASE_NAMED[case]))
-
-
-def _frees(stages: int, case: str) -> tuple[bool, bool]:
-    """Whether a row frees the drive, and whether it frees every stage's gain;
-    a scenario row frees neither."""
-    mode = _CASE_NAMED[case].mode
-    return mode in FREE_POWER_MODES, mode is not None and None not in gain_rows(mode, stages)
-
-
 def _build_files(record: RunRecord) -> Iterator[tuple[str, Iterator[bytes]]]:
     """The run's files, each as its name and its bytes in blocks of rows.
 
-    The metric rows are walked once, in row order, and the optimized
-    parameters once; the AM/AM and PSD files come in row order, then the
-    tables.  AM/AM and PSD values are written as repr, and a file's rows
-    are formatted a block at a time as its blocks are read.  A column that
-    repeats from one file to the next (the AM/AM input at one drive, the PSD
-    frequency axis) is formatted once per run of repeats, when its file is
-    yielded; the reuse keeps only the last column of each of those two
-    roles, so it is bounded by two columns' text whatever the record holds.
+    The rows, the keys of scenario_metrics and optimization_metrics, are
+    walked once in the record's own order: by K, and within a K the
+    scenario rows, then the optimized ones, each as inserted.  Each row
+    yields its AM/AM and PSD files and adds its metrics and table lines,
+    whose files come last.  AM/AM and PSD values are written as repr, and
+    a file's rows are formatted a block at a time as its blocks are read.
+    A column that repeats from one file to the next (the AM/AM input at one
+    drive, the PSD frequency axis) is formatted once per run of repeats,
+    when its file is yielded; the reuse keeps only the last column of each
+    of those two roles, so it is bounded by two columns' text whatever the
+    record holds.
     """
     amam_inputs, psd_axes = _ColumnText(), _ColumnText()
-    metric_rows = []
+    metric_rows, power_rows, gain_table_rows = [], [], []
     all_metrics = {**record.scenario_metrics, **record.optimization_metrics}
-    for stages, case in sorted(all_metrics, key=_case_sort_key):
+    for stages, case in sorted(all_metrics, key=lambda key: key[0]):
         metrics = all_metrics[stages, case]
-        free_power, free_gains = _frees(stages, case)
+        # Whether the row frees the drive, and whether it frees every stage's
+        # gain; a scenario row frees neither.
+        mode = _CASE_NAMED[case].mode
+        free_power = mode in FREE_POWER_MODES
+        free_gains = mode is not None and None not in gain_rows(mode, stages)
         # Signal files of the rows that free both p0 and every gain, or neither.
         if free_power == free_gains:
             for kind, header, shared, first, second in (
@@ -588,19 +585,16 @@ def _build_files(record: RunRecord) -> Iterator[tuple[str, Iterator[bytes]]]:
         metric_rows.append(
             f"{stages},{case},{_db_text(metrics.nmse_db)},{_db_text(metrics.aclr_db)}"
         )
+        if (stages, case) in record.optimized_parameters:
+            p0, gains = record.optimized_parameters[stages, case]
+            if free_power:
+                power_rows.append(f"{case},{stages},{p0:.2f}")
+            if free_gains:
+                gain_table_rows.extend(
+                    f"{case},{stages},{k},{gain:.2f}" for k, gain in enumerate(gains, start=1)
+                )
     if metric_rows:
         yield "metrics_vs_K.csv", _csv_blocks("K,scenario_or_mode,nmse_db,aclr_db", metric_rows)
-
-    power_rows, gain_table_rows = [], []
-    for stages, case in sorted(record.optimized_parameters, key=_case_sort_key):
-        p0, gains = record.optimized_parameters[stages, case]
-        free_power, free_gains = _frees(stages, case)
-        if free_power:
-            power_rows.append(f"{case},{stages},{p0:.2f}")
-        if free_gains:
-            gain_table_rows.extend(
-                f"{case},{stages},{k},{gain:.2f}" for k, gain in enumerate(gains, start=1)
-            )
     if power_rows:
         yield "table_power.csv", _csv_blocks("case,K,p0", power_rows)
     if gain_table_rows:
@@ -641,9 +635,9 @@ def emit_outputs(record: RunRecord) -> list[Path]:
 
     Every file, the manifest last, is staged: written to a temporary name
     (``name.tmp``), each CSV hashed a block of rows at a time as
-    _build_files makes it, in row order.  The manifest holds the config,
-    seed, and the sha256 digest of each emitted file, so identical (config,
-    seed) runs produce byte-identical trees.  Once every file is written,
+    _build_files makes it, in the record's own row order.  The manifest
+    holds the config, seed, and the sha256 digest of each emitted file, so
+    identical (config, seed) runs produce byte-identical trees.  Once every file is written,
     the CSV files are renamed into place, the files that the directory's
     earlier manifest lists and this run does not write are deleted, and the
     manifest is renamed last, so the directory holds exactly what the new
@@ -666,7 +660,7 @@ def emit_outputs(record: RunRecord) -> list[Path]:
             staged.append((output_dir / f"{name}.tmp", output_dir / name))
             digests[name] = _write_blocks(staged[-1][0], blocks)
         if not digests:
-            warnings.warn("run produced no data (empty K_range); emitting manifest only")
+            warnings.warn("run produced no rows; emitting manifest only")
         manifest = {
             "config": config_to_dict(record.config),
             "seed": record.config.seed,

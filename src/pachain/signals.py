@@ -84,10 +84,9 @@ def mean_power_of(samples: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """Per-stage unit-variance complex noise, regenerable from its seed."""
+    """Per-stage unit-variance complex noise, drawn by draw_noise."""
 
     stage_noise: np.ndarray  # shape (stages, length)
-    seed: int
 
     @property
     def stages(self) -> int:
@@ -242,4 +241,4 @@ def draw_noise(stages: int, length: int, seed: int) -> NoiseRealization:
     noise = np.empty((stages, length), dtype=complex)
     for _ in noise_rows(seed, noise):
         pass  # each row is filled in place
-    return NoiseRealization(stage_noise=noise, seed=seed)
+    return NoiseRealization(stage_noise=noise)

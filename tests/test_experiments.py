@@ -25,6 +25,7 @@ from pachain.cascade import (
     CascadeConfig, Chain, ModelValidityWarning, PaStage, cascade_forward, cascade_samples,
 )
 from pachain.experiments import (
+    CASES,
     ConfigError,
     ExperimentConfig,
     RunRecord,
@@ -391,9 +392,33 @@ def test_record_keys_are_in_row_order(run):
         record.scenario_metrics, record.optimization_results,
         record.optimization_metrics, record.optimized_parameters,
     ):
-        assert list(table) == sorted(table, key=experiments._case_sort_key)
+        assert list(table) == sorted(
+            table, key=lambda key: (key[0], CASES.index(experiments._CASE_NAMED[key[1]]))
+        )
     keys = [*record.scenario_metrics, *record.optimization_results]
     assert {stages for stages, _ in keys} == {1, 3}
+
+
+def test_emission_keeps_the_record_row_order(tmp_path):
+    """Cases given out of CASES order: each K's table rows are listed as the
+    record holds them, the scenario rows first, then the optimized rows in
+    the order the cases were given."""
+    named = experiments._CASE_NAMED
+    cases = [named["joint_equal"], named["power_s1"], named["scenario1"]]
+    config = ExperimentConfig(symbols=256, K_range=(1, 2), output_dir=tmp_path)
+    emit_outputs(run_cases(config, cases))
+
+    def first_columns(name, *columns):
+        lines = (tmp_path / name).read_text().splitlines()[1:]
+        return [tuple(line.split(",")[i] for i in columns) for line in lines]
+
+    assert first_columns("metrics_vs_K.csv", 0, 1) == [
+        (str(stages), case) for stages in (1, 2)
+        for case in ("scenario1", "joint_equal", "power_s1")
+    ]
+    assert first_columns("table_power.csv", 1, 0) == [
+        (str(stages), case) for stages in (1, 2) for case in ("joint_equal", "power_s1")
+    ]
 
 
 def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
@@ -860,10 +885,15 @@ def test_noise_free_amam_points_lie_on_the_chain_curve(tmp_path):
 
 
 def test_emit_empty_record_warns(tmp_path):
-    config = ExperimentConfig(K_range=(), output_dir=tmp_path / "empty")
-    with pytest.warns(UserWarning, match="manifest only"):
-        paths = emit_outputs(run_scenarios(config))
-    assert [p.name for p in paths] == ["manifest.json"]
+    """A run without rows, from an empty K_range or from no configured mode:
+    the warning names no cause, and only the manifest is written."""
+    for run, field in ((run_scenarios, {"K_range": ()}), (run_optimizations, {"modes": ()})):
+        config = ExperimentConfig(output_dir=tmp_path / run.__name__, **field)
+        with pytest.warns(UserWarning, match="manifest only") as caught:
+            paths = emit_outputs(run(config))
+        assert [str(w.message) for w in caught] == ["run produced no rows; emitting manifest only"]
+        assert [p.name for p in paths] == ["manifest.json"]
+        assert [p.name for p in config.output_dir.iterdir()] == ["manifest.json"]
 
 
 def test_rerun_into_one_directory_leaves_only_its_files(tmp_path):
