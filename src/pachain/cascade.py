@@ -44,31 +44,30 @@ _NUMBER_TYPES = {
 }
 
 
-def is_number(value, kind: type) -> bool:
-    """Whether value is a number of kind: complex, float or int.
+def as_number(value, kind: type, name: str, error: type[ValueError] = ValueError):
+    """value as a finite Python number of kind (complex, float or int), or an
+    error of class error naming name.
 
     A bool is not a number here, although Python counts it as an int; numpy
-    numbers count as the Python kind they stand for.
+    numbers count as the Python kind they stand for.  A complex or float
+    value must be finite, and so must an integer given for one: one too
+    large for a float is rejected as inf.
     """
-    return not isinstance(value, bool) and isinstance(value, _NUMBER_TYPES[kind][0])
-
-
-def as_number(value, kind: type, name: str, error: type[ValueError] = ValueError):
-    """value as a Python number of kind, or an error of class error naming name.
-
-    A number too large for a float becomes inf, for the caller's range checks.
-    """
-    if not is_number(value, kind):
-        raise error(f"{name} must be {_NUMBER_TYPES[kind][1]}, got {value!r}")
+    types, noun = _NUMBER_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"{name} must be {noun}, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except OverflowError:  # an integer too large for a float
-        return np.inf
+        number = np.inf
+    if kind is not int and not np.isfinite(number):
+        raise error(f"{name} must be finite, got {number}")
+    return number
 
 
 def store_numbers(owner, error: type[ValueError] = ValueError) -> None:
     """Store each field of a frozen dataclass annotated complex, float or int
-    as that Python kind, in field order, by as_number."""
+    as that finite Python kind, in field order, by as_number."""
     for item in fields(owner):
         kind = next((kind for kind in _NUMBER_TYPES if kind.__name__ == item.type), None)
         if kind is not None:
@@ -95,10 +94,8 @@ class PaStage:
 
     def __post_init__(self) -> None:
         store_numbers(self)
-        if not 0 < self.gain < np.inf:
-            raise ValueError(f"gain must be finite and > 0, got {self.gain}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.gain <= 0:
+            raise ValueError(f"gain must be > 0, got {self.gain}")
         check_alpha(self.alpha)
 
 
@@ -121,14 +118,12 @@ class CascadeConfig:
         store_numbers(self)
         if len(self.stages) < 1:
             raise ValueError("cascade needs at least one stage")
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not 0 < self.input_power <= 1:
             raise ValueError(f"input_power must be in (0, 1], got {self.input_power}")
-        if not 0 < self.reference_gain < np.inf:
-            raise ValueError(
-                f"reference_gain must be finite and > 0, got {self.reference_gain}"
-            )
+        if self.reference_gain <= 0:
+            raise ValueError(f"reference_gain must be > 0, got {self.reference_gain}")
         if not 0 <= self.epsilon < 1:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
 

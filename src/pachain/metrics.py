@@ -153,7 +153,7 @@ def aclr(psd: PsdEstimate, channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH)
 
     Main channel is [-B/2, B/2); the two adjacent channels are the same width
     centered at +-B.  Negative for well-behaved signals; -inf if the adjacent
-    channels are empty.
+    channels are empty.  A DegenerateSignalError if only the main channel is.
     """
     b = channel_bandwidth
     f = psd.frequencies
@@ -169,6 +169,8 @@ def aclr(psd: PsdEstimate, channel_bandwidth: float = DEFAULT_CHANNEL_BANDWIDTH)
     worst = max(upper, lower)
     if worst == 0.0:
         return float("-inf")
+    if main == 0.0:
+        raise DegenerateSignalError("the main channel holds no power")
     return 10.0 * np.log10(worst / main)
 
 

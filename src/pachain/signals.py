@@ -112,7 +112,16 @@ def generate_qam16(symbol_count: int, seed: int) -> np.ndarray:
 
 
 def rrc_taps(oversampling: int, rolloff: float, span_symbols: int) -> np.ndarray:
-    """Unit-energy root-raised-cosine filter, span_symbols*oversampling+1 taps."""
+    """Unit-energy root-raised-cosine filter, span_symbols*oversampling+1 taps.
+
+    oversampling must be >= 2, rolloff in (0, 1] and span_symbols >= 4.
+    """
+    if oversampling < 2:
+        raise ValueError("oversampling must be >= 2 (adjacent channel would alias)")
+    if not 0 < rolloff <= 1:
+        raise ValueError(f"rolloff must be in (0, 1], got {rolloff}")
+    if span_symbols < 4:
+        raise ValueError(f"span_symbols must be >= 4, got {span_symbols}")
     n_taps = span_symbols * oversampling + 1
     t = (np.arange(n_taps) - (n_taps - 1) / 2) / oversampling
     b = rolloff
@@ -139,18 +148,14 @@ def pulse_shape(
     """Upsample by zero insertion and convolve with a unit-energy RRC filter.
 
     Output length is symbol_count * oversampling ("same" alignment, so the
-    filter transient is split between both ends).
+    filter transient is split between both ends).  The taps are built first,
+    so rrc_taps rejects a bad parameter before anything is allocated.
     """
-    if oversampling < 2:
-        raise ValueError("oversampling must be >= 2 (adjacent channel would alias)")
-    if not 0 < rolloff <= 1:
-        raise ValueError(f"rolloff must be in (0, 1], got {rolloff}")
-    if span_symbols < 4:
-        raise ValueError(f"span_symbols must be >= 4, got {span_symbols}")
+    taps = rrc_taps(oversampling, rolloff, span_symbols)
     symbols = np.asarray(symbols, dtype=complex)
     upsampled = np.zeros(len(symbols) * oversampling, dtype=complex)
     upsampled[::oversampling] = symbols
-    shaped = np.convolve(upsampled, rrc_taps(oversampling, rolloff, span_symbols), mode="same")
+    shaped = np.convolve(upsampled, taps, mode="same")
     return Signal(
         samples=shaped,
         oversampling=oversampling,

@@ -87,6 +87,7 @@ def test_pa_stage_validation():
     for bad in (
         dict(alpha=float("nan")),
         dict(alpha=complex(0.1, float("nan"))),
+        dict(alpha=complex(0.1, float("inf"))),
         dict(gain=float("nan")),
         dict(gain=float("inf")),
         # these would raise a TypeError that does not name the field
@@ -120,6 +121,7 @@ def test_cascade_config_validation():
         dict(sigma=float("inf")),
         dict(reference_gain=float("nan")),
         dict(reference_gain=float("inf")),
+        dict(input_power=float("nan")),
         dict(epsilon=1.0),
         # these would raise a TypeError that does not name the field
         dict(sigma="0.1"),

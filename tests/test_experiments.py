@@ -105,6 +105,9 @@ def test_config_validation_errors():
         dict(oversampling=3),
         dict(oversampling=6, rolloff=1.0),
         dict(symbols=100),
+        # no floor of their own: the PSD segment rejects these
+        dict(symbols=-3),
+        dict(oversampling=0),
         # numpy would truncate these or fail on them without naming the field
         dict(K_range=(2.7,)),
         dict(K_range=(True,)),

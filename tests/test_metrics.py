@@ -178,6 +178,16 @@ def test_aclr_needs_enough_spectrum():
         aclr(psd)  # fs = 2 cannot cover 1.5 channel bandwidths
 
 
+def test_aclr_with_an_empty_main_channel_is_degenerate():
+    """Power in the adjacent channels over an empty main channel has no
+    ratio: a DegenerateSignalError, not a ZeroDivisionError."""
+    frequencies = np.linspace(-4.0, 4.0, 1023)
+    density = np.where(np.abs(frequencies) < DEFAULT_CHANNEL_BANDWIDTH / 2, -np.inf, 0.0)
+    psd = metrics.PsdEstimate(frequencies, density, peak_density=1.0)
+    with pytest.raises(DegenerateSignalError, match="main channel"):
+        aclr(psd)
+
+
 def test_aclr_bandwidth_parameter():
     x = unit_excitation(2048, 8, 0.22, 16, 13)
     psd = estimate_psd(x)

@@ -55,6 +55,17 @@ def test_rrc_taps_singularities_finite():
     assert np.all(np.isfinite(taps))
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((8, 0.0, 16), "rolloff"), ((0, 0.22, 16), "oversampling"), ((8, 0.22, 3), "span_symbols")],
+)
+def test_rrc_taps_rejects_a_bad_parameter_by_name(args, name):
+    """A zero roll-off would divide by zero and a zero oversampling give nan
+    taps; each is a ValueError naming its parameter."""
+    with pytest.raises(ValueError, match=name):
+        rrc_taps(*args)
+
+
 def _rrc_taps_per_tap(oversampling, rolloff, span_symbols):
     """The root-raised-cosine taps, one tap at a time in numpy scalars."""
     n_taps = span_symbols * oversampling + 1

@@ -1,0 +1,62 @@
+"""Write the reference study: what the default configuration's study gives.
+
+The file holds, in the record's row order, NMSE and ACLR for each scenario
+row of run_scenarios(ExperimentConfig()), and for each optimized (K, case)
+row of run_optimizations(ExperimentConfig()) its status, iterations,
+jacobian_evaluations, p0, gains, objective, NMSE and ACLR, each float as
+the shortest repr that reads back to its bits.  It also records numpy's
+version.  tests/test_reference_study.py checks the study against it, so a
+change that means to move the study's output regenerates it, and two runs
+write the same bytes.
+
+    python tools/reference_study.py [PATH]    (default: tests/reference_study.json)
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def study_rows(scenario_record, optimization_record) -> dict:
+    """The scenario and optimized rows of two records, as JSON-ready lists."""
+    scenarios = [
+        {"K": k, "case": case, "nmse_db": metrics.nmse_db, "aclr_db": metrics.aclr_db}
+        for (k, case), metrics in scenario_record.scenario_metrics.items()
+    ]
+    optimizations = []
+    for key, result in optimization_record.optimization_results.items():
+        p0, gains = optimization_record.optimized_parameters[key]
+        metrics = optimization_record.optimization_metrics[key]
+        optimizations.append({
+            "K": key[0], "case": key[1], "status": result.status.value,
+            "iterations": result.iterations,
+            "jacobian_evaluations": result.jacobian_evaluations,
+            "p0": float(p0), "gains": [float(g) for g in gains],
+            "objective": result.objective, "nmse_db": metrics.nmse_db,
+            "aclr_db": metrics.aclr_db,
+        })
+    return {"scenarios": scenarios, "optimizations": optimizations}
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from pachain.experiments import ExperimentConfig, run_optimizations, run_scenarios
+
+    config = ExperimentConfig()
+    reference = {
+        "numpy": np.__version__,
+        **study_rows(run_scenarios(config), run_optimizations(config)),
+    }
+    path = Path(argv[1] if len(argv) > 1 else ROOT / "tests" / "reference_study.json")
+    path.write_text(json.dumps(reference, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
