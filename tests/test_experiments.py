@@ -460,8 +460,31 @@ def test_run_cases_solves_each_distinct_problem_once(monkeypatch):
             record.optimized_parameters[key], record.optimized_parameters[1, first]
         )
         assert (p0, gains.tobytes()) == (first_p0, first_gains.tobytes())
-        own = experiments._case_point(config, x, noise, 1, experiments._CASE_NAMED[case])[0]
+        own = experiments._case_point(
+            RunRecord(config=config), x, noise, 1, experiments._CASE_NAMED[case]
+        )[0]
         assert _result_fields(own) == _result_fields(record.optimization_results[key])
+
+
+def test_a_row_without_its_k_minus_1_row_starts_cold():
+    """A row starts from its K - 1 optimum only when the run solved K - 1:
+    with K_range (1, 3), as with (3,), the run holds no K = 2 point, so both
+    solve each K = 3 row from its scenario_start and give the same bits:
+    result, point and metrics."""
+    config = ExperimentConfig(symbols=512, K_range=(1, 3))
+    skipping, alone = run_optimizations(config), run_optimizations(replace(config, K_range=(3,)))
+    keys = [key for key in skipping.optimization_results if key[0] == 3]
+    assert keys == list(alone.optimization_results) and len(keys) == 6
+    for key in keys:
+        assert _result_fields(skipping.optimization_results[key]) == _result_fields(
+            alone.optimization_results[key]
+        ), key
+        (p0, gains), (alone_p0, alone_gains) = (
+            skipping.optimized_parameters[key], alone.optimized_parameters[key]
+        )
+        assert (p0, gains.tobytes()) == (alone_p0, alone_gains.tobytes()), key
+        metrics, alone_metrics = skipping.optimization_metrics[key], alone.optimization_metrics[key]
+        assert (metrics.nmse_db, metrics.aclr_db) == (alone_metrics.nmse_db, alone_metrics.aclr_db)
 
 
 def test_an_evaluation_holds_few_signal_lengths():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "reference_study.py"
@@ -40,5 +41,18 @@ def test_the_default_study_matches_the_reference(scenario_record, optimization_r
     are those of the committed reference, in its row order."""
     rows = reference_study.study_rows(scenario_record, optimization_record)
     assert len(rows["scenarios"]) == 10 and len(rows["optimizations"]) == 30
-    want = {key: value for key, value in REFERENCE.items() if key != "numpy"}
+    want = {key: value for key, value in REFERENCE.items() if key not in ("numpy", "files_sha256")}
     _assert_matches(rows, want, "reference")
+
+
+def test_the_default_tree_has_the_reference_digest(scenario_record, optimization_record):
+    """The files map of the tree emitted for the default study, each file's
+    name and sha256, has the committed digest, bit for bit, under the numpy
+    that wrote the reference.  It moves with the last bit of any emitted
+    value, which the tolerance above cannot see."""
+    if np.__version__ != REFERENCE["numpy"]:
+        pytest.skip(
+            f"the digest was written under numpy {REFERENCE['numpy']}, this is {np.__version__}"
+        )
+    digest = reference_study.files_digest(scenario_record, optimization_record)
+    assert digest == REFERENCE["files_sha256"]

@@ -5,17 +5,25 @@ row of run_scenarios(ExperimentConfig()), and for each optimized (K, case)
 row of run_optimizations(ExperimentConfig()) its status, iterations,
 jacobian_evaluations, p0, gains, objective, NMSE and ACLR, each float as
 the shortest repr that reads back to its bits.  It also records numpy's
-version.  tests/test_reference_study.py checks the study against it, so a
-change that means to move the study's output regenerates it, and two runs
-write the same bytes.
+version and ``files_sha256``, the sha256 of the files map of the tree that
+emit_outputs writes for the two records: the manifest's ``files`` object,
+each emitted file's name and sha256, which does not depend on output_dir
+(the map that ``pachain sweep`` writes at the default configuration).
+That digest sees a change of the last bit of any emitted value.
+tests/test_reference_study.py checks the study against it, so a change
+that means to move the study's output regenerates it, and two runs write
+the same bytes.
 
     python tools/reference_study.py [PATH]    (default: tests/reference_study.json)
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +52,31 @@ def study_rows(scenario_record, optimization_record) -> dict:
     return {"scenarios": scenarios, "optimizations": optimizations}
 
 
+def files_digest(scenario_record, optimization_record) -> str:
+    """sha256 of the manifest's files map of the tree emitted for the two
+    records, written to a temporary directory and read back."""
+    from pachain.experiments import emit_outputs
+
+    with tempfile.TemporaryDirectory() as directory:
+        config = dataclasses.replace(scenario_record.config, output_dir=Path(directory))
+        emit_outputs(dataclasses.replace(
+            optimization_record, config=config,
+            scenario_metrics=scenario_record.scenario_metrics,
+        ))
+        files = json.loads((Path(directory) / "manifest.json").read_bytes())["files"]
+    return hashlib.sha256(json.dumps(files, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from pachain.experiments import ExperimentConfig, run_optimizations, run_scenarios
 
     config = ExperimentConfig()
+    scenario_record, optimization_record = run_scenarios(config), run_optimizations(config)
     reference = {
         "numpy": np.__version__,
-        **study_rows(run_scenarios(config), run_optimizations(config)),
+        "files_sha256": files_digest(scenario_record, optimization_record),
+        **study_rows(scenario_record, optimization_record),
     }
     path = Path(argv[1] if len(argv) > 1 else ROOT / "tests" / "reference_study.json")
     path.write_text(json.dumps(reference, indent=1) + "\n", encoding="utf-8")
