@@ -32,7 +32,7 @@ POWER_BOUNDS = (POWER_LOWER_BOUND, 1.0)
 LAMBDA_LIMIT = 1e12
 START_MARGIN = 1e-3  # fraction of the box width the start is pushed inside
 MAX_ITERATIONS = 200
-GRADIENT_TOLERANCE = 1e-8  # of the projected gradient, relative to its start
+GRADIENT_TOLERANCE = 1e-8  # projected-gradient floor: times max(||J^T r||_inf at the start, 1)
 STEP_TOLERANCE = 1e-10
 ROW_FIT_MARGIN = 1e-9  # grid_oracle: of the largest probe of a row
 
@@ -184,6 +184,7 @@ class OptimizationResult:
     objective: float
     objective_history: np.ndarray
     status: SolveStatus
+    stop: str  # the test that ended the solve: "gradient", "step", "iterations" or "lambda"
     iterations: int
     evaluations: int  # residual calls without tangents (solve makes none)
     jacobian_evaluations: int  # residual calls with tangents
@@ -289,11 +290,6 @@ def sum_of_squares(r: np.ndarray) -> float:
     return float(np.einsum("i,i->", r, r))
 
 
-def _project_start(start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    margin = START_MARGIN * (hi - lo)
-    return np.clip(np.asarray(start, dtype=float), lo + margin, hi - margin)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def solve(
     spec: OptimizationSpec,
@@ -325,9 +321,11 @@ def solve(
     criticality of its point from the gradient of the last linearization, at
     no extra call; it does not enter the status.
     The status is Converged when the projected gradient is at most
-    GRADIENT_TOLERANCE times its starting magnitude or the clipped step is
-    at most STEP_TOLERANCE, StalledAtBound when lambda passes LAMBDA_LIMIT
-    with no trial accepted, and MaxIterations after MAX_ITERATIONS.
+    GRADIENT_TOLERANCE * max(||J^T r||_inf at the projected start, 1), so an
+    absolute 1e-8 when that start value is below 1 (``stop`` "gradient"), or
+    when the clipped step is at most STEP_TOLERANCE ("step"); StalledAtBound
+    when lambda passes LAMBDA_LIMIT with no trial accepted ("lambda"); and
+    MaxIterations after MAX_ITERATIONS ("iterations").
     Converged is no certificate of an optimum: the damped-step hold can hold
     a coordinate whose gradient points into the box (the strict xfail
     test_converged_solves_are_first_order_critical; ROADMAP item 0a).
@@ -340,14 +338,15 @@ def solve(
             f"start has {spec.start.size} parameters, mode {spec.mode.value} "
             f"over {spec.stage_count} stages needs {lo.size}"
         )
-    theta = _project_start(spec.start, lo, hi)
+    margin = START_MARGIN * (hi - lo)
+    theta = np.clip(np.asarray(spec.start, dtype=float), lo + margin, hi - margin)
     objective, normal, gradient = residual(theta, jacobian=True)
     calls = 1  # residual calls, every one with tangents
     if not np.isfinite(objective):
         raise InvalidStartError(f"objective is {objective} at start {theta}")
     history = [objective]
     lam = 1e-3
-    status = SolveStatus.MAX_ITERATIONS
+    status, stop = SolveStatus.MAX_ITERATIONS, "iterations"
     gradient_floor = GRADIENT_TOLERANCE * max(float(np.max(np.abs(gradient))), 1.0)
     iterations = 0
 
@@ -359,7 +358,7 @@ def solve(
             np.where(theta >= hi, np.maximum(gradient, 0.0), gradient),
         )
         if float(np.max(np.abs(projected))) <= gradient_floor:
-            status = SolveStatus.CONVERGED
+            status, stop = SolveStatus.CONVERGED, "gradient"
             break
 
         damping_scale = np.diag(normal).copy()
@@ -380,7 +379,7 @@ def solve(
             trial = np.clip(theta + step, lo, hi)
             step = trial - theta
             if float(np.max(np.abs(step))) <= STEP_TOLERANCE:
-                status = SolveStatus.CONVERGED
+                status, stop = SolveStatus.CONVERGED, "step"
                 break
             # A repeat of the last rejected trial keeps its values, which did not decrease.
             if trial.tobytes() != rejected:
@@ -399,7 +398,7 @@ def solve(
             lam *= nu
             nu *= 2.0
         else:
-            status = SolveStatus.STALLED_AT_BOUND
+            status, stop = SolveStatus.STALLED_AT_BOUND, "lambda"
 
     # grad f = 2 J^T r, from the linearization at theta.
     criticality = float(np.max(np.abs(np.clip(theta - 2.0 * gradient, lo, hi) - theta)))
@@ -408,6 +407,7 @@ def solve(
         objective=objective,
         objective_history=np.array(history),
         status=status,
+        stop=stop,
         iterations=iterations,
         evaluations=0,
         jacobian_evaluations=calls,

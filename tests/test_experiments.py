@@ -1422,7 +1422,7 @@ def test_cli_solver_failure_exits_two(monkeypatch, tmp_path, capsys):
     record.optimization_results[key] = OptimizationResult(
         parameters=np.array([1.0]), objective=1.0,
         objective_history=np.array([1.0]),
-        status=SolveStatus.STALLED_AT_BOUND, iterations=3,
+        status=SolveStatus.STALLED_AT_BOUND, stop="lambda", iterations=3,
         evaluations=2, jacobian_evaluations=4, criticality=0.5,
     )
     record.optimization_metrics[key] = MetricsReport(

@@ -218,7 +218,7 @@ def test_solver_iteration_budget():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "MAX_ITERATIONS", 2)
         result = solve(spec, rosenbrock_residual)
-    assert result.status is SolveStatus.MAX_ITERATIONS
+    assert (result.status, result.stop) == (SolveStatus.MAX_ITERATIONS, "iterations")
     assert result.iterations == 2
 
     result = solve(spec, rosenbrock_residual)
@@ -239,19 +239,19 @@ def test_a_solve_stalls_when_lambda_passes_its_limit(monkeypatch):
     every solve stops at its start with no trial."""
     results = small_study(monkeypatch, "LAMBDA_LIMIT", 1e-2, (Mode.JOINT_UNEQUAL_GAINS,))
     result = results[3, "joint_unequal"]
-    assert result.status is SolveStatus.STALLED_AT_BOUND
+    assert (result.status, result.stop) == (SolveStatus.STALLED_AT_BOUND, "lambda")
     assert (result.iterations, result.jacobian_evaluations) == (1, 4)
     assert len(result.objective_history) == 1
     results = small_study(monkeypatch, "LAMBDA_LIMIT", 1e-4)
     assert len(results) == 6
     for result in results.values():
-        assert result.status is SolveStatus.STALLED_AT_BOUND
+        assert (result.status, result.stop) == (SolveStatus.STALLED_AT_BOUND, "lambda")
         assert (result.iterations, result.jacobian_evaluations) == (1, 1)
 
 
 def test_a_solve_with_no_iteration_budget_scores_only_its_start(monkeypatch):
     for result in small_study(monkeypatch, "MAX_ITERATIONS", 0).values():
-        assert result.status is SolveStatus.MAX_ITERATIONS
+        assert (result.status, result.stop) == (SolveStatus.MAX_ITERATIONS, "iterations")
         assert (result.iterations, result.jacobian_evaluations) == (0, 1)
         assert len(result.objective_history) == 1
 
@@ -354,7 +354,7 @@ def test_criticality_is_the_projected_gradient_step_at_the_returned_point(monkey
     )
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 2)
     result = solve(spec, build_residual(x, config, noise, mode))
-    assert result.status is SolveStatus.MAX_ITERATIONS
+    assert (result.status, result.stop) == (SolveStatus.MAX_ITERATIONS, "iterations")
 
     theta = result.parameters
     _, _, gradient = build_residual(x, config, noise, mode)(theta, jacobian=True)
@@ -500,41 +500,11 @@ def test_last_gain_is_the_closed_form_best_gain():
 
 
 def step_stops(record):
-    """The Converged rows of a study record that the step test ended.
-
-    Decided from outside solve: a fresh residual gives J^T r at the
-    margin-projected start that run_cases solved from (experiments._case_start
-    of the record), which sets the floor GRADIENT_TOLERANCE *
-    max(||J^T r||_inf, 1), and at the returned point, where a gradient stop
-    has its projected gradient at or under that floor and a step stop above
-    it (solve tries the gradient test first in every iteration)."""
-    config = record.config
-    x = experiments.excitation_for(config)
-    noise = experiments.optimization_noise(config, max(config.K_range), len(x))
-    stops = set()
-    for (stages, case), result in record.optimization_results.items():
-        assert result.status is SolveStatus.CONVERGED, (stages, case)
-        row = experiments._CASE_NAMED[case]
-        scenario, mode = row.scenario, row.mode
-        fixed = experiments.make_cascade_config(
-            config, experiments.scenario_gains(config, scenario, stages)
-        )
-        lo, hi = optimizer.mode_bounds(mode, stages, fixed.gain_bounds)
-        start = optimizer._project_start(experiments._case_start(record, stages, row), lo, hi)
-        residual = build_residual(x, fixed, noise, mode)
-
-        def jtr(point):
-            return residual(point, jacobian=True)[2]
-
-        floor = optimizer.GRADIENT_TOLERANCE * max(np.max(np.abs(jtr(start))), 1.0)
-        theta, gradient = result.parameters, jtr(result.parameters)
-        projected = np.where(
-            theta <= lo, np.minimum(gradient, 0.0),
-            np.where(theta >= hi, np.maximum(gradient, 0.0), gradient),
-        )
-        if np.max(np.abs(projected)) > floor:
-            stops.add((stages, case))
-    return stops
+    """The rows of a study record whose solve the step test ended; every
+    other solve must have ended on the gradient test."""
+    stops = {key: result.stop for key, result in record.optimization_results.items()}
+    assert set(stops.values()) <= {"gradient", "step"}
+    return {key for key, stop in stops.items() if stop == "step"}
 
 
 def test_step_tolerance_ends_only_the_documented_stops(optimization_record):
