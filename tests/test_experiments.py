@@ -705,6 +705,45 @@ def test_empty_run_is_allowed():
     assert record.scenario_metrics == {}
 
 
+@pytest.fixture(scope="module")
+def deep_power_s2():
+    """power_s2 at K = 1..8 on 512 symbols: the study past the paper's five stages."""
+    config = ExperimentConfig(symbols=512, K_range=tuple(range(1, 9)), modes=(Mode.POWER_ONLY,))
+    return run_cases(config, [experiments._CASE_NAMED["power_s2"]])
+
+
+def test_the_drive_backs_off_as_the_equivalent_cubic_grows(deep_power_s2):
+    """power_s2's optimal drive falls at every K up to 8, and from K = 2 on
+    p0 * |alpha_tilde_K| holds near one value: measured 0.256, 0.298, 0.317,
+    0.327, 0.332, 0.337 and 0.344 for K = 2..8 (0.168 at K = 1).  With each
+    scenario-2 gain 5% higher, K = 2 reads 0.221."""
+    config = deep_power_s2.config
+    drives, products = [], {}
+    for stages in config.K_range:
+        p0, gains = deep_power_s2.optimized_parameters[stages, "power_s2"]
+        alpha_tilde = cascade.equivalent_pa(experiments.make_cascade_config(config, gains)).alpha_tilde
+        drives.append(p0)
+        products[stages] = p0 * abs(alpha_tilde)
+    assert all(deeper < shallower for shallower, deeper in zip(drives, drives[1:]))
+    assert all(0.24 <= products[stages] <= 0.36 for stages in range(2, 9)), products
+
+
+def test_power_s2_meets_its_noise_floor_past_five_stages(deep_power_s2):
+    """From K = 6 on, power_s2's NMSE lies within 1 dB of the floor
+    sigma_tilde^2 / P_x of its fixed scenario-2 gains, with P_x = G^2 times
+    the excitation's power: measured gaps +0.36, -0.45 and -0.91 dB at
+    K = 6, 7 and 8.  With the kernel adding 2 sigma times each noise row
+    they read +5.2, +4.9 and +4.7 dB."""
+    config = deep_power_s2.config
+    desired_power = config.G**2 * experiments.excitation_for(config).mean_power
+    gaps = {}
+    for stages in (6, 7, 8):
+        gains = scenario_gains(config, Scenario.TWO, stages)
+        floor = 10 * np.log10(cascade.equivalent_sigma(gains, config.sigma) ** 2 / desired_power)
+        gaps[stages] = deep_power_s2.optimization_metrics[stages, "power_s2"].nmse_db - floor
+    assert all(abs(gap) <= 1.0 for gap in gaps.values()), gaps
+
+
 # ----------------------------------------------------------------- emission
 
 
@@ -1144,6 +1183,7 @@ def test_each_flag_sets_only_its_own_field(flag):
         pytest.param(["--symbols", "0"], {"symbols": 0}, id="symbols-zero"),
         pytest.param(["--symbols", "64"], {"symbols": 64}, id="symbols-below-a-segment"),
         pytest.param(["--oversampling", "1"], {"oversampling": 1}, id="oversampling-one"),
+        pytest.param(["--oversampling", "2"], {"oversampling": 2}, id="oversampling-two"),
         pytest.param(["--rolloff", "0"], {"rolloff": 0.0}, id="rolloff-zero"),
         pytest.param(["--seed", "-1"], {"seed": -1}, id="seed-negative"),
         pytest.param(
@@ -1245,11 +1285,12 @@ def test_cli_rejects_a_gain_whose_desired_energy_overflows(tmp_path, capsys):
     error line naming G, not an OverflowError or a zero-energy error after
     the chain has run.  G = 1e150 and 1e-150 still run."""
     argv = ["simulate", "--scenario", "1", "--K", "1", "--symbols", "128"]
-    for bad, good in [("1e200", "1e150"), ("1e-200", "1e-150")]:
+    for bad, good, message in [
+        ("1e200", "1e150", "G^2 * symbols * oversampling must be finite, got G = 1e+200"),
+        ("1e-200", "1e-150", "G^2 must be at least 2.2250738585072014e-308, got G = 1e-200"),
+    ]:
         assert cli.main([*argv, "--G", bad, "--out", str(tmp_path / bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("pachain: error: G") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"pachain: error: {message}\n"
         assert not (tmp_path / bad).exists()
         assert cli.main([*argv, "--G", good, "--out", str(tmp_path / good)]) == 0
 
@@ -1320,6 +1361,7 @@ def test_cli_sweep_shows_each_overdrive_message_once(tmp_path):
     assert code == 0
     messages = [str(w.message) for w in caught]
     assert (len(messages), len(set(messages))) == (5, 5)
+    assert all("driven past the saturation input" in message for message in messages)
 
 
 def test_cli_rejects_a_chain_output_whose_power_overflows(tmp_path, capsys):
