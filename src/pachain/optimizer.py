@@ -32,8 +32,7 @@ POWER_BOUNDS = (POWER_LOWER_BOUND, 1.0)
 LAMBDA_LIMIT = 1e12
 START_MARGIN = 1e-3  # fraction of the box width the start is pushed inside
 MAX_ITERATIONS = 200
-GRADIENT_TOLERANCE = 1e-8  # projected-gradient floor: times max(||J^T r||_inf at the start, 1)
-STEP_TOLERANCE = 1e-10
+DECREASE_TOLERANCE = 3e-15  # of the objective: the Gauss-Newton decrease that ends a solve
 ROW_FIT_MARGIN = 1e-9  # grid_oracle: of the largest probe of a row
 
 
@@ -184,7 +183,7 @@ class OptimizationResult:
     objective: float
     objective_history: np.ndarray
     status: SolveStatus
-    stop: str  # the test that ended the solve: "gradient", "step", "iterations" or "lambda"
+    stop: str  # the test that ended the solve: "decrease", "step", "iterations" or "lambda"
     iterations: int
     evaluations: int  # residual calls without tangents (solve makes none)
     jacobian_evaluations: int  # residual calls with tangents
@@ -320,11 +319,16 @@ def solve(
     ``jacobian_evaluations`` counts every call.  The result reports the
     criticality of its point from the gradient of the last linearization, at
     no extra call; it does not enter the status.
-    The status is Converged when the projected gradient is at most
-    GRADIENT_TOLERANCE * max(||J^T r||_inf at the projected start, 1), so an
-    absolute 1e-8 when that start value is below 1 (``stop`` "gradient"), or
-    when the clipped step is at most STEP_TOLERANCE ("step"); StalledAtBound
-    when lambda passes LAMBDA_LIMIT with no trial accepted ("lambda"); and
+    The status is Converged when, before an iteration's damping, the
+    Gauss-Newton decrease that the linear model predicts on the free set F
+    (every coordinate but those the gradient holds at a bound),
+    d = g_F^T (N_FF)^+ g_F with g = J^T r and N = J^T J, is at most
+    DECREASE_TOLERANCE times r^T r (``stop`` "decrease"; MINPACK's
+    relative-reduction test, J. J. More 1978, LNM 630): the pseudo-inverse
+    is a least-squares solve, as N_FF can be exactly singular, and an empty
+    F gives d = 0; or when a clipped step is exactly zero ("step"), as when
+    the damped-step hold holds every coordinate of F.  StalledAtBound when
+    lambda passes LAMBDA_LIMIT with no trial accepted ("lambda"); and
     MaxIterations after MAX_ITERATIONS ("iterations").
     Converged is no certificate of an optimum: the damped-step hold can hold
     a coordinate whose gradient points into the box (the strict xfail
@@ -347,18 +351,18 @@ def solve(
     history = [objective]
     lam = 1e-3
     status, stop = SolveStatus.MAX_ITERATIONS, "iterations"
-    gradient_floor = GRADIENT_TOLERANCE * max(float(np.max(np.abs(gradient))), 1.0)
     iterations = 0
 
     while status is SolveStatus.MAX_ITERATIONS and iterations < MAX_ITERATIONS:
         iterations += 1
-        # Zero out components that point outside the box at active bounds.
-        projected = np.where(
-            theta <= lo, np.minimum(gradient, 0.0),
-            np.where(theta >= hi, np.maximum(gradient, 0.0), gradient),
-        )
-        if float(np.max(np.abs(projected))) <= gradient_floor:
-            status, stop = SolveStatus.CONVERGED, "gradient"
+        # A coordinate on a bound whose gradient points out of the box is held at every damping.
+        pinned = ((theta <= lo) & (gradient >= 0.0)) | ((theta >= hi) & (gradient <= 0.0))
+        free = np.flatnonzero(~pinned)
+        # Gauss-Newton decrease on the free coordinates; N_FF may be singular.
+        g = gradient[free]
+        decrease = float(g @ np.linalg.lstsq(normal[np.ix_(free, free)], g)[0])
+        if decrease <= DECREASE_TOLERANCE * objective:
+            status, stop = SolveStatus.CONVERGED, "decrease"
             break
 
         damping_scale = np.diag(normal).copy()
@@ -369,8 +373,8 @@ def solve(
         while lam <= LAMBDA_LIMIT:
             damped = normal + lam * np.diag(damping_scale)
             step = np.linalg.solve(damped, -gradient)
-            # Hold what the gradient or this step pushes out at a bound.
-            held = on_bound & ((projected == 0.0) | (np.clip(theta + step, lo, hi) == theta))
+            # Hold also what this step pushes out at a bound.
+            held = pinned | (on_bound & (np.clip(theta + step, lo, hi) == theta))
             if held.any():
                 free = np.flatnonzero(~held)
                 step = np.zeros_like(step)
@@ -378,7 +382,7 @@ def solve(
                     step[free] = np.linalg.solve(damped[np.ix_(free, free)], -gradient[free])
             trial = np.clip(theta + step, lo, hi)
             step = trial - theta
-            if float(np.max(np.abs(step))) <= STEP_TOLERANCE:
+            if not step.any():
                 status, stop = SolveStatus.CONVERGED, "step"
                 break
             # A repeat of the last rejected trial keeps its values, which did not decrease.
