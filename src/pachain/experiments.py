@@ -32,6 +32,7 @@ from .cascade import (
     as_number,
     cascade_forward,  # not called here: kept as the hook perfbench's tracer wraps
     check_alpha,
+    equivalent_pa,
     store_numbers,
 )
 from .metrics import (
@@ -72,14 +73,19 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 ALL_MODES = tuple(Mode)
 
+# p0 * |alpha_tilde_K| of a solve's start drive: the centre of the band
+# [0.24, 0.36] that test_the_drive_backs_off_as_the_equivalent_cubic_grows
+# pins for the optimal drive at K >= 2.
+DRIVE_LAW = 0.3
+
 
 @dataclass(frozen=True)
 class Case:
     """One row of the study, run at every K.
 
-    ``scenario`` gives the fixed gains and the start; ``mode`` is what the
-    case solves (None for a bracketing scenario, evaluated at full drive on
-    those gains).
+    ``scenario`` gives the fixed gains and the start's gains; ``mode`` is
+    what the case solves (None for a bracketing scenario, evaluated at full
+    drive on those gains).
     """
 
     name: str
@@ -379,33 +385,24 @@ def make_cascade_config(
 # The study
 
 
-def _case_start(record: RunRecord, stages: int, case: Case) -> np.ndarray:
-    """The start of an optimized case's solve at K = stages.
-
-    When the record holds the case's K - 1 point (p0, gains), the start is
-    that point with its last gain repeated for the new stage (continuation
-    in K); otherwise it is the case's scenario_start.  solve pushes either
-    inside the box.
-    """
-    previous = record.optimized_parameters.get((stages - 1, case.name))
-    if previous is None:
-        return scenario_start(case.scenario, stages, record.config.alpha, case.mode)
-    p0, gains = previous
-    return reduce_parameters(case.mode, p0, np.append(gains, gains[-1]))
-
-
 def _case_point(
-    record: RunRecord,
+    config: ExperimentConfig,
     x_unit: Signal,
     noise: NoiseRealization | None,
     stages: int,
     case: Case,
 ) -> tuple[OptimizationResult, float, np.ndarray]:
-    """An optimized case's (result, p0, gains) at K = stages, solved from
-    _case_start of the record."""
-    config = record.config
+    """An optimized case's (result, p0, gains) at K = stages.
+
+    The solve starts from the case's scenario gains, at the drive
+    min(1, DRIVE_LAW / |alpha_tilde_K|) of their equivalent PA (full drive
+    for a linear chain), reduced to what the mode frees; solve pushes the
+    start inside the box.  No other row enters the start.
+    """
     fixed = make_cascade_config(config, scenario_gains(config, case.scenario, stages))
-    start = _case_start(record, stages, case)
+    alpha_tilde = abs(equivalent_pa(fixed).alpha_tilde)
+    p0 = min(1.0, DRIVE_LAW / alpha_tilde) if alpha_tilde else 1.0
+    start = reduce_parameters(case.mode, p0, fixed.gains)
     spec = OptimizationSpec(case.mode, stages, start, gain_bounds=fixed.gain_bounds)
     result = solve(spec, build_residual(x_unit, fixed, noise, case.mode))
     return (result, *expand_parameters(result.parameters, case.mode, fixed))
@@ -425,12 +422,8 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
     the deepest scenario gains, takes stage k on evaluation row k, and if k
     is in K_range the K = k rows are evaluated in case order.  An optimized
     row is solved, then evaluated by a Chain of its own (p0, gains) run
-    over rows 1..K.  It is solved from _case_start: at K >= 2 from the same
-    case's K - 1 optimum with its last gain repeated, when this pass has
-    solved that K - 1 row, and otherwise from the case's scenario_start; so
-    a row whose K - 1 is not in K_range, as in ``pachain optimize --K k``,
-    starts cold, and its last bits can differ from the same row in a run
-    that holds K - 1.  Every row's metrics come from one report call, so each
+    over rows 1..K.  Its solve starts from _case_point's rule, which reads
+    no other row.  Every row's metrics come from one report call, so each
     overdrive message has one source location.  The AM/AM input column is
     made once per distinct drive p0.  Each distinct problem (K, scenario,
     free drive, gain rows) is solved and evaluated once; a later case that
@@ -480,7 +473,7 @@ def run_cases(config: ExperimentConfig, cases: Iterable[Case] = CASES) -> RunRec
                     if case.mode is None:
                         result, p0, gains, evaluated = None, 1.0, None, chains[case.scenario]
                     else:
-                        result, p0, gains = _case_point(record, x_unit, opt_noise, stages, case)
+                        result, p0, gains = _case_point(config, x_unit, opt_noise, stages, case)
                         evaluated = chain_at(p0, gains).advance(stages, buffers[:stages])
                     metrics = report(
                         scale_amplitude(x_unit, config.G), evaluated.output(), amam_inputs[p0],

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import settings
 
-from pachain.experiments import ExperimentConfig, run_optimizations, run_scenarios
+from pachain.experiments import ExperimentConfig, run_cases
 
 # Every run draws the same hypothesis examples, so a tier-1 result does not
 # depend on the draw or on examples saved by earlier runs.
@@ -17,15 +17,22 @@ def default_config():
 
 
 @pytest.fixture(scope="session")
-def scenario_record(default_config):
-    """Both bracketing scenarios at the default configuration."""
-    return run_scenarios(default_config)
+def study_record(default_config):
+    """The default study, scenario and optimized rows, from one run_cases
+    pass as ``pachain sweep`` runs it (slow; shared)."""
+    return run_cases(default_config)
 
 
 @pytest.fixture(scope="session")
-def optimization_record(default_config):
-    """Full optimization study at the default configuration (slow; shared)."""
-    return run_optimizations(default_config)
+def scenario_record(study_record):
+    """Both bracketing scenarios at the default configuration."""
+    return study_record
+
+
+@pytest.fixture(scope="session")
+def optimization_record(study_record):
+    """Full optimization study at the default configuration."""
+    return study_record
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")

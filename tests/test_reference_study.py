@@ -7,8 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pachain.experiments import combine_records
-
 _SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "reference_study.py"
 _spec = importlib.util.spec_from_file_location("reference_study", _SCRIPT)
 reference_study = importlib.util.module_from_spec(_spec)
@@ -37,17 +35,17 @@ def _assert_matches(got, want, where):
         assert type(got) is type(want) and got == want, where
 
 
-def test_the_default_study_matches_the_reference(scenario_record, optimization_record):
+def test_the_default_study_matches_the_reference(study_record):
     """Each scenario row's NMSE and ACLR, and each optimized row's status,
     stop, iterations, Jacobian evaluations, p0, gains, objective, NMSE and
     ACLR, are those of the committed reference, in its row order."""
-    rows = reference_study.study_rows(combine_records(scenario_record, optimization_record))
+    rows = reference_study.study_rows(study_record)
     assert len(rows["scenarios"]) == 10 and len(rows["optimizations"]) == 30
     want = {key: value for key, value in REFERENCE.items() if key not in ("numpy", "files_sha256")}
     _assert_matches(rows, want, "reference")
 
 
-def test_the_default_tree_has_the_reference_digest(scenario_record, optimization_record):
+def test_the_default_tree_has_the_reference_digest(study_record):
     """The files map of the tree emitted for the default study, each file's
     name and sha256, has the committed digest, bit for bit, under the numpy
     that wrote the reference.  It moves with the last bit of any emitted
@@ -56,5 +54,5 @@ def test_the_default_tree_has_the_reference_digest(scenario_record, optimization
         pytest.skip(
             f"the digest was written under numpy {REFERENCE['numpy']}, this is {np.__version__}"
         )
-    digest = reference_study.files_digest(combine_records(scenario_record, optimization_record))
+    digest = reference_study.files_digest(study_record)
     assert digest == REFERENCE["files_sha256"]
