@@ -419,6 +419,20 @@ def solve(
     )
 
 
+def row_degree(mode: Mode, stage_count: int) -> int:
+    """Degree D of the residual as a polynomial in the last parameter c of
+    the mode's vector, the others held: in sqrt(p0) when c is the drive.
+
+    The drive enters as sqrt(p0)*x, of degree 1; a stage y <- g*f(y + sigma*w)
+    triples the degree of its input, as f(u) = u + alpha*u*|u|^2 is cubic in
+    the real c, and adds 1 when its gain is c.
+    """
+    degree = int(mode is Mode.POWER_ONLY)
+    for row in gain_rows(mode, stage_count):
+        degree = 3 * degree + (row == mode_dimension(mode, stage_count) - 1)
+    return degree
+
+
 def grid_oracle(
     x0_unit: Signal,
     config: CascadeConfig,
@@ -433,28 +447,28 @@ def grid_oracle(
     scored with the solver's own sum_of_squares of build_residual's residual,
     together with its objective.  The walk is row-major, so along a row only
     the last parameter c moves, and the residual re-runs only the stages
-    that parameter feeds: none when it is the last stage's gain alone, every
-    stage when it is the drive.
+    that c feeds: none when it is the last stage's gain alone, every stage
+    when it is the drive.
 
-    When c is the last stage's gain alone (unequal-gains up to K = 2, and
-    every mode that frees a gain at K = 1), it only scales the output: along
-    the row the residual is d - c*f_K with d and f_K fixed, so r^T r is an
-    exact quadratic in c.  When c is the gain of both stages at K = 2
-    (equal-gains, joint-equal), stage 2's input c*f_1 + sigma*w_2 is linear in
-    c, the output c*f(...) quartic, and r^T r exactly of degree 8.  Such a
-    row scores degree + 1 probes spread over it exactly (its first and last
-    points among them), predicts every point from the polynomial through
-    them, and scores exactly every point predicted within ``ROW_FIT_MARGIN``
-    times the largest probe of the predicted row minimum; the rest cannot
-    win and are skipped.  The rounding of an exact score and of the fit is
-    about 1e-12 of the largest probe, far below that margin, so every point
-    that could be the row's minimum, or tie it, is scored, and the returned
-    point and objective are bit for bit those of scoring every point.  A row
-    whose prediction is not finite is scored whole, as is every row of a box
-    too narrow for distinct probes and of the other modes: the drive moves
-    only along the one row of the power mode, where r^T r has degree
-    2*3**K in sqrt(p0) and the whole row costs milliseconds, and a gain
-    shared by 3 or more stages gives degree 26, 27 probes of a row of >= 50.
+    Along a row the residual vector r is an exact polynomial of degree
+    D = row_degree(mode, K) in c, or in sqrt(p0) for the power mode
+    (D = 3**K).  So each row scores r at the D + 1 Chebyshev points of the
+    second kind of its span (Berrut & Trefethen 2004, SIAM Review 46(3)),
+    forms their Gram matrix G with einsum (BLAS's summation order turns on
+    its thread count, and with it the set of points scored), and predicts
+    r^T r at every point of the row as l(c)^T G l(c), l being the Lagrange
+    basis of the nodes at the row's points, made once per grid.  It then
+    scores exactly every point predicted within ``ROW_FIT_MARGIN`` times the
+    row's largest probe objective of the predicted row minimum, but for one
+    that a probe has hit (as a rule an end of the span), whose probe is its
+    exact score; the rest cannot win and are skipped.  The rounding of an
+    exact score and of the prediction is far below that margin, so every
+    point that could be the row's minimum, or tie it, is scored, and the
+    returned point and objective are bit for bit those of scoring every
+    point.  A row whose prediction is not finite is scored whole.  Every
+    point is scored when the box is too narrow for distinct nodes
+    (epsilon = 0) or the D + 1 probes exceed half a row, where they would
+    cost more than the row.
     """
     dim = mode_dimension(mode, config.stage_count)
     if dim > 2:
@@ -476,30 +490,33 @@ def grid_oracle(
         for i in indices:
             values[i] = sum_of_squares(residual(points[i]))
 
-    rows = gain_rows(mode, config.stage_count)
-    # Degree of r^T r in c when c is the gain of the last 1 or 2 stages.
-    degree = {1: 2, 2: 8}.get(rows.count(dim - 1), 0)
-    probes = np.arange(degree + 1) * (resolution - 1) // max(degree, 1)
-    c = axes[-1]
-    nodes = c[probes]
-    if not degree or rows[-1] != dim - 1 or not np.all(np.diff(nodes) > 0):
+    # The row's coordinate in which r is a polynomial, and back; the residual
+    # sees each node exactly, as sqrt(s**2) == s in IEEE arithmetic.
+    chart, unchart = (np.sqrt, np.square) if mode is Mode.POWER_ONLY else (np.asarray,) * 2
+    degree = row_degree(mode, config.stage_count)
+    c = chart(axes[-1])  # the row's points, from end to end of its span
+    nodes = (c[0] + c[-1]) / 2 + (c[-1] - c[0]) / 2 * np.cos(np.pi * np.arange(degree + 1) / degree)
+    if 2 * (degree + 1) > resolution or not np.all(np.diff(nodes) < 0):
         score(range(len(points)))
     else:
-        # Lagrange basis of the probes: a row's probe values times this
-        # matrix are its polynomial at every point of the row.
+        # basis[i, p] = l_i(c_p), the Lagrange basis of the nodes at the row's points.
         basis = np.array([
-            np.prod(c - np.delete(nodes, i)[:, None], axis=0)
-            / np.prod(node - np.delete(nodes, i))
+            np.prod((c[:, None] - np.delete(nodes, i)) / (node - np.delete(nodes, i)), axis=1)
             for i, node in enumerate(nodes)
         ])
-        for start in range(0, len(points), resolution):
-            row = np.arange(start, start + resolution)
-            score(row[probes])
-            probed = values[row[probes]]
-            predicted = probed @ basis
-            if np.all(np.isfinite(predicted)):
-                margin = ROW_FIT_MARGIN * float(np.max(probed))
-                row = row[predicted <= predicted.min() + margin]
+        # A probe on a grid point of the row (as a rule an end of the span)
+        # is that point's exact score.
+        on_grid, probe = np.nonzero(axes[-1][:, None] == unchart(nodes))
+        probed = np.empty((degree + 1, 2 * len(x0_unit)))
+        for start, theta in zip(range(0, len(points), resolution), points[::resolution].copy()):
+            for i, theta[-1] in enumerate(unchart(nodes)):  # theta moves to each probe
+                probed[i] = residual(theta)
+            values[start + on_grid] = [sum_of_squares(probed[i]) for i in probe]
+            gram = np.einsum("ik,jk->ij", probed, probed)
+            predicted = np.einsum("ip,ij,jp->p", basis, gram, basis)
+            margin = ROW_FIT_MARGIN * gram.diagonal().max()
+            # A nan prediction or margin keeps the whole row.
+            row = start + (~(predicted > predicted.min() + margin)).nonzero()[0]
             score(row[np.isinf(values[row])])
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])

@@ -823,6 +823,27 @@ def test_grid_oracle_equals_a_scan_of_every_point(mode, stages, alpha, sigma):
     assert repr(value) == repr(expected_value)
 
 
+ONE_PARAMETER_CASES = [
+    (mode, stages) for mode, stages in ORACLE_CASES if mode_dimension(mode, stages) == 1
+]
+
+
+@pytest.mark.parametrize("alpha, sigma", [(ALPHA, 0.01), (0.0, 0.0)], ids=["cubic", "linear"])
+@pytest.mark.parametrize(
+    "mode, stages", ONE_PARAMETER_CASES,
+    ids=[f"{mode.value}-K{stages}" for mode, stages in ONE_PARAMETER_CASES],
+)
+def test_grid_oracle_equals_a_scan_of_every_point_at_resolution_100(mode, stages, alpha, sigma):
+    """At resolution 51 the 28 probes of power K3 exceed half its row, which
+    is then scored whole; at 100 every one-parameter row is predicted, and
+    still keeps every bit of the full scan's point and objective."""
+    x, config, noise = small_problem(stages, sigma=sigma, symbols=64, alpha=alpha)
+    theta, value = grid_oracle(x, config, noise, mode, 100)
+    expected, expected_value = brute_force_oracle(x, config, noise, mode, 100)
+    assert theta.tobytes() == expected.tobytes()
+    assert repr(value) == repr(expected_value)
+
+
 EDGE_BOXES = [(0.3, 0.3), (3.0, 0.3), (1.0, 0.9), (1.0, 1e-9), (1.0, 0.0)]
 
 
@@ -850,14 +871,16 @@ def test_grid_oracle_equals_a_scan_of_every_point_on_edge_boxes(
 
 
 def test_grid_oracle_scores_few_points_where_the_last_gain_scales_the_output(monkeypatch):
-    """Along a row of unequal-gains K2 the objective is a quadratic in g_2:
-    three probes and the points that can win, not all 50, are scored."""
+    """Along a row of unequal-gains K2 the residual is linear in g_2 (D = 1):
+    each row scores its D + 1 = 2 probes, the ends of its span, and then the
+    one point that can win, not all 50; none more when that point is an end,
+    which its probe has scored."""
     calls = record_calls(monkeypatch)
     x, config, noise = small_problem(2, sigma=0.01, symbols=64)
     grid_oracle(x, config, noise, Mode.UNEQUAL_GAINS, 50)
     per_row = collections.Counter(float(theta[0]) for theta in calls)
     assert len(per_row) == 50
-    assert max(per_row.values()) <= 5
+    assert collections.Counter(per_row.values()) == {2: 28, 2 + 1: 22}
 
 
 @pytest.mark.parametrize(
@@ -867,34 +890,98 @@ def test_grid_oracle_scores_few_points_where_the_last_gain_scales_the_output(mon
 def test_grid_oracle_scores_few_points_where_both_stages_share_the_gain(
     monkeypatch, mode, rows
 ):
-    """Along a row of equal-gains or joint-equal K2 the objective is a
-    polynomial of degree 8 in the shared gain: nine probes, the fewest that
-    fix it (see the test below), and the points that can win, not all 50,
-    are scored."""
+    """Along a row of equal-gains or joint-equal K2 the residual is a
+    polynomial of degree D = 4 in the shared gain: each row scores its
+    D + 1 = 5 probes, the fewest that fix it (see
+    test_a_row_residual_has_the_oracle_degree), and then the one point that
+    can win, not all 50; none more when that point is an end of the span,
+    which a probe has scored."""
     calls = record_calls(monkeypatch)
     x, config, noise = small_problem(2, sigma=0.01, symbols=64)
     grid_oracle(x, config, noise, mode, 50)
     per_row = collections.Counter(tuple(theta[:-1]) for theta in calls)
     assert len(per_row) == rows
-    assert 9 <= min(per_row.values()) and max(per_row.values()) <= 12
+    assert collections.Counter(per_row.values()) == (
+        {5 + 1: 1} if rows == 1 else {5: 27, 5 + 1: 23}
+    )
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3], ids=lambda k: f"K{k}")
+def test_grid_oracle_scores_few_points_of_the_power_row(monkeypatch, stages):
+    """The power mode's one row is a polynomial of degree D = 3**K in
+    sqrt(p0): at resolution 100 it takes its D + 1 probes, not 100 calls.
+    The point that wins, p0 = 1, is the end of the span that a probe has
+    scored, so no other point is scored."""
+    calls = record_calls(monkeypatch)
+    x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
+    grid_oracle(x, config, noise, Mode.POWER_ONLY, 100)
+    assert len(calls) == 3**stages + 1
 
 
 def lagrange(nodes, values, at):
-    """The polynomial through (nodes, values), evaluated at each of at."""
-    total = np.zeros(len(at))
-    for i, (node, value) in enumerate(zip(nodes, values)):
-        others = np.delete(nodes, i)
-        total += value * np.prod((at[:, None] - others) / (node - others), axis=1)
-    return total
+    """The polynomial through (nodes, values), evaluated at each of at; the
+    values may be scalars or vectors (one row per node)."""
+    basis = np.array([
+        np.prod((at[:, None] - np.delete(nodes, i)) / (node - np.delete(nodes, i)), axis=1)
+        for i, node in enumerate(nodes)
+    ])
+    return np.einsum("ip,i...->p...", basis, values)
+
+
+@pytest.mark.parametrize(
+    "mode, stages", ORACLE_CASES,
+    ids=[f"{mode.value}-K{stages}" for mode, stages in ORACLE_CASES],
+)
+def test_a_row_residual_has_the_oracle_degree(mode, stages):
+    """Along a row only the last parameter c moves, and the residual vector
+    is a polynomial in c (in s = sqrt(p0) for the drive) of the degree D
+    that grid_oracle predicts from, optimizer.row_degree.  The interpolant
+    through D + 1 Chebyshev residual vectors matches the residual at five
+    other points to 1e-9 of the largest probe, and the one through D misses
+    it, so a degree set one too low or too high fails here.
+
+    The span is s in [0, 1] for the drive and [-g, g] for a gain, wider than
+    the oracle's box, so that the top term shows: on the box, a gain shared
+    by three stages (D = 13) misses by only 2e-14.  At power K3 no span can
+    show it: on s in [0, 1] the s^27 term is at most 2^-53 of the largest
+    probe, below rounding, so a degree-26 prediction would be as exact."""
+    x, config, noise = small_problem(stages, sigma=0.01, symbols=64, alpha=-0.9 + 0.3j)
+    residual = build_residual(x, config, noise, mode)
+    lo, hi = optimizer.mode_bounds(mode, stages, config.gain_bounds)
+    power = mode is Mode.POWER_ONLY
+    a, b = (0.0, 1.0) if power else (-hi[-1], hi[-1])
+
+    def at(c):
+        theta = (lo + hi) / 2
+        theta[-1] = c**2 if power else c
+        return residual(theta)
+
+    others = a + (b - a) * np.array([0.05, 0.3, 0.55, 0.8, 0.95])
+    exact = np.array([at(c) for c in others])
+
+    def miss(degree):
+        # Chebyshev points of the first kind, which also exist for degree 0.
+        angles = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+        nodes = (a + b) / 2 + (b - a) / 2 * np.cos(angles)
+        probes = np.array([at(c) for c in nodes])
+        fitted = lagrange(nodes, probes, others)
+        size = np.max(np.linalg.norm(probes, axis=1))
+        return np.max(np.linalg.norm(fitted - exact, axis=1)) / size
+
+    degree = optimizer.row_degree(mode, stages)
+    assert miss(degree) <= 1e-9
+    if (mode, stages) != (Mode.POWER_ONLY, 3):
+        assert miss(degree - 1) > 1e-9
 
 
 @pytest.mark.parametrize("alpha", [ALPHA, -0.9 + 0.3j], ids=["default", "strong"])
 def test_a_shared_gain_row_at_two_stages_is_a_degree_8_polynomial(alpha):
     """Along a joint-equal K2 row only g, the gain of both stages, moves:
     g*f_1 + sigma*w_2 is linear in g, the output cubic times g, and the
-    objective of degree 8.  The polynomial through 9 probes predicts every point to
-    rounding; through 8 it misses by more than the oracle's margin, so a
-    lower degree could skip the point that wins."""
+    objective of degree 8, twice the residual's degree 4 that grid_oracle
+    predicts from.  The polynomial through 9 probes of the objective predicts
+    every point to rounding; through 8 it misses by more than the oracle's
+    margin."""
     x, config, noise = small_problem(2, sigma=0.01, alpha=alpha)
     residual = build_residual(x, config, noise, Mode.JOINT_EQUAL_GAINS)
     gains = np.linspace(*config.gain_bounds, 50)
