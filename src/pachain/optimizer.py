@@ -507,16 +507,18 @@ def grid_oracle(
         # A probe on a grid point of the row (as a rule an end of the span)
         # is that point's exact score.
         on_grid, probe = np.nonzero(axes[-1][:, None] == unchart(nodes))
-        probed = np.empty((degree + 1, 2 * len(x0_unit)))
-        for start, theta in zip(range(0, len(points), resolution), points[::resolution].copy()):
-            for i, theta[-1] in enumerate(unchart(nodes)):  # theta moves to each probe
-                probed[i] = residual(theta)
+        # probe_rows[r, i] is the first point of row r moved to probe i.
+        probe_rows = np.repeat(points[::resolution, None], degree + 1, axis=1)
+        probe_rows[..., -1] = unchart(nodes)
+        for start, probes in zip(range(0, len(points), resolution), probe_rows):
+            # One (D + 1) x 2N buffer per row, filled probe by probe.
+            probed = np.fromiter(map(residual, probes), (float, 2 * len(x0_unit)), degree + 1)
             values[start + on_grid] = [sum_of_squares(probed[i]) for i in probe]
             gram = np.einsum("ik,jk->ij", probed, probed)
             predicted = np.einsum("ip,ij,jp->p", basis, gram, basis)
-            margin = ROW_FIT_MARGIN * gram.diagonal().max()
-            # A nan prediction or margin keeps the whole row.
-            row = start + (~(predicted > predicted.min() + margin)).nonzero()[0]
+            cut = predicted.min() + ROW_FIT_MARGIN * gram.diagonal().max()
+            # A row whose prediction is not finite is scored whole.
+            row = start + np.flatnonzero((predicted <= cut) | (not np.all(np.isfinite(predicted))))
             score(row[np.isinf(values[row])])
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])

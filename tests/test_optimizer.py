@@ -918,6 +918,36 @@ def test_grid_oracle_scores_few_points_of_the_power_row(monkeypatch, stages):
     assert len(calls) == 3**stages + 1
 
 
+def test_grid_oracle_scores_a_row_whole_when_its_prediction_is_not_finite(monkeypatch):
+    """A probe off the grid whose residual overflows leaves no finite
+    prediction, so every point of the row is scored, and the result is still
+    the full scan's.  Power K1 has D + 1 = 4 probes; the rest of its calls
+    are the grid points that no probe hit, each scored once."""
+    x, config, noise = small_problem(1, sigma=0.01, symbols=64)
+    expected, expected_value = brute_force_oracle(x, config, noise, Mode.POWER_ONLY, 60)
+    lo, hi = optimizer.mode_bounds(Mode.POWER_ONLY, 1, config.gain_bounds)
+    axis = np.linspace(lo[0], hi[0], 60)
+    calls = []
+    build = optimizer.build_residual
+
+    def overflowing(*args):
+        residual = build(*args)
+
+        def wrapped(theta, jacobian=False):
+            calls.append(theta.copy())
+            r = residual(theta, jacobian)
+            return r if theta[-1] in axis else np.full_like(r, np.inf)
+
+        return wrapped
+
+    monkeypatch.setattr(optimizer, "build_residual", overflowing)
+    theta, value = grid_oracle(x, config, noise, Mode.POWER_ONLY, 60)
+    assert theta.tobytes() == expected.tobytes()
+    assert repr(value) == repr(expected_value)
+    probes = {float(probe[-1]) for probe in calls[:4]}
+    assert sorted(float(point[-1]) for point in calls[4:]) == sorted(set(axis) - probes)
+
+
 def lagrange(nodes, values, at):
     """The polynomial through (nodes, values), evaluated at each of at; the
     values may be scalars or vectors (one row per node)."""

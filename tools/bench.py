@@ -1,13 +1,14 @@
 """Write a BENCH point: the benchmark's timings and counters of this checkout.
 
-    python tools/bench.py PATH [--runs 5] [--seconds 20]
+    python tools/bench.py PATH
 
 The file at PATH (for example BENCH_1.json at the repository root) holds:
 
 - ``timings``: per workload of BENCHMARK.json, the median and quartiles of
-  ``setup_s``, ``wall_s`` and ``peak_rss_mb`` over ``--runs`` untraced
-  ``perfbench/run.py`` runs of ``--seconds`` each, every one in its own
-  process, the workloads taken in turn within each run;
+  ``setup_s``, ``wall_s`` and ``peak_rss_mb`` over RUNS untraced
+  ``perfbench/run.py`` runs of BENCHMARK.json's ``run_seconds`` each, every
+  one in its own process (started by ``perfbench/suite.py``), the workloads
+  taken in turn within each run;
 - ``counters``: the count and byte metrics of one traced run per workload;
   the residual calls of the solve and of the grid oracle in each case of the
   ``oracle`` workload, read from one traced round; and the stop, iterations
@@ -27,25 +28,24 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import suite  # noqa: E402  (standard library only, so the timed runs start small)
+
+RUNS = 5
+SEED = 42
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 COUNTER_UNITS = ("count", "B")
 
 
-def benchmark_run(workload: str, seconds: float, trace: int) -> dict:
+def benchmark_run(workload: str, seconds: float, trace: bool) -> dict:
     """The metrics of one perfbench run, which must pass its checks."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    )
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result = suite.run(workload, SEED, seconds, trace)
     if result["correct"] is not True or result["failed"]:
-        raise SystemExit(f"bench: {workload} --trace {trace} failed:\n{done.stdout}")
+        raise SystemExit(f"bench: {workload} (trace {trace}) failed:\n" + "\n".join(result["log"]))
     return result["metrics"]
 
 
@@ -57,18 +57,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def timings(workloads: list[str], runs: int, seconds: float) -> dict:
+def timings(workloads: list[str], seconds: float) -> dict:
     samples = {w: {m: [] for m in END_TO_END} for w in workloads}
-    for _ in range(runs):
+    for _ in range(RUNS):
         for workload in workloads:
-            metrics = benchmark_run(workload, seconds, trace=0)
+            metrics = benchmark_run(workload, seconds, trace=False)
             for name in END_TO_END:
                 samples[workload][name].append(metrics[name]["value"])
     return {w: {m: spread(v) for m, v in by_metric.items()} for w, by_metric in samples.items()}
 
 
 def traced_counters(workload: str) -> dict:
-    metrics = benchmark_run(workload, 0, trace=1)
+    metrics = benchmark_run(workload, 0, trace=True)
     return {name: m["value"] for name, m in metrics.items() if m["unit"] in COUNTER_UNITS}
 
 
@@ -78,7 +78,7 @@ def oracle_case_calls() -> list[dict]:
     import tracing
     import workloads
 
-    workload = workloads.build("oracle", 42, ROOT / ".perfbench_work")  # writes no files
+    workload = workloads.build("oracle", SEED, ROOT / ".perfbench_work")  # writes no files
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -124,16 +124,14 @@ def cpu_model() -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("path", type=Path)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     # Timed first: a child's peak_rss_mb starts from this process's peak at
     # the fork (Linux keeps it across exec), so nothing large is loaded yet.
-    timed = timings(names, args.runs, args.seconds)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    timed = timings(names, seconds)
     import numpy as np
 
     point = {
@@ -150,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             "oracle_cases": oracle_case_calls(),
             "default_study": study_rows(),
         },
-        "timings": {"runs": args.runs, "seconds": args.seconds, **timed},
+        "timings": {"runs": RUNS, "seconds": seconds, **timed},
     }
     args.path.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
     return 0
