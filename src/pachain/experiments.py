@@ -145,12 +145,13 @@ class ExperimentConfig:
     oversampling: samples per symbol; an integer.
     rolloff: roll-off factor of the root-raised-cosine pulse; a real number
         in (0, 1].
-    Two rules bind symbols and oversampling: the signal must hold one PSD
+    Three rules bind symbols and oversampling: the signal must hold one PSD
     segment and fit an array, PSD_SEGMENT_LENGTH = 1024 <= symbols *
-    oversampling <= the most samples an array holds; and the PSD span,
-    psd_span(oversampling), must reach the adjacent channels at this
-    rolloff, aclr_span(1 + rolloff).  Oversampling 2 and 3 fail the second
-    at every rolloff.
+    oversampling <= the most samples an array holds; symbols must exceed
+    RRC_SPAN_SYMBOLS, or the pulse-shaping taps outnumber the samples; and
+    the PSD span, psd_span(oversampling), must reach the adjacent channels
+    at this rolloff, aclr_span(1 + rolloff).  Oversampling 2 and 3 fail the
+    last at every rolloff.
     seed: seed of the symbols; seed + 1 and seed + 2 seed the optimization
         and evaluation noise.  An integer >= 0.
     modes: the optimization modes run; a list or tuple of distinct Mode
@@ -226,6 +227,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"symbols * oversampling must be >= the PSD segment of {PSD_SEGMENT_LENGTH} "
                 f"samples and fit an array, got {self.symbols * self.oversampling}"
+            )
+        # pulse_shape's RRC_SPAN_SYMBOLS * oversampling + 1 taps must not outnumber the samples.
+        if self.symbols <= RRC_SPAN_SYMBOLS:
+            raise ConfigError(
+                f"symbols must be > the pulse-shaping span of {RRC_SPAN_SYMBOLS} symbols, "
+                f"got {self.symbols}"
             )
         # The noise of the longest chain, one row of samples per stage.
         if max(self.K_range, default=0) * self.symbols * self.oversampling > _MAX_SAMPLES:

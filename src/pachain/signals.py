@@ -148,11 +148,18 @@ def pulse_shape(
     """Upsample by zero insertion and convolve with a unit-energy RRC filter.
 
     Output length is symbol_count * oversampling ("same" alignment, so the
-    filter transient is split between both ends).  The taps are built first,
-    so rrc_taps rejects a bad parameter before anything is allocated.
+    filter transient is split between both ends), which needs more symbols
+    than span_symbols: "same" keeps the longer of signal and taps.  The taps
+    are built first, so rrc_taps rejects a bad parameter before anything is
+    allocated.
     """
     taps = rrc_taps(oversampling, rolloff, span_symbols)
     symbols = np.asarray(symbols, dtype=complex)
+    if len(symbols) * oversampling < len(taps):
+        raise ValueError(
+            f"symbols must outnumber span_symbols = {span_symbols}, got {len(symbols)} "
+            f"({len(symbols) * oversampling} samples for {len(taps)} taps)"
+        )
     upsampled = np.zeros(len(symbols) * oversampling, dtype=complex)
     upsampled[::oversampling] = symbols
     shaped = np.convolve(upsampled, taps, mode="same")

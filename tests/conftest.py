@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -9,6 +11,15 @@ from pachain.experiments import ExperimentConfig, run_cases
 # depend on the draw or on examples saved by earlier runs.
 settings.register_profile("fixed", derandomize=True, database=None)
 settings.load_profile("fixed")
+
+
+def load_tool(name):
+    """The script tools/<name>.py as a module (tools/ is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

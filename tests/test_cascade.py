@@ -138,32 +138,6 @@ def test_cascade_config_validation():
                      "sigma": np.float32(0.1), "reference_gain": np.int64(1)})
 
 
-def test_gains_feasible_predicate():
-    outside = make_config([ALPHA] * 2, [0.75, 1.45])
-    # the box is advisory: a chain outside it still runs
-    x = unit_excitation(64, 8, 0.22, 16, 3)
-    cascade_forward(x, outside, None)
-
-
-def test_single_stage_matches_direct_evaluation():
-    x = unit_excitation(128, 8, 0.22, 16, 5)
-    noise = draw_noise(1, len(x), 11)
-    config = make_config([ALPHA], [1.1], sigma=0.01)
-    run = cascade_forward(x, config, noise)
-    stage_in = x.samples + 0.01 * noise.stage_noise[0]
-    expected = 1.1 * pa_nonlinearity(stage_in, ALPHA)
-    np.testing.assert_allclose(run.output.samples, expected, rtol=1e-12)
-
-
-def test_linear_chain_is_pure_gain():
-    x = unit_excitation(128, 8, 0.22, 16, 5)
-    config = make_config([0.0] * 3, [0.8, 1.2, 0.9])
-    run = cascade_forward(x, config, None)
-    np.testing.assert_allclose(
-        run.output.samples, 0.8 * 1.2 * 0.9 * x.samples, rtol=1e-12
-    )
-
-
 def per_stage_forward(x, config, noise):
     """The forward pass run stage by stage: the noise added outside the
     kernel, then one sigma = 0 kernel call per stage.  Returns every stage
@@ -480,20 +454,6 @@ def test_cascade_samples_runs_in_place(sigma):
     assert x.samples.tobytes() == x_bytes
 
 
-def test_equivalent_gain_is_product():
-    config = make_config([ALPHA] * 3, [0.8, 1.2, 0.9])
-    assert equivalent_pa(config).g_tilde == pytest.approx(0.8 * 1.2 * 0.9, rel=1e-12)
-
-
-def test_equivalent_alpha_hand_formula():
-    # alpha_tilde = a1 + a2 g1^2 + a3 (g1 g2)^2 for three stages
-    gains = [0.8, 1.2, 0.9]
-    alphas = [ALPHA, 0.5 * ALPHA, 0.25j * ALPHA]
-    expected = alphas[0] + alphas[1] * 0.8**2 + alphas[2] * (0.8 * 1.2) ** 2
-    alpha_tilde = equivalent_pa(make_config(alphas, gains)).alpha_tilde
-    assert alpha_tilde == pytest.approx(expected, rel=1e-12)
-
-
 def test_equivalent_sigma_single_stage_exact():
     # sqrt(g**2) rounds back to g exactly, so the closed form is sigma*g
     for gain in (0.01, 0.7, 1.3, 100.0):
@@ -515,11 +475,13 @@ def test_equivalent_sigma_scales_linearly(gains):
 
 
 def test_equivalent_pa_bundles_closed_forms():
-    config = make_config([ALPHA, 0.5 * ALPHA], [0.9, 1.2], sigma=0.02)
-    eq = equivalent_pa(config)
-    assert eq.g_tilde == pytest.approx(0.9 * 1.2, rel=1e-12)
-    assert eq.alpha_tilde == pytest.approx(ALPHA + 0.5 * ALPHA * 0.9**2, rel=1e-12)
-    assert eq.sigma_tilde == pytest.approx(equivalent_sigma([0.9, 1.2], 0.02), rel=1e-12)
+    # g_tilde = g1 g2 g3 and alpha_tilde = a1 + a2 g1^2 + a3 (g1 g2)^2 for three stages
+    gains, alphas = [0.8, 1.2, 0.9], [ALPHA, 0.5 * ALPHA, 0.25j * ALPHA]
+    eq = equivalent_pa(make_config(alphas, gains, sigma=0.02))
+    assert eq.g_tilde == pytest.approx(0.8 * 1.2 * 0.9, rel=1e-12)
+    expected = alphas[0] + alphas[1] * 0.8**2 + alphas[2] * (0.8 * 1.2) ** 2
+    assert eq.alpha_tilde == pytest.approx(expected, rel=1e-12)
+    assert eq.sigma_tilde == pytest.approx(equivalent_sigma(gains, 0.02), rel=1e-12)
 
 
 def test_approx_accurate_for_weak_nonlinearity():
@@ -546,14 +508,6 @@ def test_approx_error_fades_at_forty_db_per_decade():
     assert 35.0 < second_decade < 45.0
 
 
-def test_overdrive_warning():
-    x = unit_excitation(128, 8, 0.22, 16, 21)
-    config = make_config([ALPHA], [1.0])
-    hot = Signal(3.0 * x.samples, x.oversampling, x.symbol_count, 9 * x.nominal_power)
-    with pytest.warns(ModelValidityWarning):
-        cascade_forward(hot, config, None)
-
-
 def test_an_output_whose_power_overflows_is_an_error():
     """At 1e3 times unit drive the cubic lifts |y| to about 6e74 after three
     stages and past 1e154 after four, where |y|^2 overflows though every
@@ -571,21 +525,6 @@ def test_an_output_whose_power_overflows_is_an_error():
                 cascade_forward(hot, make_config([ALPHA] * 4, [1.0] * 4))
 
 
-def test_no_warning_at_normal_drive():
-    x = unit_excitation(128, 8, 0.22, 16, 21)
-    config = make_config([ALPHA] * 2, [1.0, 1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ModelValidityWarning)
-        cascade_forward(x, config, None)
-
-
-def test_approx_noise_term_validation():
-    x = unit_excitation(64, 8, 0.22, 16, 2)
-    config = make_config([ALPHA], [1.0], sigma=0.1)
-    with pytest.raises(ValueError):
-        approx_cascade_forward(x, config, np.zeros(len(x) + 1, dtype=complex))
-
-
 def test_approx_noise_term_adds_sigma_tilde_times_the_noise():
     x = unit_excitation(64, 8, 0.22, 16, 2)
     config = make_config([ALPHA, ALPHA], [0.9, 1.2], sigma=0.1)
@@ -593,6 +532,8 @@ def test_approx_noise_term_adds_sigma_tilde_times_the_noise():
     noisy = approx_cascade_forward(x, config, w).samples
     expected = approx_cascade_forward(x, config).samples + equivalent_pa(config).sigma_tilde * w
     assert noisy.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="noise length 513 != signal length 512"):
+        approx_cascade_forward(x, config, np.zeros(len(x) + 1, dtype=complex))
 
 
 def test_equivalent_sigma_rejects_a_negative_sigma():

@@ -1,12 +1,8 @@
 """tools/code_lines.py, which counts the code lines of the code budget."""
 
-import importlib.util
-from pathlib import Path
+from conftest import load_tool
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _SCRIPT)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+code_lines = load_tool("code_lines")
 
 # Code lines: 4, 7 and 8 (a bracketed continuation), 12 and 13 (a string
 # that is not a docstring), 14 and 15.  Docstring lines: 1, 2 and 9.

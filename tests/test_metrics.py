@@ -65,31 +65,6 @@ def test_nmse_zero_reference_raises():
         nmse(zero, other)
 
 
-def test_nmse_scale_invariant_spot_check():
-    d = white_noise(2048, 3)
-    a = make_signal(d.samples + 0.05 * white_noise(2048, 4).samples)
-    c = 2.7 * np.exp(0.4j)
-    scaled_d = make_signal(c * d.samples)
-    scaled_a = make_signal(c * a.samples)
-    assert nmse(scaled_d, scaled_a) == pytest.approx(nmse(d, a), abs=1e-10)
-
-
-def test_psd_axis_is_symmetric_and_in_symbol_rates():
-    x = white_noise(32768, 5)
-    psd = estimate_psd(x)
-    assert psd.frequencies[0] == pytest.approx(-psd.frequencies[-1], abs=1e-12)
-    assert len(psd.frequencies) == 1023  # even FFT: unpaired -Nyquist bin dropped
-    assert psd.frequencies[-1] < 4.0  # half the oversampling factor
-    assert np.all(np.diff(psd.frequencies) > 0)
-
-
-def test_psd_peak_normalization():
-    x = white_noise(32768, 6)
-    psd = estimate_psd(x)
-    assert np.max(psd.power_density) == pytest.approx(0.0, abs=1e-12)
-    assert psd.peak_density > 0
-
-
 def test_psd_total_power_parseval():
     """Integrated density must recover the time-domain mean power (2%)."""
     x = unit_excitation(4096, 8, 0.22, 16, 7)
@@ -154,21 +129,10 @@ def test_psd_temporaries_do_not_grow_with_the_signal():
     assert peak < 8e6
 
 
-def test_aclr_white_noise_near_zero():
-    x = white_noise(200_000, 9)
-    assert abs(aclr(estimate_psd(x))) < 0.5
-
-
 def test_aclr_shaped_signal_is_strongly_negative():
     x = unit_excitation(4096, 8, 0.22, 16, 10)
     value = aclr(estimate_psd(x))
     assert value < -30.0
-
-
-def test_aclr_gain_invariant_spot_check():
-    x = unit_excitation(2048, 8, 0.22, 16, 11)
-    scaled = make_signal(7.3 * x.samples)
-    assert aclr(estimate_psd(scaled)) == pytest.approx(aclr(estimate_psd(x)), abs=1e-10)
 
 
 def test_aclr_needs_enough_spectrum():

@@ -60,14 +60,6 @@ def small_problem(stages, sigma=0.0, symbols=128, gains=None, alpha=ALPHA):
 # ---------------------------------------------------------------- dimensions
 
 
-def test_mode_dimensions():
-    assert mode_dimension(Mode.POWER_ONLY, 4) == 1
-    assert mode_dimension(Mode.EQUAL_GAINS, 4) == 1
-    assert mode_dimension(Mode.UNEQUAL_GAINS, 4) == 4
-    assert mode_dimension(Mode.JOINT_EQUAL_GAINS, 4) == 2
-    assert mode_dimension(Mode.JOINT_UNEQUAL_GAINS, 4) == 5
-
-
 def test_expand_parameters_each_mode():
     for stages in range(1, 6):
         fixed = np.linspace(0.9, 1.1, stages)
@@ -188,6 +180,7 @@ def test_solver_reaches_linear_least_squares_optimum():
     result = solve(spec, linear_residual(A, b))
     assert result.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(result.parameters, target, atol=1e-6)
+    assert np.all(np.diff(result.objective_history) < 0)
 
 
 def test_an_empty_free_set_ends_on_the_decrease_test():
@@ -214,23 +207,6 @@ def test_a_singular_normal_matrix_ends_on_the_decrease_test():
     assert (result.status, result.stop) == (SolveStatus.CONVERGED, "decrease")
     assert result.objective == pytest.approx(10.0 / 3.0, rel=1e-12)
     assert result.parameters.sum() == pytest.approx(4.0 / 3.0, rel=1e-9)
-
-
-def test_solver_clips_exterior_optimum_to_bound():
-    # scalar residual theta - 2 on the box [0, 1]: optimum sits at the edge
-    spec = linear_spec([0.5], [0.0], [1.0])
-    result = solve(spec, linear_residual([[1.0]], [2.0]))
-    assert result.status is SolveStatus.CONVERGED
-    assert result.parameters[0] == 1.0  # exactly at the bound, not near it
-
-
-def test_solver_objective_history_strictly_decreases():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((20, 2))
-    b = rng.standard_normal(20)
-    spec = linear_spec([0.0, 0.0], [-5.0, -5.0], [5.0, 5.0])
-    result = solve(spec, linear_residual(A, b))
-    assert np.all(np.diff(result.objective_history) < 0)
 
 
 def test_solver_iteration_budget():
@@ -295,21 +271,6 @@ def test_solver_rejects_wrong_start_dimension():
         solve(spec, lambda theta: theta)
 
 
-def test_full_drive_optimum_lands_on_upper_bound_exactly():
-    """Drive-only search from the unit-gain chain pushes to full drive and
-    the projection writes the bound value itself, not an approximation."""
-    x, config, noise = small_problem(2, sigma=0.01)
-    residual = build_residual(x, config, noise, Mode.POWER_ONLY)
-    spec = OptimizationSpec(
-        mode=Mode.POWER_ONLY, stage_count=2,
-        start=scenario_start(Scenario.ONE, 2, ALPHA, Mode.POWER_ONLY),
-        gain_bounds=config.gain_bounds,
-    )
-    result = solve(spec, residual)
-    assert result.status is SolveStatus.CONVERGED
-    assert result.parameters[0] == 1.0
-
-
 def always_with_tangents(residual):
     """residual, computing the tangents on every call; a call that did not
     ask for them then returns the plain residual at the same point.  Counts
@@ -370,15 +331,17 @@ def test_solve_scores_each_point_once_with_tangents(mode, stages):
 
 def test_criticality_is_the_projected_gradient_step_at_the_returned_point(monkeypatch):
     """A solve cut short by its iteration budget reports
-    ||clip(theta - 2 J^T r, lo, hi) - theta||_inf at the point it returns."""
-    mode = Mode.JOINT_EQUAL_GAINS
+    ||clip(theta - 2 J^T r, lo, hi) - theta||_inf at the point it returns:
+    0.0133 for equal-gains K2 after three iterations, where the gradient
+    step stays inside the box, so that the factor 2 shows (0.0066 without)."""
+    mode = Mode.EQUAL_GAINS
     x, config, noise = small_problem(2, sigma=0.01)
     spec = OptimizationSpec(
         mode=mode, stage_count=2,
         start=scenario_start(Scenario.ONE, 2, ALPHA, mode),
         gain_bounds=config.gain_bounds,
     )
-    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 2)
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     result = solve(spec, build_residual(x, config, noise, mode))
     assert (result.status, result.stop) == (SolveStatus.MAX_ITERATIONS, "iterations")
 
@@ -769,105 +732,70 @@ def test_grid_oracle_takes_a_numpy_integer_resolution():
     assert value == expected_value
 
 
-def test_grid_oracle_matches_manual_scan():
-    x, config, noise = small_problem(1, sigma=0.05, symbols=64)
-    residual = build_residual(x, config, noise, Mode.POWER_ONLY)
-    axis = np.linspace(1e-6, 1.0, 60)
-    manual = [float(np.sum(residual(np.array([p])) ** 2)) for p in axis]
-    theta, value = grid_oracle(x, config, noise, Mode.POWER_ONLY, 60)
-    assert value == pytest.approx(min(manual), rel=1e-12)
-    assert theta[0] == pytest.approx(axis[int(np.argmin(manual))], rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "mode, stages",
-    [
-        (Mode.POWER_ONLY, 2),
-        (Mode.EQUAL_GAINS, 2),
-        (Mode.UNEQUAL_GAINS, 1),
-        (Mode.UNEQUAL_GAINS, 2),
-        (Mode.JOINT_EQUAL_GAINS, 2),
-        (Mode.JOINT_UNEQUAL_GAINS, 1),
-    ],
-    ids=lambda value: value.value if isinstance(value, Mode) else f"K{value}",
-)
-def test_grid_oracle_scores_the_residual(mode, stages):
-    x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
-    residual = build_residual(x, config, noise, mode)
-    theta, value = grid_oracle(x, config, noise, mode, 50)
-    assert theta.shape == (mode_dimension(mode, stages),)
-    # the reported value is the objective at the reported point
-    assert value == pytest.approx(float(np.sum(residual(theta) ** 2)), rel=1e-12)
-
-
 ORACLE_CASES = [
     (mode, stages)
     for mode in Mode
     for stages in (1, 2, 3)
     if mode_dimension(mode, stages) <= 2
 ]
-
-
-@pytest.mark.parametrize("alpha, sigma", [(ALPHA, 0.01), (0.0, 0.0)], ids=["cubic", "linear"])
-@pytest.mark.parametrize(
-    "mode, stages", ORACLE_CASES,
-    ids=[f"{mode.value}-K{stages}" for mode, stages in ORACLE_CASES],
-)
-def test_grid_oracle_equals_a_scan_of_every_point(mode, stages, alpha, sigma):
-    """Skipping the points of a row that cannot win keeps every bit of the
-    point and objective that scoring every point returns."""
-    x, config, noise = small_problem(stages, sigma=sigma, symbols=64, alpha=alpha)
-    theta, value = grid_oracle(x, config, noise, mode, 51)
-    expected, expected_value = brute_force_oracle(x, config, noise, mode, 51)
-    assert theta.tobytes() == expected.tobytes()
-    assert repr(value) == repr(expected_value)
-
-
-ONE_PARAMETER_CASES = [
-    (mode, stages) for mode, stages in ORACLE_CASES if mode_dimension(mode, stages) == 1
-]
-
-
-@pytest.mark.parametrize("alpha, sigma", [(ALPHA, 0.01), (0.0, 0.0)], ids=["cubic", "linear"])
-@pytest.mark.parametrize(
-    "mode, stages", ONE_PARAMETER_CASES,
-    ids=[f"{mode.value}-K{stages}" for mode, stages in ONE_PARAMETER_CASES],
-)
-def test_grid_oracle_equals_a_scan_of_every_point_at_resolution_100(mode, stages, alpha, sigma):
-    """At resolution 51 the 28 probes of power K3 exceed half its row, which
-    is then scored whole; at 100 every one-parameter row is predicted, and
-    still keeps every bit of the full scan's point and objective."""
-    x, config, noise = small_problem(stages, sigma=sigma, symbols=64, alpha=alpha)
-    theta, value = grid_oracle(x, config, noise, mode, 100)
-    expected, expected_value = brute_force_oracle(x, config, noise, mode, 100)
-    assert theta.tobytes() == expected.tobytes()
-    assert repr(value) == repr(expected_value)
-
-
+KINDS = {"cubic": (ALPHA, 0.01), "linear": (0.0, 0.0)}  # (alpha, sigma)
 EDGE_BOXES = [(0.3, 0.3), (3.0, 0.3), (1.0, 0.9), (1.0, 1e-9), (1.0, 0.0)]
+# The power row's residual calls at resolution 100: its D + 1 = 3**K + 1
+# probes, or its 100 points when the probes exceed half of them.
+POWER_CALLS = {1: 4, 2: 10, 3: 28, 4: 100, 5: 100}
 
 
-@pytest.mark.parametrize(
-    "reference_gain, epsilon", EDGE_BOXES, ids=[f"G{g}-eps{e}" for g, e in EDGE_BOXES]
+def scan_case(mode, stages, kind="cubic", resolution=51, box=(1.0, 0.3), calls=None):
+    """One case of the scan test below, with its id."""
+    box_id = "" if box == (1.0, 0.3) else f"-G{box[0]}-eps{box[1]}"
+    return pytest.param(
+        mode, stages, *KINDS[kind], resolution, box, calls,
+        id=f"{mode.value}-K{stages}-{kind}-r{resolution}{box_id}",
+    )
+
+
+SCAN_CASES = (
+    [scan_case(mode, k, kind) for mode, k in ORACLE_CASES for kind in KINDS]
+    + [
+        scan_case(mode, k, kind, 100, calls=POWER_CALLS[k] if mode is Mode.POWER_ONLY else None)
+        for mode, k in ORACLE_CASES if mode_dimension(mode, k) == 1 for kind in KINDS
+    ]
+    + [scan_case(Mode.POWER_ONLY, k, "cubic", 100, calls=POWER_CALLS[k]) for k in (4, 5)]
+    + [
+        scan_case(mode, 2, box=box, calls=51 ** mode_dimension(mode, 2) if box[1] == 0 else None)
+        for mode in (Mode.EQUAL_GAINS, Mode.JOINT_EQUAL_GAINS) for box in EDGE_BOXES
+    ]
 )
-@pytest.mark.parametrize(
-    "mode", [Mode.EQUAL_GAINS, Mode.JOINT_EQUAL_GAINS], ids=lambda mode: f"{mode.value}-K2"
-)
-def test_grid_oracle_equals_a_scan_of_every_point_on_edge_boxes(
-    monkeypatch, mode, reference_gain, epsilon
+
+
+@pytest.mark.parametrize("mode, stages, alpha, sigma, resolution, box, calls", SCAN_CASES)
+def test_grid_oracle_equals_a_scan_of_every_point(
+    monkeypatch, mode, stages, alpha, sigma, resolution, box, calls
 ):
-    """The degree-8 rows keep the full scan's bits on narrow, wide and
-    shifted gain boxes; at epsilon = 0 the probes coincide and every point is
-    scored."""
-    x, config, noise = small_problem(2, sigma=0.01, symbols=64)
-    config = dataclasses.replace(config, reference_gain=reference_gain, epsilon=epsilon)
-    expected, expected_value = brute_force_oracle(x, config, noise, mode, 51)
-    calls = record_calls(monkeypatch)
-    theta, value = grid_oracle(x, config, noise, mode, 51)
+    """Skipping the points of a row that cannot win keeps every bit of the
+    point and objective that scoring every point returns: at resolution 51
+    for every mode of dimension <= 2 at K = 1..3, with alpha = ALPHA and
+    sigma = 0.01 and with a linear noise-free chain; at 100, where every
+    one-parameter row is predicted (at 51 the 28 probes of power K3 exceed
+    half its row, which is then scored whole); and, in the degree-8 rows of
+    the shared-gain modes at K2, on narrow, wide and shifted gain boxes
+    (reference gain G, half-width epsilon).
+
+    Where ``calls`` is given it is the number of residual calls.  The power
+    row is a polynomial of degree D = 3**K in sqrt(p0): at resolution 100
+    K1..K3 score their D + 1 probes and no other point, since the point that
+    wins, p0 = 1, is the end of the span that a probe has scored; K4 and K5,
+    whose 82 and 244 probes would exceed half the row, score its 100 points.
+    At epsilon = 0 the probes coincide and every point is scored."""
+    x, config, noise = small_problem(stages, sigma=sigma, symbols=64, alpha=alpha)
+    config = dataclasses.replace(config, reference_gain=box[0], epsilon=box[1])
+    expected, expected_value = brute_force_oracle(x, config, noise, mode, resolution)
+    scored = record_calls(monkeypatch)
+    theta, value = grid_oracle(x, config, noise, mode, resolution)
     assert theta.tobytes() == expected.tobytes()
     assert repr(value) == repr(expected_value)
-    if epsilon == 0.0:
-        assert len(calls) == 51 ** mode_dimension(mode, 2)
+    if calls is not None:
+        assert len(scored) == calls
 
 
 def test_grid_oracle_scores_few_points_where_the_last_gain_scales_the_output(monkeypatch):
@@ -904,18 +832,6 @@ def test_grid_oracle_scores_few_points_where_both_stages_share_the_gain(
     assert collections.Counter(per_row.values()) == (
         {5 + 1: 1} if rows == 1 else {5: 27, 5 + 1: 23}
     )
-
-
-@pytest.mark.parametrize("stages", [1, 2, 3], ids=lambda k: f"K{k}")
-def test_grid_oracle_scores_few_points_of_the_power_row(monkeypatch, stages):
-    """The power mode's one row is a polynomial of degree D = 3**K in
-    sqrt(p0): at resolution 100 it takes its D + 1 probes, not 100 calls.
-    The point that wins, p0 = 1, is the end of the span that a probe has
-    scored, so no other point is scored."""
-    calls = record_calls(monkeypatch)
-    x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
-    grid_oracle(x, config, noise, Mode.POWER_ONLY, 100)
-    assert len(calls) == 3**stages + 1
 
 
 def test_grid_oracle_scores_a_row_whole_when_its_prediction_is_not_finite(monkeypatch):

@@ -1,16 +1,13 @@
 """The default study against tests/reference_study.json (tools/reference_study.py)."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_tool
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "reference_study.py"
-_spec = importlib.util.spec_from_file_location("reference_study", _SCRIPT)
-reference_study = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference_study)
+reference_study = load_tool("reference_study")
 
 REFERENCE = json.loads((Path(__file__).parent / "reference_study.json").read_text())
 

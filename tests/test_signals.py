@@ -30,11 +30,6 @@ def test_qam16_needs_a_symbol():
         generate_qam16(0, 1)
 
 
-def test_qam16_deterministic():
-    np.testing.assert_array_equal(generate_qam16(100, SEED), generate_qam16(100, SEED))
-    assert not np.array_equal(generate_qam16(100, SEED), generate_qam16(100, SEED + 1))
-
-
 def test_qam16_second_moment():
     symbols = generate_qam16(200_000, SEED)
     # E|s|^2 = 10 for the raw {+-1, +-3} grid
@@ -114,6 +109,10 @@ def test_pulse_shape_length_and_validation():
         pulse_shape(symbols, 4, 1.5, 8)
     with pytest.raises(ValueError):
         pulse_shape(symbols, 4, 0.25, 3)
+    # 8 symbols give 32 samples, fewer than the 33 taps, which "same" would keep
+    with pytest.raises(ValueError, match=r"span_symbols = 8, got 8 \(32 samples for 33 taps\)"):
+        pulse_shape(symbols[:8], 4, 0.25, 8)
+    assert len(pulse_shape(symbols[:9], 4, 0.25, 8)) == 9 * 4
 
 
 def test_scale_amplitude_scales_power_quadratically():
@@ -180,17 +179,6 @@ def test_draw_noise_stage_rows_are_prefix_stable():
     short = draw_noise(2, 512, SEED)
     long = draw_noise(5, 512, SEED)
     np.testing.assert_array_equal(short.stage_noise, long.stage_noise[:2])
-
-
-@pytest.mark.parametrize("seed", [0, 1, 42])
-def test_draw_noise_rows_equal_the_complex_expression(seed):
-    """Rows written part by part in place keep the bits of the expression."""
-    rng = np.random.default_rng(seed)
-    noise = draw_noise(3, 4099, seed)
-    for row in noise.stage_noise:
-        re = rng.standard_normal(4099)
-        im = rng.standard_normal(4099)
-        assert row.tobytes() == ((re + 1j * im) * np.sqrt(0.5)).tobytes()
 
 
 def test_draw_noise_holds_one_real_draw_beyond_its_rows():
