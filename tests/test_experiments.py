@@ -64,8 +64,9 @@ def test_config_mode_slugs():
         config_from_dict({"modes": ["warp-drive"]})
 
 
-def test_config_validation_errors():
-    for bad in (
+@pytest.mark.parametrize(
+    "bad",
+    [
         dict(sigma_sq=-1.0),
         dict(G=0.0),
         dict(epsilon=1.0),
@@ -134,10 +135,15 @@ def test_config_validation_errors():
         dict(K_range=(2**62,)),
         # as many samples as an intp counts, but 16 times as many bytes
         dict(K_range=(2**44,)),
-    ):
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            ExperimentConfig(**bad)
-    # the tightest accepted shapes run through every metric
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_config_validation_errors(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        ExperimentConfig(**bad)
+
+
+def test_the_tightest_accepted_shapes_run_every_metric():
     run_scenarios(ExperimentConfig(oversampling=7, rolloff=1.0, symbols=147, K_range=(1,)))
     run_scenarios(ExperimentConfig(symbols=128, K_range=(1,)))
 
