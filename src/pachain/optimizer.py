@@ -33,7 +33,7 @@ LAMBDA_LIMIT = 1e12
 START_MARGIN = 1e-3  # fraction of the box width the start is pushed inside
 MAX_ITERATIONS = 200
 DECREASE_TOLERANCE = 3e-15  # of the objective: the Gauss-Newton decrease that ends a solve
-ROW_FIT_MARGIN = 1e-9  # grid_oracle: of the largest probe of a row
+ROW_FIT_MARGIN = 1e-9  # grid_oracle: of the largest probe objective
 
 
 class UnsupportedModeError(ValueError):
@@ -419,18 +419,19 @@ def solve(
     )
 
 
-def row_degree(mode: Mode, stage_count: int) -> int:
-    """Degree D of the residual as a polynomial in the last parameter c of
-    the mode's vector, the others held: in sqrt(p0) when c is the drive.
+def axis_degrees(mode: Mode, stage_count: int) -> tuple[int, ...]:
+    """Degree of the residual as a polynomial in each parameter of the
+    mode's vector, the others held: in sqrt(p0) for the drive.
 
-    The drive enters as sqrt(p0)*x, of degree 1; a stage y <- g*f(y + sigma*w)
-    triples the degree of its input, as f(u) = u + alpha*u*|u|^2 is cubic in
-    the real c, and adds 1 when its gain is c.
+    The drive enters as sqrt(p0)*x, of degree 1 in sqrt(p0) and 0 in a gain;
+    a stage y <- g*f(y + sigma*w) triples the degree of its input in each
+    parameter, as f(u) = u + alpha*u*|u|^2 is cubic in a real one, and adds
+    1 in the parameter that its gain is.
     """
-    degree = int(mode is Mode.POWER_ONLY)
+    degrees = [int(mode in FREE_POWER_MODES)] + [0] * (mode_dimension(mode, stage_count) - 1)
     for row in gain_rows(mode, stage_count):
-        degree = 3 * degree + (row == mode_dimension(mode, stage_count) - 1)
-    return degree
+        degrees = [3 * degree + (row == j) for j, degree in enumerate(degrees)]
+    return tuple(degrees)
 
 
 def grid_oracle(
@@ -445,30 +446,33 @@ def grid_oracle(
     Returns the first minimum in row-major order of a uniform grid over the
     mode's box (drive in POWER_BOUNDS, gains in the config's gain window),
     scored with the solver's own sum_of_squares of build_residual's residual,
-    together with its objective.  The walk is row-major, so along a row only
-    the last parameter c moves, and the residual re-runs only the stages
-    that c feeds: none when it is the last stage's gain alone, every stage
-    when it is the drive.
+    together with its objective.
 
-    Along a row the residual vector r is an exact polynomial of degree
-    D = row_degree(mode, K) in c, or in sqrt(p0) for the power mode
-    (D = 3**K).  So each row scores r at the D + 1 Chebyshev points of the
-    second kind of its span (Berrut & Trefethen 2004, SIAM Review 46(3)),
-    forms their Gram matrix G with einsum (BLAS's summation order turns on
-    its thread count, and with it the set of points scored), and predicts
-    r^T r at every point of the row as l(c)^T G l(c), l being the Lagrange
-    basis of the nodes at the row's points, made once per grid.  It then
-    scores exactly every point predicted within ``ROW_FIT_MARGIN`` times the
-    row's largest probe objective of the predicted row minimum, but for one
-    that a probe has hit (as a rule an end of the span), whose probe is its
-    exact score; the rest cannot win and are skipped.  The rounding of an
-    exact score and of the prediction is far below that margin, so every
-    point that could be the row's minimum, or tie it, is scored, and the
-    returned point and objective are bit for bit those of scoring every
-    point.  A row whose prediction is not finite is scored whole.  Every
-    point is scored when the box is too narrow for distinct nodes
-    (epsilon = 0) or the D + 1 probes exceed half a row, where they would
-    cost more than the row.
+    The residual vector r is an exact polynomial in each parameter j, of
+    degree D_j = axis_degrees(mode, K)[j] (in sqrt(p0) for the drive): 3**K
+    for the drive, 1 for the last gain alone, 4 for a gain shared by two
+    stages.  So its values at the tensor product of each axis's D_j + 1
+    Chebyshev points of the second kind fix r on the whole grid (Berrut &
+    Trefethen 2004, SIAM Review 46(3)).  The oracle scores r once at each of
+    these probes, walked row-major with the last parameter fastest, so that
+    the residual re-runs only the stages a step changes: none when the last
+    parameter is the last stage's gain alone.  It forms the Gram matrix G of
+    all probes with einsum (BLAS's summation order turns on its thread
+    count, and with it the set of points scored), contracts the first axis's
+    Lagrange basis into G to get each row's Gram G_row, and predicts r^T r
+    at every point of a row as l(c)^T G_row l(c), l being the last axis's
+    Lagrange basis at the row's points; a one-parameter grid is one row.  It
+    then scores exactly every point predicted within ``ROW_FIT_MARGIN``
+    times the largest probe objective of the grid's predicted minimum, but
+    for one that a probe has hit (as a rule a corner of the box), whose
+    probe is its exact score; the rest cannot win and are skipped.  The
+    rounding of an exact score and of the prediction is far below that
+    margin, so every point that could be the minimum, or tie it, is scored,
+    and the returned point and objective are bit for bit those of scoring
+    every point.  Every point is scored when the probes exceed half a row
+    (2 * prod(D_j + 1) > resolution), where they would cost more than a
+    one-parameter grid; when an axis is too narrow for distinct nodes
+    (epsilon = 0); or when a prediction is not finite.
     """
     dim = mode_dimension(mode, config.stage_count)
     if dim > 2:
@@ -490,35 +494,41 @@ def grid_oracle(
         for i in indices:
             values[i] = sum_of_squares(residual(points[i]))
 
-    # The row's coordinate in which r is a polynomial, and back; the residual
-    # sees each node exactly, as sqrt(s**2) == s in IEEE arithmetic.
-    chart, unchart = (np.sqrt, np.square) if mode is Mode.POWER_ONLY else (np.asarray,) * 2
-    degree = row_degree(mode, config.stage_count)
-    c = chart(axes[-1])  # the row's points, from end to end of its span
-    nodes = (c[0] + c[-1]) / 2 + (c[-1] - c[0]) / 2 * np.cos(np.pi * np.arange(degree + 1) / degree)
-    if 2 * (degree + 1) > resolution or not np.all(np.diff(nodes) < 0):
+    degrees = axis_degrees(mode, config.stage_count)
+    # Each axis's coordinate in which r is a polynomial, sqrt(p0) for the
+    # drive; the residual sees each node exactly, as sqrt(s**2) == s in IEEE
+    # arithmetic.
+    drive = [j == 0 and mode in FREE_POWER_MODES for j in range(dim)]
+    c = [np.sqrt(axis) if d else axis for axis, d in zip(axes, drive)]
+    nodes = [(a[0] + a[-1]) / 2 + (a[-1] - a[0]) / 2 * np.cos(np.pi * np.arange(d + 1) / d)
+             for a, d in zip(c, degrees)]
+    distinct = all(np.all(np.diff(n) < 0) for n in nodes)
+    if 2 * np.prod([d + 1 for d in degrees]) > resolution or not distinct:
         score(range(len(points)))
     else:
-        # basis[i, p] = l_i(c_p), the Lagrange basis of the nodes at the row's points.
-        basis = np.array([
-            np.prod((c[:, None] - np.delete(nodes, i)) / (node - np.delete(nodes, i)), axis=1)
-            for i, node in enumerate(nodes)
-        ])
-        # A probe on a grid point of the row (as a rule an end of the span)
-        # is that point's exact score.
-        on_grid, probe = np.nonzero(axes[-1][:, None] == unchart(nodes))
-        # probe_rows[r, i] is the first point of row r moved to probe i.
-        probe_rows = np.repeat(points[::resolution, None], degree + 1, axis=1)
-        probe_rows[..., -1] = unchart(nodes)
-        for start, probes in zip(range(0, len(points), resolution), probe_rows):
-            # One (D + 1) x 2N buffer per row, filled probe by probe.
-            probed = np.fromiter(map(residual, probes), (float, 2 * len(x0_unit)), degree + 1)
-            values[start + on_grid] = [sum_of_squares(probed[i]) for i in probe]
-            gram = np.einsum("ik,jk->ij", probed, probed)
-            predicted = np.einsum("ip,ij,jp->p", basis, gram, basis)
-            cut = predicted.min() + ROW_FIT_MARGIN * gram.diagonal().max()
-            # A row whose prediction is not finite is scored whole.
-            row = start + np.flatnonzero((predicted <= cut) | (not np.all(np.isfinite(predicted))))
-            score(row[np.isinf(values[row])])
+        # basis[i, p] = l_i(c_p), an axis's Lagrange basis at its grid points;
+        # a one-parameter grid is one row, under a first axis of one node.
+        first, last = [np.ones((1, 1))] * (2 - dim) + [np.array([
+            np.prod((a[:, None] - np.delete(n, i)) / (node - np.delete(n, i)), axis=1)
+            for i, node in enumerate(n)]) for a, n in zip(c, nodes)]
+        ticks = [np.square(n) if d else n for n, d in zip(nodes, drive)]
+        probes = np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, dim)
+        # One buffer of every probe's residual, filled probe by probe.
+        probed = np.fromiter(map(residual, probes), (float, 2 * len(x0_unit)), len(probes))
+        # A probe on a grid point (as a rule a corner of the box) is that
+        # point's exact score.
+        at = [np.searchsorted(a, probes[:, j]).clip(max=resolution - 1) for j, a in enumerate(axes)]
+        near = np.ravel_multi_index(at, (resolution,) * dim)
+        on_grid = np.flatnonzero(np.all(points[near] == probes, axis=1))
+        values[near[on_grid]] = [sum_of_squares(probed[i]) for i in on_grid]
+        gram = np.einsum("ik,jk->ij", probed, probed)
+        # gram[a, b, c, d] pairs probe (a, b) with (c, d), a and c on the first axis.
+        blocks = gram.reshape((len(first), len(last)) * 2)
+        row_grams = np.einsum("ap,abcd,cp->pbd", first, blocks, first)
+        predicted = np.einsum("bq,pbd,dq->pq", last, row_grams, last).ravel()
+        cut = predicted.min() + ROW_FIT_MARGIN * gram.diagonal().max()
+        # A prediction that is not finite leaves every point to be scored.
+        chosen = np.flatnonzero((predicted <= cut) | (not np.all(np.isfinite(predicted))))
+        score(chosen[np.isinf(values[chosen])])
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])

@@ -743,6 +743,17 @@ EDGE_BOXES = [(0.3, 0.3), (3.0, 0.3), (1.0, 0.9), (1.0, 1e-9), (1.0, 0.0)]
 # The power row's residual calls at resolution 100: its D + 1 = 3**K + 1
 # probes, or its 100 points when the probes exceed half of them.
 POWER_CALLS = {1: 4, 2: 10, 3: 28, 4: 100, 5: 100}
+# The residual calls of the two-parameter grids at resolution 100: the
+# (D_1 + 1)(D_2 + 1) probes and the points that can win.
+PLANE_CALLS = {
+    (Mode.UNEQUAL_GAINS, 2, "cubic"): 8 + 1, (Mode.UNEQUAL_GAINS, 2, "linear"): 8 + 2,
+    (Mode.JOINT_EQUAL_GAINS, 1, "cubic"): 8 + 1, (Mode.JOINT_EQUAL_GAINS, 1, "linear"): 8 + 1,
+    (Mode.JOINT_EQUAL_GAINS, 2, "cubic"): 50 + 1, (Mode.JOINT_EQUAL_GAINS, 2, "linear"): 50 + 1,
+}
+# Joint-equal K2's calls at resolution 100 on each edge box: at epsilon = 0
+# every point, else the 50 probes and the points that can win (none when a
+# probe has hit the winner), many more on the 2e-9 wide box.
+EDGE_CALLS = {(0.3, 0.3): 50, (3.0, 0.3): 51, (1.0, 0.9): 51, (1.0, 1e-9): 128, (1.0, 0.0): 100**2}
 
 
 def scan_case(mode, stages, kind="cubic", resolution=51, box=(1.0, 0.3), calls=None):
@@ -761,6 +772,11 @@ SCAN_CASES = (
         for mode, k in ORACLE_CASES if mode_dimension(mode, k) == 1 for kind in KINDS
     ]
     + [scan_case(Mode.POWER_ONLY, k, "cubic", 100, calls=POWER_CALLS[k]) for k in (4, 5)]
+    + [scan_case(mode, k, kind, 100, calls=calls) for (mode, k, kind), calls in PLANE_CALLS.items()]
+    + [
+        scan_case(Mode.JOINT_EQUAL_GAINS, 2, resolution=100, box=box, calls=calls)
+        for box, calls in EDGE_CALLS.items()
+    ]
     + [
         scan_case(mode, 2, box=box, calls=51 ** mode_dimension(mode, 2) if box[1] == 0 else None)
         for mode in (Mode.EQUAL_GAINS, Mode.JOINT_EQUAL_GAINS) for box in EDGE_BOXES
@@ -776,17 +792,20 @@ def test_grid_oracle_equals_a_scan_of_every_point(
     point and objective that scoring every point returns: at resolution 51
     for every mode of dimension <= 2 at K = 1..3, with alpha = ALPHA and
     sigma = 0.01 and with a linear noise-free chain; at 100, where every
-    one-parameter row is predicted (at 51 the 28 probes of power K3 exceed
-    half its row, which is then scored whole); and, in the degree-8 rows of
-    the shared-gain modes at K2, on narrow, wide and shifted gain boxes
-    (reference gain G, half-width epsilon).
+    one-parameter grid and the two-parameter grids to joint-equal K2 are
+    predicted (at 51 the 28 probes of power K3, and the 50 of joint-equal
+    K2, exceed half a row, and the grid is scored whole); and, in the
+    shared-gain modes at K2, on narrow, wide and shifted gain boxes
+    (reference gain G, half-width epsilon), joint-equal at 51 and at 100.
 
     Where ``calls`` is given it is the number of residual calls.  The power
     row is a polynomial of degree D = 3**K in sqrt(p0): at resolution 100
     K1..K3 score their D + 1 probes and no other point, since the point that
     wins, p0 = 1, is the end of the span that a probe has scored; K4 and K5,
     whose 82 and 244 probes would exceed half the row, score its 100 points.
-    At epsilon = 0 the probes coincide and every point is scored."""
+    A two-parameter grid scores its probes, the tensor product of each
+    axis's D_j + 1 Chebyshev points, and the few points that can win.  At
+    epsilon = 0 the probes coincide and every point is scored."""
     x, config, noise = small_problem(stages, sigma=sigma, symbols=64, alpha=alpha)
     config = dataclasses.replace(config, reference_gain=box[0], epsilon=box[1])
     expected, expected_value = brute_force_oracle(x, config, noise, mode, resolution)
@@ -799,50 +818,52 @@ def test_grid_oracle_equals_a_scan_of_every_point(
 
 
 def test_grid_oracle_scores_few_points_where_the_last_gain_scales_the_output(monkeypatch):
-    """Along a row of unequal-gains K2 the residual is linear in g_2 (D = 1):
-    each row scores its D + 1 = 2 probes, the ends of its span, and then the
-    one point that can win, not all 50; none more when that point is an end,
-    which its probe has scored."""
+    """The residual of unequal-gains K2 is cubic in g_1 and linear in g_2
+    (degrees (3, 1)), so the grid of 2,500 points scores its 4 x 2 probes,
+    g_1 at its span's 4 Chebyshev points and g_2 at the ends of its span,
+    and then the one point that can win, in a row no probe walks."""
     calls = record_calls(monkeypatch)
     x, config, noise = small_problem(2, sigma=0.01, symbols=64)
-    grid_oracle(x, config, noise, Mode.UNEQUAL_GAINS, 50)
-    per_row = collections.Counter(float(theta[0]) for theta in calls)
-    assert len(per_row) == 50
-    assert collections.Counter(per_row.values()) == {2: 28, 2 + 1: 22}
+    theta, _ = grid_oracle(x, config, noise, Mode.UNEQUAL_GAINS, 50)
+    assert len(calls) == 4 * 2 + 1
+    per_row = collections.Counter(float(point[0]) for point in calls)
+    assert collections.Counter(per_row.values()) == {2: 4, 1: 1}
+    assert {float(point[1]) for point in calls[:-1]} == set(config.gain_bounds)
+    assert calls[-1].tobytes() == theta.tobytes()
 
 
 @pytest.mark.parametrize(
-    "mode, rows", [(Mode.EQUAL_GAINS, 1), (Mode.JOINT_EQUAL_GAINS, 50)],
+    "mode, resolution, rows",
+    [(Mode.EQUAL_GAINS, 50, {5 + 1: 1}), (Mode.JOINT_EQUAL_GAINS, 100, {5: 10, 1: 1})],
     ids=["equal-gains", "joint-equal"],
 )
 def test_grid_oracle_scores_few_points_where_both_stages_share_the_gain(
-    monkeypatch, mode, rows
+    monkeypatch, mode, resolution, rows
 ):
-    """Along a row of equal-gains or joint-equal K2 the residual is a
-    polynomial of degree D = 4 in the shared gain: each row scores its
-    D + 1 = 5 probes, the fewest that fix it (see
-    test_a_row_residual_has_the_oracle_degree), and then the one point that
-    can win, not all 50; none more when that point is an end of the span,
-    which a probe has scored."""
+    """At K2 the residual is a polynomial of degree 4 in the shared gain
+    and, for joint-equal, of degree 9 in sqrt(p0) (see
+    test_a_row_residual_has_the_oracle_degree).  Equal-gains, one row,
+    scores its 5 probes and then the one point that can win, not all 50.
+    Joint-equal scores its 10 x 5 probes, 5 in each of 10 rows, and then
+    the one point that can win, in a row no probe walks: 51 of 10,000.  At
+    resolution 50 its 50 probes would exceed half a row, and the grid is
+    scored whole."""
     calls = record_calls(monkeypatch)
     x, config, noise = small_problem(2, sigma=0.01, symbols=64)
-    grid_oracle(x, config, noise, mode, 50)
+    grid_oracle(x, config, noise, mode, resolution)
     per_row = collections.Counter(tuple(theta[:-1]) for theta in calls)
-    assert len(per_row) == rows
-    assert collections.Counter(per_row.values()) == (
-        {5 + 1: 1} if rows == 1 else {5: 27, 5 + 1: 23}
-    )
+    assert collections.Counter(per_row.values()) == rows
 
 
-def test_grid_oracle_scores_a_row_whole_when_its_prediction_is_not_finite(monkeypatch):
-    """A probe off the grid whose residual overflows leaves no finite
-    prediction, so every point of the row is scored, and the result is still
-    the full scan's.  Power K1 has D + 1 = 4 probes; the rest of its calls
-    are the grid points that no probe hit, each scored once."""
-    x, config, noise = small_problem(1, sigma=0.01, symbols=64)
-    expected, expected_value = brute_force_oracle(x, config, noise, Mode.POWER_ONLY, 60)
-    lo, hi = optimizer.mode_bounds(Mode.POWER_ONLY, 1, config.gain_bounds)
-    axis = np.linspace(lo[0], hi[0], 60)
+def scores_every_point_when_a_prediction_is_not_finite(monkeypatch, mode, stages, probes):
+    """grid_oracle at resolution 60, its residual patched to log each point
+    and to overflow to inf off the grid, returns the full scan's point and
+    objective; after its first ``probes`` calls it scores each grid point
+    that no probe hit, once."""
+    x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
+    expected, expected_value = brute_force_oracle(x, config, noise, mode, 60)
+    lo, hi = optimizer.mode_bounds(mode, stages, config.gain_bounds)
+    axes = [np.linspace(a, b, 60) for a, b in zip(lo, hi)]
     calls = []
     build = optimizer.build_residual
 
@@ -850,18 +871,35 @@ def test_grid_oracle_scores_a_row_whole_when_its_prediction_is_not_finite(monkey
         residual = build(*args)
 
         def wrapped(theta, jacobian=False):
-            calls.append(theta.copy())
+            calls.append(tuple(theta))
             r = residual(theta, jacobian)
-            return r if theta[-1] in axis else np.full_like(r, np.inf)
+            return r if all(c in axis for c, axis in zip(theta, axes)) else np.full_like(r, np.inf)
 
         return wrapped
 
     monkeypatch.setattr(optimizer, "build_residual", overflowing)
-    theta, value = grid_oracle(x, config, noise, Mode.POWER_ONLY, 60)
+    theta, value = grid_oracle(x, config, noise, mode, 60)
     assert theta.tobytes() == expected.tobytes()
     assert repr(value) == repr(expected_value)
-    probes = {float(probe[-1]) for probe in calls[:4]}
-    assert sorted(float(point[-1]) for point in calls[4:]) == sorted(set(axis) - probes)
+    unhit = set(itertools.product(*axes)) - set(calls[:probes])
+    assert sorted(calls[probes:]) == sorted(unhit)
+
+
+def test_grid_oracle_scores_a_row_whole_when_its_prediction_is_not_finite(monkeypatch):
+    """A probe off the grid whose residual overflows leaves no finite
+    prediction, so every point of the row is scored, and the result is still
+    the full scan's.  Power K1 has D + 1 = 4 probes; the rest of its calls
+    are the grid points that no probe hit, each scored once."""
+    scores_every_point_when_a_prediction_is_not_finite(monkeypatch, Mode.POWER_ONLY, 1, 4)
+
+
+def test_grid_oracle_scores_a_plane_whole_when_its_prediction_is_not_finite(monkeypatch):
+    """The two-parameter twin of the test above: joint-equal K1, of degrees
+    (3, 1), has 4 x 2 probes, and an overflowing probe off the grid leaves
+    every one of its 3,600 points to be scored once, but those a probe hit."""
+    scores_every_point_when_a_prediction_is_not_finite(
+        monkeypatch, Mode.JOINT_EQUAL_GAINS, 1, 4 * 2
+    )
 
 
 def lagrange(nodes, values, at):
@@ -879,45 +917,49 @@ def lagrange(nodes, values, at):
     ids=[f"{mode.value}-K{stages}" for mode, stages in ORACLE_CASES],
 )
 def test_a_row_residual_has_the_oracle_degree(mode, stages):
-    """Along a row only the last parameter c moves, and the residual vector
-    is a polynomial in c (in s = sqrt(p0) for the drive) of the degree D
-    that grid_oracle predicts from, optimizer.row_degree.  The interpolant
-    through D + 1 Chebyshev residual vectors matches the residual at five
-    other points to 1e-9 of the largest probe, and the one through D misses
-    it, so a degree set one too low or too high fails here.
+    """Along each axis of the grid only one parameter c moves, and the
+    residual vector is a polynomial in c (in s = sqrt(p0) for the drive) of
+    the degree D that grid_oracle predicts from, that axis's entry of
+    optimizer.axis_degrees.  The interpolant through D + 1 Chebyshev
+    residual vectors matches the residual at five other points to 1e-9 of
+    the largest probe, and the one through D misses it, so a degree set one
+    too low or too high on any axis fails here.
 
     The span is s in [0, 1] for the drive and [-g, g] for a gain, wider than
     the oracle's box, so that the top term shows: on the box, a gain shared
-    by three stages (D = 13) misses by only 2e-14.  At power K3 no span can
-    show it: on s in [0, 1] the s^27 term is at most 2^-53 of the largest
-    probe, below rounding, so a degree-26 prediction would be as exact."""
+    by three stages (D = 13) misses by only 2e-14.  At K3 no span can show
+    the drive's top term: on s in [0, 1] the s^27 term is at most 2^-53 of
+    the largest probe, below rounding, so a degree-26 prediction would be
+    as exact."""
     x, config, noise = small_problem(stages, sigma=0.01, symbols=64, alpha=-0.9 + 0.3j)
     residual = build_residual(x, config, noise, mode)
     lo, hi = optimizer.mode_bounds(mode, stages, config.gain_bounds)
-    power = mode is Mode.POWER_ONLY
-    a, b = (0.0, 1.0) if power else (-hi[-1], hi[-1])
+    degrees = optimizer.axis_degrees(mode, stages)
+    assert len(degrees) == len(lo)
+    for axis, degree in enumerate(degrees):
+        drive = axis == 0 and mode in optimizer.FREE_POWER_MODES
+        a, b = (0.0, 1.0) if drive else (-hi[axis], hi[axis])
 
-    def at(c):
-        theta = (lo + hi) / 2
-        theta[-1] = c**2 if power else c
-        return residual(theta)
+        def at(c):
+            theta = (lo + hi) / 2
+            theta[axis] = c**2 if drive else c
+            return residual(theta)
 
-    others = a + (b - a) * np.array([0.05, 0.3, 0.55, 0.8, 0.95])
-    exact = np.array([at(c) for c in others])
+        others = a + (b - a) * np.array([0.05, 0.3, 0.55, 0.8, 0.95])
+        exact = np.array([at(c) for c in others])
 
-    def miss(degree):
-        # Chebyshev points of the first kind, which also exist for degree 0.
-        angles = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
-        nodes = (a + b) / 2 + (b - a) / 2 * np.cos(angles)
-        probes = np.array([at(c) for c in nodes])
-        fitted = lagrange(nodes, probes, others)
-        size = np.max(np.linalg.norm(probes, axis=1))
-        return np.max(np.linalg.norm(fitted - exact, axis=1)) / size
+        def miss(degree):
+            # Chebyshev points of the first kind, which also exist for degree 0.
+            angles = np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+            nodes = (a + b) / 2 + (b - a) / 2 * np.cos(angles)
+            probes = np.array([at(c) for c in nodes])
+            fitted = lagrange(nodes, probes, others)
+            size = np.max(np.linalg.norm(probes, axis=1))
+            return np.max(np.linalg.norm(fitted - exact, axis=1)) / size
 
-    degree = optimizer.row_degree(mode, stages)
-    assert miss(degree) <= 1e-9
-    if (mode, stages) != (Mode.POWER_ONLY, 3):
-        assert miss(degree - 1) > 1e-9
+        assert miss(degree) <= 1e-9, axis
+        if not (drive and stages == 3):
+            assert miss(degree - 1) > 1e-9, axis
 
 
 @pytest.mark.parametrize("alpha", [ALPHA, -0.9 + 0.3j], ids=["default", "strong"])
@@ -1191,23 +1233,27 @@ def test_negative_zero_gain_is_not_reused(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mode, stages, expected",
+    "mode, stages, resolution, expected",
     [
-        (Mode.UNEQUAL_GAINS, 2, 2 + 49),
-        (Mode.JOINT_EQUAL_GAINS, 1, 50),
-        (Mode.JOINT_EQUAL_GAINS, 2, None),  # scored calls + 50 rows
+        (Mode.UNEQUAL_GAINS, 2, 50, 2 + 3 + 1),
+        (Mode.JOINT_EQUAL_GAINS, 1, 50, 4 + 1),
+        (Mode.JOINT_EQUAL_GAINS, 2, 100, 10 * (2 + 4) + 2),
     ],
     ids=["unequal-gains-K2", "joint-equal-K1", "joint-equal-K2"],
 )
-def test_grid_oracle_reruns_only_the_stages_a_step_changes(monkeypatch, mode, stages, expected):
-    """The row-major walk moves the last parameter fastest.  Along a row of
-    unequal gains only g_2 moves, which needs no kernel call, and each new row
-    runs stage 2 alone; a row of joint-equal K1 moves only g; along a row of
-    joint-equal K2, f_1 is shared, so the first call of a row runs both
-    stages and every later one stage 2 alone.  The whole chain at every
-    point would run stages x 2,500."""
+def test_grid_oracle_reruns_only_the_stages_a_step_changes(
+    monkeypatch, mode, stages, resolution, expected
+):
+    """The probes are walked row-major, the last parameter fastest, and the
+    one point scored after them starts a new row.  Unequal-gains K2: a step
+    in g_2 needs no kernel call, so after the first probe (both stages)
+    each of the 3 other g_1 rows runs stage 2 alone, as does the point.
+    Joint-equal K1: each of the 4 drive rows, and the point, runs its one
+    stage, and a step in g runs none.  Joint-equal K2: f_1 is shared, so the
+    first probe of each of the 10 drive rows runs both stages and each of
+    its 4 others stage 2 alone; the point runs both.  The whole chain at
+    every point would run stages x resolution**2."""
     runs = count_stages(monkeypatch)
-    calls = record_calls(monkeypatch)
     x, config, noise = small_problem(stages, sigma=0.01, symbols=64)
-    grid_oracle(x, config, noise, mode, 50)
-    assert sum(runs) == (len(calls) + 50 if expected is None else expected)
+    grid_oracle(x, config, noise, mode, resolution)
+    assert sum(runs) == expected

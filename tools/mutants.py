@@ -56,9 +56,14 @@ MUTANTS = (
     Mutant("rescore-a-repeated-trial", OPT, "if trial.tobytes() != rejected:", "if True:"),
     Mutant("criticality-drops-the-factor-two", OPT,
            "np.clip(theta - 2.0 * gradient, lo, hi)", "np.clip(theta - gradient, lo, hi)"),
-    Mutant("row-degree-one-low", OPT, "    return degree\n", "    return degree - 1\n"),
+    Mutant("row-degree-one-low", OPT,
+           "return tuple(degrees)", "return (*degrees[:-1], degrees[-1] - 1)"),
+    Mutant("first-axis-degree-one-low", OPT,
+           "return tuple(degrees)", "return (degrees[0] - 1, *degrees[1:])"),
+    Mutant("first-axis-degree-one-high", OPT,
+           "return tuple(degrees)", "return (degrees[0] + 1, *degrees[1:])"),
     Mutant("no-half-row-rule", OPT,
-           "if 2 * (degree + 1) > resolution or not", "if not"),
+           "if 2 * np.prod([d + 1 for d in degrees]) > resolution or not", "if not"),
     Mutant("no-whole-row-for-a-non-finite-prediction", OPT,
            "(predicted <= cut) | (not np.all(np.isfinite(predicted)))", "predicted <= cut"),
     # The cascade kernel and its closed forms.
